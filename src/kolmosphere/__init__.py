@@ -12,7 +12,6 @@ from .polyring import (
     Poly,
     VariableIndexError,
     ZeroDenominatorError,
-    degree_info,
     divide_exact,
     parse,
 )

@@ -87,7 +87,7 @@ def _load_form(path: str) -> CubicKolmogorovForm:
     data = _load_json(path)
     try:
         return cubic_form_from_dict(data)
-    except (KeyError, ValueError, TypeError) as err:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as err:
         raise InputError(f"{path}: {err}") from err
 
 
@@ -323,8 +323,8 @@ def _cmd_construct_cubic(args) -> int:
 
 def _cmd_hamiltonian(args) -> int:
     if args.constraint_space:
-        if args.n is None:
-            raise InputError("--constraint-space needs --n")
+        if args.n is None or args.n < 1:
+            raise InputError("--constraint-space needs --n >= 1")
         dimension, basis = hamiltonian_constraint_space(args.n)
         payload = {
             "n": args.n,
@@ -362,8 +362,8 @@ def _cmd_integrate(args) -> int:
     x0 = _float_list(args.x0, "--x0")
     if len(x0) != vf.dim:
         raise InputError(f"--x0 has {len(x0)} coordinates, field on R^{vf.dim}")
-    if args.h <= 0 or args.steps < 0:
-        raise InputError("need --h > 0 and --steps >= 0")
+    if not 0 < args.h < float("inf") or args.steps < 1:
+        raise InputError("need a finite --h > 0 and --steps >= 1")
     watches = [
         (_parse_poly_arg(text, vf.dim, "--watch"), text)
         for text in (args.watch or [])
@@ -402,6 +402,8 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.instances is not None and args.instances < 1:
+        raise InputError("need --instances >= 1")
     report = run_suite(args.suite, seed=args.seed, instances=args.instances)
     payload = {
         "suite": report.name,

@@ -26,6 +26,7 @@ from .field_forms import (
     construct_from_form,
     lie_derivative,
     sphere_polynomial,
+    sum_of_squares,
 )
 from .invariance import (
     Cofactor,
@@ -122,26 +123,86 @@ def coordinate_cofactor(form: CubicKolmogorovForm, i: int) -> Poly:
     """Cofactor of the hyperplane x_i = 0: alpha_i (1 - sum x^2) + sum_j atilde_ij x_j^2."""
     d = form.dim
     p = Poly.const(d, form.alpha[i - 1]) * (
-        Poly.const(d, 1) - (sphere_polynomial(d) + 1)
+        Poly.const(d, 1) - sum_of_squares(d)
     )
     for j in range(d):
         p = p + form.atilde[i - 1][j] * Poly.var(d, j + 1) ** 2
     return p
 
 
-def verify_first_integral(
-    vf: PolyVectorField, integral: DarbouxIntegral
-) -> bool:
-    """Bit-exact certificate: the exponent-weighted cofactor sum vanishes."""
-    total = Poly.zero(vf.dim)
-    for b, surface in zip(integral.exponents, integral.surfaces):
+def _coordinate_surfaces(d: int) -> Tuple[Hypersurface, ...]:
+    return tuple(Hypersurface(Poly.var(d, i)) for i in range(1, d + 1))
+
+
+def _cofactor_sums_vanish(
+    vf: PolyVectorField,
+    surfaces: Sequence[Hypersurface],
+    vectors: Sequence[Sequence[Fraction]],
+    g_cofactor: Optional[Poly] = None,
+) -> List[bool]:
+    """Whether sum_i b_i K_i = 0, for each exponent vector b.  The cofactor
+    K_i of each surface comes from exact division, once; ``g_cofactor`` is
+    the last surface's, when the caller already divided it out."""
+    if not vectors:
+        return []
+    cofactors = []
+    for surface in surfaces if g_cofactor is None else surfaces[:-1]:
         cof = cofactor(vf, surface)
         if cof is None:
             raise NotInvariantError(
                 f"surface {surface.defining} is not invariant for the field"
             )
-        total = total + b * cof.poly
-    return total.is_zero()
+        cofactors.append(cof.poly)
+    if g_cofactor is not None:
+        cofactors.append(g_cofactor)
+    verdicts = []
+    for vec in vectors:
+        total = Poly.zero(vf.dim)
+        for b, k in zip(vec, cofactors):
+            total = total + b * k
+        verdicts.append(total.is_zero())
+    return verdicts
+
+
+def verify_first_integral(
+    vf: PolyVectorField, integral: DarbouxIntegral
+) -> bool:
+    """Bit-exact certificate: the exponent-weighted cofactor sum vanishes."""
+    return _cofactor_sums_vanish(
+        vf, integral.surfaces, [integral.exponents]
+    )[0]
+
+
+def _certified_integrals(
+    vf: PolyVectorField,
+    surfaces: Tuple[Hypersurface, ...],
+    vectors: Sequence[Tuple[Fraction, ...]],
+    g_cofactor: Optional[Poly] = None,
+) -> List[DarbouxIntegral]:
+    """One integral per exponent vector; a vector that fails the
+    cofactor-sum certificate is an internal error."""
+    integrals = [DarbouxIntegral(vec, surfaces) for vec in vectors]
+    verdicts = _cofactor_sums_vanish(vf, surfaces, vectors, g_cofactor)
+    for vec, certified in zip(vectors, verdicts):
+        if not certified:
+            raise RuntimeError(
+                f"internal error: exponent vector {vec} failed the "
+                "cofactor-sum certificate"
+            )
+    return integrals
+
+
+def _exponent_problem(form: CubicKolmogorovForm, g: Hypersurface):
+    """The assembled field, g's cofactor, the matrix B, and the surfaces
+    (x_1, ..., x_d, g) that B's rows belong to."""
+    vf = assemble_cubic(form)
+    extra = cofactor(vf, g)
+    if extra is None:
+        raise NotInvariantError(
+            f"surface {g.defining} is not invariant for the assembled field"
+        )
+    surfaces = _coordinate_surfaces(form.dim) + (g,)
+    return vf, extra.poly, build_matrix_B(form, extra), surfaces
 
 
 def find_darboux(
@@ -149,26 +210,10 @@ def find_darboux(
 ) -> List[DarbouxIntegral]:
     """All first integrals g^(b_{d+1}) prod x_i^(b_i), as a basis of
     exponent vectors; empty when the matrix B has full rank."""
-    vf = assemble_cubic(form)
-    extra = cofactor(vf, g)
-    if extra is None:
-        raise NotInvariantError(
-            f"surface {g.defining} is not invariant for the assembled field"
-        )
-    matrix_b = build_matrix_B(form, extra)
-    surfaces = tuple(
-        Hypersurface(Poly.var(form.dim, i)) for i in range(1, form.dim + 1)
-    ) + (g,)
-    integrals = []
-    for vec in nullspace(matrix_b, side="left"):
-        integral = DarbouxIntegral(vec, surfaces)
-        if not verify_first_integral(vf, integral):
-            raise RuntimeError(
-                f"internal error: nullspace vector {vec} failed the "
-                "cofactor-sum certificate"
-            )
-        integrals.append(integral)
-    return integrals
+    vf, g_cofactor, matrix_b, surfaces = _exponent_problem(form, g)
+    return _certified_integrals(
+        vf, surfaces, nullspace(matrix_b, side="left"), g_cofactor
+    )
 
 
 def syzygy_first_integral(
@@ -177,24 +222,14 @@ def syzygy_first_integral(
     """Monomial first integrals prod x_i^(y_i) from the right nullspace of
     the stacked (d+1) x d matrix [alpha; atilde]: such y satisfy both
     sum y_i alpha_i = 0 and atilde y = 0."""
-    d = form.dim
     stacked = RationalMatrix.from_rows(
         [list(form.alpha)] + [list(row) for row in form.atilde]
     )
-    surfaces = tuple(
-        Hypersurface(Poly.var(d, i)) for i in range(1, d + 1)
+    return _certified_integrals(
+        assemble_cubic(form),
+        _coordinate_surfaces(form.dim),
+        nullspace(stacked, side="right"),
     )
-    vf = assemble_cubic(form)
-    integrals = []
-    for vec in nullspace(stacked, side="right"):
-        integral = DarbouxIntegral(vec, surfaces)
-        if not verify_first_integral(vf, integral):
-            raise RuntimeError(
-                f"internal error: stacked-nullspace vector {vec} failed "
-                "the cofactor-sum certificate"
-            )
-        integrals.append(integral)
-    return integrals
 
 
 def decompose_syzygy(
@@ -492,29 +527,14 @@ def complete_integrability_check(
             raise HypothesisFailedError(i, rank(matrix), d)
         determinants.append(det)
 
-    vf = assemble_cubic(form)
-    extra = cofactor(vf, g)
-    if extra is None:
-        raise NotInvariantError(
-            f"surface {g.defining} is not invariant for the assembled field"
-        )
-    matrix_b = build_matrix_B(form, extra)
+    vf, g_cofactor, matrix_b, surfaces = _exponent_problem(form, g)
     rank_b = rank(matrix_b)
 
     integrals: List[DarbouxIntegral] = []
     if rank_b <= 2:
-        surfaces = tuple(
-            Hypersurface(Poly.var(d, i)) for i in range(1, d + 1)
-        ) + (g,)
-        basis = nullspace(matrix_b, side="left")[:n]
-        for vec in basis:
-            integral = DarbouxIntegral(vec, surfaces)
-            if not verify_first_integral(vf, integral):
-                raise RuntimeError(
-                    f"internal error: exponent vector {vec} failed the "
-                    "cofactor-sum certificate"
-                )
-            integrals.append(integral)
+        integrals = _certified_integrals(
+            vf, surfaces, nullspace(matrix_b, side="left")[:n], g_cofactor
+        )
         stacked = RationalMatrix.from_rows([i.exponents for i in integrals])
         if rank(stacked) != n:
             raise RuntimeError(

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals for small dense matrices.
 
-Rank and determinant run fraction-free (Bareiss) on a denominator-cleared
-integer copy, which keeps intermediate entries polynomially bounded.
-Nullspaces come from a reduced row echelon form over Fraction; each basis
-vector is scaled so its first nonzero entry is 1 and vectors are ordered
-by the free column that generates them.
+One elimination serves everything: fraction-free (Bareiss) echelon form of
+a denominator-cleared integer copy, which keeps intermediate entries
+polynomially bounded.  Rank counts its pivots, the determinant is its last
+pivot, and nullspaces come from back substitution on it: one basis vector
+per free column, with a 1 there and 0 at the other free columns, scaled so
+its first nonzero entry is 1 and ordered by free column.  Such a vector is
+unique, so the basis is the one a reduced row echelon form would give.
 """
 
 from __future__ import annotations
@@ -62,10 +64,10 @@ class RationalMatrix:
         return self.entries[i]
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix.from_rows(
-            [[self.entries[i][j] for i in range(self.rows)]
-             for j in range(self.cols)]
-        )
+        return RationalMatrix(self.cols, self.rows, tuple(
+            tuple(self.entries[i][j] for i in range(self.rows))
+            for j in range(self.cols)
+        ))
 
     def matvec(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
@@ -153,30 +155,6 @@ def determinant(m: RationalMatrix) -> Fraction:
     return det_scaled
 
 
-def _rref(m: RationalMatrix) -> Tuple[List[List[Fraction]], List[int]]:
-    mat = [list(row) for row in m.entries]
-    pivot_cols: List[int] = []
-    pr = 0
-    for col in range(m.cols):
-        if pr >= m.rows:
-            break
-        pivot = next(
-            (r for r in range(pr, m.rows) if mat[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        mat[pr], mat[pivot] = mat[pivot], mat[pr]
-        inv = 1 / mat[pr][col]
-        mat[pr] = [x * inv for x in mat[pr]]
-        for r in range(m.rows):
-            if r != pr and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[pr])]
-        pivot_cols.append(col)
-        pr += 1
-    return mat, pivot_cols
-
-
 def _normalize(v: List[Fraction]) -> Vector:
     first = next((x for x in v if x != 0), None)
     if first is None:
@@ -195,15 +173,22 @@ def nullspace(m: RationalMatrix, side: str = "right") -> List[Vector]:
         return nullspace(m.transpose(), "right")
     if side != "right":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    rref, pivot_cols = _rref(m)
+    mat, _ = _integer_copy(m)
+    pivot_cols, _ = _bareiss_echelon(mat, m.rows, m.cols)
     pivots_set = set(pivot_cols)
     basis: List[Vector] = []
     for free in range(m.cols):
         if free in pivots_set:
             continue
-        v = [Fraction(0)] * m.cols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivot_cols):
-            v[pc] = -rref[r][free]
-        basis.append(_normalize(v))
+        # Back substitution, bottom row first; the entries left of a row's
+        # pivot are zero, so only the entries solved so far contribute.
+        solved = {free: Fraction(1)}
+        for r in range(len(pivot_cols) - 1, -1, -1):
+            row = mat[r]
+            total = sum(row[c] * x for c, x in solved.items())
+            if total:
+                solved[pivot_cols[r]] = -total / row[pivot_cols[r]]
+        basis.append(
+            _normalize([solved.get(c, Fraction(0)) for c in range(m.cols)])
+        )
     return basis

@@ -132,14 +132,19 @@ class CubicKolmogorovForm:
         )
 
 
-def sphere_polynomial(dim: int) -> Poly:
-    """x1^2 + ... + xd^2 - 1."""
-    terms = {(0,) * dim: Fraction(-1)}
+def sum_of_squares(dim: int) -> Poly:
+    """x1^2 + ... + xd^2."""
+    terms = {}
     for i in range(dim):
         exps = [0] * dim
         exps[i] = 2
         terms[tuple(exps)] = Fraction(1)
     return Poly(dim, terms)
+
+
+def sphere_polynomial(dim: int) -> Poly:
+    """x1^2 + ... + xd^2 - 1."""
+    return Poly.const(dim, -1) + sum_of_squares(dim)
 
 
 def lie_derivative(vf: PolyVectorField, f: Poly) -> Poly:
@@ -157,7 +162,7 @@ def lie_derivative(vf: PolyVectorField, f: Poly) -> Poly:
 def construct_from_form(form: KolmogorovForm) -> PolyVectorField:
     """Assemble the field P_i = x_i((1 - sum x^2) ftilde_i + sum_j atilde_ij x_j^2)."""
     d = form.dim
-    one_minus_r2 = Poly.const(d, 1) - (sphere_polynomial(d) + 1)
+    one_minus_r2 = Poly.const(d, 1) - sum_of_squares(d)
     squares = [Poly.var(d, j) ** 2 for j in range(1, d + 1)]
     components = []
     for i in range(d):
@@ -203,9 +208,9 @@ def is_kolmogorov_on_sphere(vf: PolyVectorField) -> SphereKolmogorovReport:
     )
 
 
-def _pure_square_profile(q: Poly) -> Optional[List[Fraction]]:
+def pure_square_profile(q: Poly) -> Optional[List[Fraction]]:
     """Coefficients [c_0, c_1, ..., c_d] when q = c_0 + sum_j c_j x_j^2,
-    None if q has any other monomial."""
+    None if q has any other monomial; the zero polynomial gives all zeros."""
     out = [Fraction(0)] * (q.dim + 1)
     for exps, coeff in q:
         nonzero = [(pos, e) for pos, e in enumerate(exps) if e != 0]
@@ -234,7 +239,7 @@ def recover_cubic_form(vf: PolyVectorField) -> Optional[CubicKolmogorovForm]:
         q = divide_exact(vf.components[i - 1], Poly.var(d, i))
         if q is None:
             return None
-        profile = _pure_square_profile(q)
+        profile = pure_square_profile(q)
         if profile is None:
             return None
         a_i = profile[0]

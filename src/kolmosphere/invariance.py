@@ -20,7 +20,8 @@ from .field_forms import (
     assemble_cubic,
     classify_homogeneous,
     lie_derivative,
-    sphere_polynomial,
+    pure_square_profile,
+    sum_of_squares,
 )
 
 
@@ -65,22 +66,6 @@ class Cofactor:
     structured: Optional[StructuredView]
 
 
-def _structured_view(k: Poly) -> Optional[StructuredView]:
-    """Match K against k0 + sum k_i x_i^2; the zero cofactor is structured
-    with all entries zero."""
-    k0 = Fraction(0)
-    coeffs = [Fraction(0)] * k.dim
-    for exps, coeff in k:
-        nonzero = [(pos, e) for pos, e in enumerate(exps) if e != 0]
-        if not nonzero:
-            k0 = coeff
-        elif len(nonzero) == 1 and nonzero[0][1] == 2:
-            coeffs[nonzero[0][0]] = coeff
-        else:
-            return None
-    return StructuredView(k0, tuple(coeffs))
-
-
 def cofactor(vf: PolyVectorField, h: Hypersurface) -> Optional[Cofactor]:
     """Cofactor of an invariant hypersurface, None when not invariant."""
     if h.dim != vf.dim:
@@ -90,7 +75,10 @@ def cofactor(vf: PolyVectorField, h: Hypersurface) -> Optional[Cofactor]:
     quotient = divide_exact(lie_derivative(vf, h.defining), h.defining)
     if quotient is None:
         return None
-    return Cofactor(quotient, _structured_view(quotient))
+    profile = pure_square_profile(quotient)
+    if profile is None:
+        return Cofactor(quotient, None)
+    return Cofactor(quotient, StructuredView(profile[0], tuple(profile[1:])))
 
 
 @dataclass(frozen=True)
@@ -320,8 +308,7 @@ def cone_invariance(vf: PolyVectorField, hp: HyperplaneSpec) -> ConeReport:
             "cone equivalence only applies to homogeneous fields"
         )
     linear = hp.defining_poly()
-    r2 = sphere_polynomial(vf.dim) + 1
-    cone = linear * linear - hp.offset_d**2 * r2
+    cone = linear * linear - hp.offset_d**2 * sum_of_squares(vf.dim)
     if cone.is_zero():
         raise ValueError("degenerate cone: the defining polynomial vanishes")
     quotient = divide_exact(lie_derivative(vf, cone), cone)
@@ -354,7 +341,7 @@ def second_sphere_check(
     if r in (0, 1, -1):
         raise BadRadiusError("radius must differ from 0, 1, and -1")
     vf = assemble_cubic(form)
-    g = sphere_polynomial(form.dim) + 1 - r * r  # sum x^2 - r^2
+    g = sum_of_squares(form.dim) - r * r
     quotient = divide_exact(lie_derivative(vf, g), g)
     alpha_zero = all(a == 0 for a in form.alpha)
     if quotient is not None:

@@ -291,11 +291,6 @@ def _term_text(exps: Monomial, coeff: Fraction) -> str:
     return f"{coeff}*{vars_part}"
 
 
-def degree_info(p: Poly) -> tuple:
-    """(total degree, is_homogeneous) with NEG_INF for the zero polynomial."""
-    return (p.degree(), p.is_homogeneous())
-
-
 def divide_exact(dividend: Poly, divisor: Poly):
     """Quotient when ``divisor`` divides ``dividend`` exactly, else None.
 

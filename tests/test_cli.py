@@ -280,3 +280,30 @@ def test_construct_complete_rejects_wrong_degree(capsys):
     )
     assert code == 2
     assert "degree" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--field", FIELD, "--x0", "0.5,0.5,0.5",
+         "--h", "0.001", "--steps", "0"],
+        ["integrate", "--field", FIELD, "--x0", "0.5,0.5,0.5",
+         "--h", "nan", "--steps", "10"],
+        ["hamiltonian", "--constraint-space", "--n", "0"],
+        ["syzygy-fi", "--form", "ZERO_DENOMINATOR_FORM"],
+        ["certify", "--suite", "roundtrip", "--instances", "-5"],
+    ],
+    ids=["steps-0", "h-nan", "constraint-n-0", "form-1-over-0",
+         "negative-instances"],
+)
+def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv):
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({
+        "dim": 2, "alpha": ["1/0", "1"], "atilde": [["0", "1"], ["-1", "0"]],
+    }))
+    argv = [str(form) if a == "ZERO_DENOMINATOR_FORM" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -2,7 +2,8 @@
 
 The oracles here are deliberately naive (Laplace expansion, exhaustive
 minors) so that the production kernels are checked against something
-independent of elimination order.
+independent of elimination order; sympy serves as an independent exact
+oracle where it is installed.
 """
 
 import itertools
@@ -18,6 +19,9 @@ from kolmosphere.exactla import (
     nullspace,
     rank,
 )
+from kolmosphere.hamiltonian import hamiltonian_constraint_space
+
+from conftest import span_equal
 
 
 def laplace_det(rows):
@@ -161,3 +165,78 @@ def test_invalid_side_is_rejected():
 def test_ragged_rows_are_rejected():
     with pytest.raises(ValueError):
         RationalMatrix.from_rows([[1, 2], [3]])
+
+
+def oracle_matrices(kind, rng, count=25):
+    """Seeded random rational matrices of one shape family, some with a
+    row or a column zeroed out."""
+    for _ in range(count):
+        density = 1.0
+        if kind == "square":
+            m = n = rng.randint(1, 6)
+        elif kind == "wide":
+            m = rng.randint(1, 4)
+            n = m + rng.randint(1, 3)
+        elif kind == "tall":
+            n = rng.randint(1, 4)
+            m = n + rng.randint(1, 3)
+        else:
+            m, n, density = rng.randint(1, 6), rng.randint(1, 6), 0.25
+        rows = [
+            [
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                if rng.random() < density else Fraction(0)
+                for _ in range(n)
+            ]
+            for _ in range(m)
+        ]
+        if rng.random() < 0.3:
+            rows[rng.randrange(m)] = [Fraction(0)] * n
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = Fraction(0)
+        yield m, n, rows
+    # Degenerate shapes: all zeros, and no rows or no columns at all.
+    for m, n in ((3, 4), (4, 3), (0, 3), (3, 0), (0, 0)):
+        yield m, n, [[Fraction(0)] * n for _ in range(m)]
+
+
+def lead_scaled(v):
+    first = next(x for x in v if x != 0)
+    return tuple(x / first for x in v)
+
+
+@pytest.mark.parametrize("kind", ["square", "wide", "tall", "sparse"])
+def test_elimination_matches_the_sympy_oracle(kind):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"oracle-{kind}")
+    for m, n, rows in oracle_matrices(kind, rng):
+        ours = RationalMatrix(m, n, tuple(tuple(row) for row in rows))
+        theirs = sympy.Matrix(
+            m, n, [sympy.Rational(x.numerator, x.denominator)
+                   for row in rows for x in row]
+        )
+        assert rank(ours) == theirs.rank()
+        if m == n:
+            assert determinant(ours) == Fraction(str(theirs.det()))
+        for side, oracle in (("right", theirs), ("left", theirs.T)):
+            basis = nullspace(ours, side=side)
+            expected = [
+                tuple(Fraction(str(x)) for x in v) for v in oracle.nullspace()
+            ]
+            assert span_equal(basis, expected)
+            for v in basis:
+                assert next(x for x in v if x != 0) == 1
+            # sympy's basis also has one vector per free column of the
+            # reduced echelon form, with a 1 there, so the two agree
+            # exactly once both lead with 1.
+            assert basis == [lead_scaled(v) for v in expected]
+
+
+def test_hamiltonian_constraint_bases_are_pinned():
+    assert hamiltonian_constraint_space(1) == (
+        1, [(Fraction(1), Fraction(-1), Fraction(-2))]
+    )
+    for n in (2, 3, 4):
+        assert hamiltonian_constraint_space(n) == (0, [])

@@ -13,7 +13,6 @@ from kolmosphere.polyring import (
     Poly,
     VariableIndexError,
     ZeroDenominatorError,
-    degree_info,
     divide_exact,
     parse,
 )
@@ -55,7 +54,8 @@ def test_leading_term_uses_graded_lexicographic_order():
     p = parse("2*x1^2*x2 + x2^3 + 5", 2)
     assert p.leading() == ((2, 1), Fraction(2))
     assert p.degree() == 3
-    assert degree_info(p) == (3, False)
+    assert p.degree() == 3
+    assert not p.is_homogeneous()
     assert p.coefficient((2, 1)) == 2
     assert p.coefficient((9, 9)) == 0
     assert p.constant_term() == 5
