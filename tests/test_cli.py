@@ -42,6 +42,32 @@ def test_check_text_golden(capsys):
     assert out == golden("check_demo3d.txt")
 
 
+@pytest.mark.parametrize(
+    "name, code, argv",
+    [
+        ("cofactor_sphere.txt", 0,
+         ["cofactor", "--field", FIELD, "--surface", "x1^2 + x2^2 + x3^2 - 1"]),
+        ("darboux_demo3d.txt", 0,
+         ["darboux", "--form", FORM, "--g", "1 - x1^2 - x2^2 - x3^2"]),
+        ("syzygy_demo3d.txt", 0, ["syzygy-fi", "--form", FORM]),
+        ("classify_offset.txt", 1,
+         ["classify-hyperplane", "--form", FORM, "--a0", "1", "--a", "1,0,1"]),
+        ("classify_origin.txt", 0,
+         ["classify-hyperplane", "--form", FORM, "--a0", "0", "--a", "1,0,-1"]),
+        ("construct_complete.txt", 0,
+         ["construct", "complete", "--n", "2", "--m", "4", "--atilde", "x1"]),
+        ("constraint_n2.txt", 0,
+         ["hamiltonian", "--constraint-space", "--n", "2"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_text_golden(capsys, name, code, argv):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert err == ""
+    assert out == golden(name)
+
+
 def test_check_exit_one_for_non_members(capsys, tmp_path):
     bad = tmp_path / "rot.json"
     bad.write_text(json.dumps({"dim": 2, "components": ["x2", "-x1"]}))
