@@ -1,18 +1,27 @@
 """Command-line interface.
 
 Exit codes: 0 for a positive verdict (or successful construction), 1 for a
-negative mathematical verdict, 2 for unusable input.  Every subcommand
-accepts ``--format json`` for machine-readable output; runs are
-deterministic, so identical invocations produce identical bytes.
+negative mathematical verdict or a failed numerical integration, 2 for
+unusable input, 3 for an internal error (a failed self-check or any other
+unexpected exception), which is never a verdict.  Every subcommand accepts
+``--format json`` for machine-readable output; runs are deterministic, so
+identical invocations produce identical bytes.
+
+Each ``_cmd_*`` returns ``(code, payload, lines)``: the exit code, the JSON
+payload, and the text lines built from that payload.  ``main`` is the one
+place that prints results and maps exceptions to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from .polyring import ParseError, Poly, parse
 from .field_forms import (
@@ -41,23 +50,19 @@ from .darboux import (
 from .hamiltonian import hamiltonian_constraint_space, is_hamiltonian
 from .numeric_validate import (
     NonFiniteError,
+    Trajectory,
     compile_poly,
     integrate_rk4,
     trajectory_to_csv,
 )
 from .suites import SUITES, run_suite
 
+# (exit code, JSON payload, text lines)
+Outcome = Tuple[int, dict, List[str]]
+
 
 class InputError(Exception):
     """Bad file, bad text, bad flag combination: exit code 2."""
-
-
-def _emit(payload: dict, text_lines: List[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 def _load_json(path: str) -> dict:
@@ -91,6 +96,16 @@ def _load_form(path: str) -> CubicKolmogorovForm:
         raise InputError(f"{path}: {err}") from err
 
 
+def _load_seed(path: str, dim: int) -> List[List[Poly]]:
+    data = _load_json(path)
+    try:
+        return [[parse(text, dim) for text in row] for row in data["entries"]]
+    except (KeyError, TypeError) as err:
+        raise InputError(f"{path}: expected an 'entries' matrix") from err
+    except (ParseError, ValueError, IndexError) as err:
+        raise InputError(f"{path}: {err}") from err
+
+
 def _parse_poly_arg(text: str, dim: int, what: str) -> Poly:
     try:
         return parse(text, dim)
@@ -98,11 +113,27 @@ def _parse_poly_arg(text: str, dim: int, what: str) -> Poly:
         raise InputError(f"{what}: {err}") from err
 
 
-def _fraction_list(text: str, what: str) -> List[Fraction]:
+def _surface_arg(text: str, dim: int, what: str) -> Hypersurface:
+    poly = _parse_poly_arg(text, dim, what)
     try:
-        return [Fraction(piece.strip()) for piece in text.split(",")]
-    except (ValueError, ZeroDivisionError) as err:
+        return Hypersurface(poly)
+    except ValueError as err:
         raise InputError(f"{what}: {err}") from err
+
+
+def _hyperplane_arg(a0: str, a: str, dim: Optional[int] = None) -> HyperplaneSpec:
+    """``--a0``/``--a`` as a hyperplane; ``dim``, when given, is the
+    dimension the form lives in."""
+    try:
+        coeffs = [Fraction(piece.strip()) for piece in a.split(",")]
+    except (ValueError, ZeroDivisionError) as err:
+        raise InputError(f"--a: {err}") from err
+    if dim is not None and len(coeffs) != dim:
+        raise InputError(f"--a has {len(coeffs)} entries, form lives on R^{dim}")
+    try:
+        return HyperplaneSpec.from_values(a0, coeffs)
+    except (ValueError, ZeroDivisionError) as err:
+        raise InputError(f"hyperplane spec: {err}") from err
 
 
 def _float_list(text: str, what: str) -> List[float]:
@@ -112,10 +143,26 @@ def _float_list(text: str, what: str) -> List[float]:
         raise InputError(f"{what}: {err}") from err
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err}") from err
+
+
+def _tuple_text(values: Iterable[str]) -> str:
+    return f"({', '.join(values)})"
+
+
+def _exponent_lines(integrals: List[dict]) -> List[str]:
+    return [f"exponents: {_tuple_text(i['exponents'])}" for i in integrals]
+
+
 # ----- subcommands -----------------------------------------------------------
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> Outcome:
     vf = _load_field(args.field, args.dim)
     report = is_kolmogorov_on_sphere(vf)
     degree = vf.degree()
@@ -129,152 +176,84 @@ def _cmd_check(args) -> int:
         ),
     }
     lines = [
-        f"dimension: {vf.dim}",
+        f"dimension: {payload['dim']}",
         f"degree: {payload['degree']}",
-        f"coordinate factorization: {'yes' if report.kolmogorov else 'no'}",
-        f"unit sphere invariant: {'yes' if report.sphere_invariant else 'no'}",
+        f"coordinate factorization: {'yes' if payload['kolmogorov'] else 'no'}",
+        f"unit sphere invariant: {'yes' if payload['sphere_invariant'] else 'no'}",
     ]
-    if report.sphere_cofactor is not None:
-        lines.append(f"sphere cofactor: {report.sphere_cofactor}")
-    _emit(payload, lines, args.format)
-    return 0 if report.passes else 1
+    if payload["sphere_cofactor"] is not None:
+        lines.append(f"sphere cofactor: {payload['sphere_cofactor']}")
+    return (0 if report.passes else 1), payload, lines
 
 
-def _cmd_cofactor(args) -> int:
+def _cmd_cofactor(args) -> Outcome:
     vf = _load_field(args.field, args.dim)
-    surface_poly = _parse_poly_arg(args.surface, vf.dim, "--surface")
-    try:
-        surface = Hypersurface(surface_poly)
-    except ValueError as err:
-        raise InputError(f"--surface: {err}") from err
-    outcome = cofactor(vf, surface)
+    outcome = cofactor(vf, _surface_arg(args.surface, vf.dim, "--surface"))
     if outcome is None:
         payload = {"invariant": False, "cofactor": None, "structured": None}
-        _emit(payload, ["not invariant"], args.format)
-        return 1
-    structured = None
-    if outcome.structured is not None:
-        structured = {
-            "k0": str(outcome.structured.k0),
-            "k": [str(v) for v in outcome.structured.k],
-        }
+        return 1, payload, ["not invariant"]
+    view = outcome.structured
+    structured = (
+        None if view is None
+        else {"k0": str(view.k0), "k": [str(v) for v in view.k]}
+    )
     payload = {
         "invariant": True,
         "cofactor": str(outcome.poly),
         "structured": structured,
     }
-    lines = [f"invariant with cofactor: {outcome.poly}"]
+    lines = [f"invariant with cofactor: {payload['cofactor']}"]
     if structured is not None:
         lines.append(
-            f"structured: k0 = {structured['k0']}, k = ({', '.join(structured['k'])})"
+            f"structured: k0 = {structured['k0']}, k = {_tuple_text(structured['k'])}"
         )
-    _emit(payload, lines, args.format)
-    return 0
+    return 0, payload, lines
 
 
-def _integral_payload(integral) -> dict:
-    return {
-        "exponents": [str(e) for e in integral.exponents],
-        "surfaces": [str(s.defining) for s in integral.surfaces],
-    }
-
-
-def _cmd_darboux(args) -> int:
+def _cmd_darboux(args) -> Outcome:
     form = _load_form(args.form)
-    g_poly = _parse_poly_arg(args.g, form.dim, "--g")
+    g = _surface_arg(args.g, form.dim, "--g")
     try:
-        g = Hypersurface(g_poly)
-    except ValueError as err:
-        raise InputError(f"--g: {err}") from err
-    try:
-        integrals = find_darboux(form, g)
+        found = find_darboux(form, g)
     except NotInvariantError as err:
-        _emit(
-            {"invariant": False, "integrals": [], "error": str(err)},
-            [f"no integrals: {err}"],
-            args.format,
-        )
-        return 1
-    payload = {
-        "invariant": True,
-        "integrals": [_integral_payload(i) for i in integrals],
-    }
-    lines = [f"{len(integrals)} integral(s)"]
-    for integral in integrals:
-        exps = ", ".join(str(e) for e in integral.exponents)
-        lines.append(f"exponents: ({exps})")
-    _emit(payload, lines, args.format)
-    return 0 if integrals else 1
+        payload = {"invariant": False, "integrals": [], "error": str(err)}
+        return 1, payload, [f"no integrals: {payload['error']}"]
+    integrals = [i.to_dict() for i in found]
+    payload = {"invariant": True, "integrals": integrals}
+    lines = [f"{len(integrals)} integral(s)"] + _exponent_lines(integrals)
+    return (0 if integrals else 1), payload, lines
 
 
-def _cmd_syzygy_fi(args) -> int:
+def _cmd_syzygy_fi(args) -> Outcome:
     form = _load_form(args.form)
-    integrals = syzygy_first_integral(form)
-    payload = {"integrals": [_integral_payload(i) for i in integrals]}
-    lines = [f"{len(integrals)} monomial integral(s)"]
-    for integral in integrals:
-        exps = ", ".join(str(e) for e in integral.exponents)
-        lines.append(f"exponents: ({exps})")
-    _emit(payload, lines, args.format)
-    return 0 if integrals else 1
+    integrals = [i.to_dict() for i in syzygy_first_integral(form)]
+    payload = {"integrals": integrals}
+    lines = [f"{len(integrals)} monomial integral(s)"] + _exponent_lines(integrals)
+    return (0 if integrals else 1), payload, lines
 
 
-def _cmd_classify_hyperplane(args) -> int:
+def _cmd_classify_hyperplane(args) -> Outcome:
     form = _load_form(args.form)
-    coeffs = _fraction_list(args.a, "--a")
-    if len(coeffs) != form.dim:
-        raise InputError(
-            f"--a has {len(coeffs)} entries, form lives on R^{form.dim}"
-        )
-    try:
-        hp = HyperplaneSpec.from_values(Fraction(args.a0), coeffs)
-    except (ValueError, ZeroDivisionError) as err:
-        raise InputError(f"hyperplane spec: {err}") from err
-    try:
-        verdict = classify_hyperplane(form, hp)
-    except ValueError as err:
-        raise InputError(str(err)) from err
+    verdict = classify_hyperplane(form, _hyperplane_arg(args.a0, args.a, form.dim))
+    predicted = verdict.predicted
     payload = {
         "invariant": verdict.invariant,
         "case": verdict.case,
-        "k0": None if verdict.predicted is None else str(verdict.predicted.k0),
-        "k": (
-            None
-            if verdict.predicted is None
-            else [str(v) for v in verdict.predicted.k]
-        ),
+        "k0": None if predicted is None else str(predicted.k0),
+        "k": None if predicted is None else [str(v) for v in predicted.k],
     }
-    if verdict.invariant:
-        lines = [
-            f"invariant ({verdict.case}), cofactor k0 = {payload['k0']}, "
-            f"k = ({', '.join(payload['k'])})"
-        ]
-    else:
-        lines = ["not invariant with a structured cofactor"]
-    _emit(payload, lines, args.format)
-    return 0 if verdict.invariant else 1
+    if not payload["invariant"]:
+        return 1, payload, ["not invariant with a structured cofactor"]
+    line = (
+        f"invariant ({payload['case']}), cofactor k0 = {payload['k0']}, "
+        f"k = {_tuple_text(payload['k'])}"
+    )
+    return 0, payload, [line]
 
 
-def _cmd_construct_linear_fi(args) -> int:
-    coeffs = _fraction_list(args.a, "--a")
-    try:
-        hp = HyperplaneSpec.from_values(Fraction(args.a0), coeffs)
-    except (ValueError, ZeroDivisionError) as err:
-        raise InputError(f"hyperplane spec: {err}") from err
-    data = _load_json(args.seed)
-    try:
-        entries = data["entries"]
-        seed = [
-            [parse(text, hp.dim) for text in row] for row in entries
-        ]
-    except (KeyError, TypeError) as err:
-        raise InputError(f"{args.seed}: expected an 'entries' matrix") from err
-    except (ParseError, ValueError, IndexError) as err:
-        raise InputError(f"{args.seed}: {err}") from err
-    try:
-        form = construct_linear_fi_field(hp, seed)
-    except ValueError as err:
-        raise InputError(str(err)) from err
+def _cmd_construct_linear_fi(args) -> Outcome:
+    hp = _hyperplane_arg(args.a0, args.a)
+    form = construct_linear_fi_field(hp, _load_seed(args.seed, hp.dim))
     field = construct_from_form(form)
     payload = {
         "dim": field.dim,
@@ -285,43 +264,34 @@ def _cmd_construct_linear_fi(args) -> int:
     }
     lines = [f"field: {payload['components']}",
              f"conserves: {payload['first_integral']}"]
-    _emit(payload, lines, args.format)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_construct_complete(args) -> int:
-    dim = args.n + 1
-    atilde_poly = _parse_poly_arg(args.atilde, dim, "--atilde")
-    try:
-        field, cert = construct_completely_integrable(args.n, args.m, atilde_poly)
-    except ValueError as err:
-        raise InputError(str(err)) from err
+def _cmd_construct_complete(args) -> Outcome:
+    atilde = _parse_poly_arg(args.atilde, args.n + 1, "--atilde")
+    field, cert = construct_completely_integrable(args.n, args.m, atilde)
     payload = {
         "dim": field.dim,
         "components": [str(p) for p in field.components],
-        "integrals": [_integral_payload(i) for i in cert.integrals],
+        "integrals": [i.to_dict() for i in cert.integrals],
         "sample_point": [str(c) for c in cert.sample_point.coords],
         "jacobian_rank": cert.jacobian_rank,
     }
     lines = [
         f"field: {payload['components']}",
-        f"{len(cert.integrals)} independent integral(s), "
-        f"jacobian rank {cert.jacobian_rank} at "
-        f"({', '.join(payload['sample_point'])})",
+        f"{len(payload['integrals'])} independent integral(s), "
+        f"jacobian rank {payload['jacobian_rank']} at "
+        f"{_tuple_text(payload['sample_point'])}",
     ]
-    _emit(payload, lines, args.format)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_construct_cubic(args) -> int:
-    form = _load_form(args.form)
-    field = assemble_cubic(form)
-    payload = field_to_dict(field)
-    _emit(payload, [f"field: {payload['components']}"], args.format)
-    return 0
+def _cmd_construct_cubic(args) -> Outcome:
+    payload = field_to_dict(assemble_cubic(_load_form(args.form)))
+    return 0, payload, [f"field: {payload['components']}"]
 
 
-def _cmd_hamiltonian(args) -> int:
+def _cmd_hamiltonian(args) -> Outcome:
     if args.constraint_space:
         if args.n is None or args.n < 1:
             raise InputError("--constraint-space needs --n >= 1")
@@ -331,16 +301,12 @@ def _cmd_hamiltonian(args) -> int:
             "dimension": dimension,
             "basis": [[str(v) for v in vec] for vec in basis],
         }
-        lines = [f"constraint space dimension: {dimension}"]
-        _emit(payload, lines, args.format)
-        return 0 if dimension == 0 else 1
+        lines = [f"constraint space dimension: {payload['dimension']}"]
+        return (0 if dimension == 0 else 1), payload, lines
     if args.field is None:
         raise InputError("need --field FILE or --constraint-space --n N")
     vf = _load_field(args.field, args.dim)
-    try:
-        report = is_hamiltonian(vf)
-    except ValueError as err:
-        raise InputError(str(err)) from err
+    report = is_hamiltonian(vf)
     payload = {
         "dim": vf.dim,
         "is_hamiltonian": report.is_hamiltonian,
@@ -349,15 +315,25 @@ def _cmd_hamiltonian(args) -> int:
             for pair, poly in report.defects
         ],
     }
-    lines = [
-        "Hamiltonian" if report.is_hamiltonian
-        else f"not Hamiltonian ({len(report.defects)} defect pairs)"
-    ]
-    _emit(payload, lines, args.format)
-    return 0 if report.is_hamiltonian else 1
+    if payload["is_hamiltonian"]:
+        return 0, payload, ["Hamiltonian"]
+    return 1, payload, [f"not Hamiltonian ({len(payload['defects'])} defect pairs)"]
 
 
-def _cmd_integrate(args) -> int:
+def _max_drift(poly: Poly, text: str, traj: Trajectory) -> float:
+    """max_t |p(x(t)) - p(x(0))|; a value or drift that overflows raises
+    ``NonFiniteError`` at the first step where it does."""
+    ev = compile_poly(poly)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [ev(tuple(row)) for row in traj.states]
+        drifts = [abs(value - values[0]) for value in values]
+    for step, drift in enumerate(drifts):
+        if not math.isfinite(drift):
+            raise NonFiniteError(step, f"watched value {text}")
+    return max(drifts)
+
+
+def _cmd_integrate(args) -> Outcome:
     vf = _load_field(args.field, args.dim)
     x0 = _float_list(args.x0, "--x0")
     if len(x0) != vf.dim:
@@ -368,40 +344,29 @@ def _cmd_integrate(args) -> int:
         (_parse_poly_arg(text, vf.dim, "--watch"), text)
         for text in (args.watch or [])
     ]
-    try:
-        traj = integrate_rk4(vf, x0, args.h, args.steps)
-    except NonFiniteError as err:
-        print(f"integration failed: {err}", file=sys.stderr)
-        return 1
-    final = [float(v) for v in traj.states[-1]]
-    watch_payload = []
-    for poly, text in watches:
-        ev = compile_poly(poly)
-        base = ev(tuple(traj.states[0]))
-        drift = max(abs(ev(tuple(row)) - base) for row in traj.states)
-        watch_payload.append({"poly": text, "max_abs_drift": drift})
+    traj = integrate_rk4(vf, x0, args.h, args.steps)
+    watch_payload = [
+        {"poly": text, "max_abs_drift": _max_drift(poly, text, traj)}
+        for poly, text in watches
+    ]
     if args.dump:
-        try:
-            with open(args.dump, "w", encoding="utf-8") as handle:
-                handle.write(trajectory_to_csv(traj))
-        except OSError as err:
-            raise InputError(f"cannot write {args.dump}: {err}") from err
+        _write_text(args.dump, trajectory_to_csv(traj))
     payload = {
         "t_final": float(traj.times[-1]),
-        "x_final": final,
+        "x_final": [float(v) for v in traj.states[-1]],
         "watch": watch_payload,
     }
-    lines = [f"t = {payload['t_final']:.17g}",
-             "x = (" + ", ".join(f"{v:.17g}" for v in final) + ")"]
-    for entry in watch_payload:
-        lines.append(
-            f"watch {entry['poly']}: max drift {entry['max_abs_drift']:.3e}"
-        )
-    _emit(payload, lines, args.format)
-    return 0
+    lines = [
+        f"t = {payload['t_final']:.17g}",
+        "x = " + _tuple_text(f"{v:.17g}" for v in payload["x_final"]),
+    ] + [
+        f"watch {entry['poly']}: max drift {entry['max_abs_drift']:.3e}"
+        for entry in watch_payload
+    ]
+    return 0, payload, lines
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> Outcome:
     if args.instances is not None and args.instances < 1:
         raise InputError("need --instances >= 1")
     report = run_suite(args.suite, seed=args.seed, instances=args.instances)
@@ -412,12 +377,12 @@ def _cmd_certify(args) -> int:
         "lines": report.lines,
         "failures": report.failures,
     }
-    lines = list(report.lines)
-    for failure in report.failures:
-        lines.append(f"FAIL {failure}")
-    lines.append("suite passed" if report.passed else "suite FAILED")
-    _emit(payload, lines, args.format)
-    return 0 if report.passed else 1
+    lines = (
+        payload["lines"]
+        + [f"FAIL {failure}" for failure in payload["failures"]]
+        + ["suite passed" if payload["passed"] else "suite FAILED"]
+    )
+    return (0 if report.passed else 1), payload, lines
 
 
 # ----- parser wiring ----------------------------------------------------------
@@ -433,72 +398,63 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = []
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def command(subparsers, name, func, help):
+        p = subparsers.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        commands.append(p)
+        return p
 
-    p = sub.add_parser("check", help="membership and sphere invariance")
+    p = command(sub, "check", _cmd_check, "membership and sphere invariance")
     p.add_argument("--field", required=True)
     p.add_argument("--dim", type=int)
-    add_format(p)
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("cofactor", help="cofactor of a hypersurface")
+    p = command(sub, "cofactor", _cmd_cofactor, "cofactor of a hypersurface")
     p.add_argument("--field", required=True)
     p.add_argument("--dim", type=int)
     p.add_argument("--surface", required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_cofactor)
 
-    p = sub.add_parser("darboux", help="first integrals from the exponent matrix")
+    p = command(sub, "darboux", _cmd_darboux,
+                "first integrals from the exponent matrix")
     p.add_argument("--form", required=True)
     p.add_argument("--g", required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_darboux)
 
-    p = sub.add_parser("syzygy-fi", help="monomial first integrals")
+    p = command(sub, "syzygy-fi", _cmd_syzygy_fi, "monomial first integrals")
     p.add_argument("--form", required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_syzygy_fi)
 
-    p = sub.add_parser("classify-hyperplane", help="hyperplane invariance")
+    p = command(sub, "classify-hyperplane", _cmd_classify_hyperplane,
+                "hyperplane invariance")
     p.add_argument("--form", required=True)
     p.add_argument("--a0", required=True)
     p.add_argument("--a", required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_classify_hyperplane)
 
     construct = sub.add_parser("construct", help="build fields with integrals")
     csub = construct.add_subparsers(dest="construct_command", required=True)
 
-    p = csub.add_parser("linear-fi", help="conserve an affine function")
+    p = command(csub, "linear-fi", _cmd_construct_linear_fi,
+                "conserve an affine function")
     p.add_argument("--a0", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--seed", required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_construct_linear_fi)
 
-    p = csub.add_parser("complete", help="completely integrable family")
+    p = command(csub, "complete", _cmd_construct_complete,
+                "completely integrable family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--atilde", required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_construct_complete)
 
-    p = csub.add_parser("cubic", help="assemble a constant-form field")
+    p = command(csub, "cubic", _cmd_construct_cubic,
+                "assemble a constant-form field")
     p.add_argument("--form", required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_construct_cubic)
 
-    p = sub.add_parser("hamiltonian", help="Hamiltonian structure tests")
+    p = command(sub, "hamiltonian", _cmd_hamiltonian, "Hamiltonian structure tests")
     p.add_argument("--field")
     p.add_argument("--dim", type=int)
     p.add_argument("--constraint-space", action="store_true")
     p.add_argument("--n", type=int)
-    add_format(p)
-    p.set_defaults(func=_cmd_hamiltonian)
 
-    p = sub.add_parser("integrate", help="fixed-step RK4 trajectory")
+    p = command(sub, "integrate", _cmd_integrate, "fixed-step RK4 trajectory")
     p.add_argument("--field", required=True)
     p.add_argument("--dim", type=int)
     p.add_argument("--x0", required=True)
@@ -506,27 +462,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--watch", action="append")
     p.add_argument("--dump")
-    add_format(p)
-    p.set_defaults(func=_cmd_integrate)
 
-    p = sub.add_parser("certify", help="randomized certification suites")
+    p = command(sub, "certify", _cmd_certify, "randomized certification suites")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int)
-    add_format(p)
-    p.set_defaults(func=_cmd_certify)
 
+    for p in commands:  # last, so that --help lists it after the inputs
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        try:
+            code, payload, lines = args.func(args)
+        except (InputError, ValueError, IndexError, ZeroDivisionError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        except NonFiniteError as err:
+            print(f"integration failed: {err}", file=sys.stderr)
+            return 1
+        if args.format == "json":
+            out = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        else:
+            out = "\n".join(lines)
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
+    print(out)
+    return code
 
 
 if __name__ == "__main__":

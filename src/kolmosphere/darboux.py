@@ -78,6 +78,12 @@ class DarbouxIntegral:
         if all(e == 0 for e in self.exponents):
             raise ValueError("exponents must not all vanish")
 
+    def to_dict(self) -> dict:
+        return {
+            "exponents": [str(e) for e in self.exponents],
+            "surfaces": [str(s.defining) for s in self.surfaces],
+        }
+
 
 @dataclass(frozen=True)
 class SamplePoint:
@@ -470,15 +476,7 @@ class CompleteIntegrabilityCertificate:
     def to_dict(self) -> dict:
         return {
             "rank_B": self.rank_b,
-            "integrals": [
-                {
-                    "exponents": [str(e) for e in integral.exponents],
-                    "surfaces": [
-                        str(s.defining) for s in integral.surfaces
-                    ],
-                }
-                for integral in self.integrals
-            ],
+            "integrals": [integral.to_dict() for integral in self.integrals],
             "hypothesis": {
                 "checked": True,
                 "determinants": [

@@ -23,11 +23,12 @@ DEFAULT_DOMAIN_FLOOR = 1e-12
 
 
 class NonFiniteError(RuntimeError):
-    """Integration produced an overflow or NaN."""
+    """Integration produced an overflow or NaN, in the state or in a value
+    watched along the trajectory."""
 
-    def __init__(self, step_index: int):
+    def __init__(self, step_index: int, what: str = "state"):
         self.step_index = step_index
-        super().__init__(f"state became non-finite at step {step_index}")
+        super().__init__(f"{what} became non-finite at step {step_index}")
 
 
 class DomainViolationError(RuntimeError):

@@ -22,6 +22,10 @@ Scalar = Union[int, Fraction]
 # Degree of the zero polynomial: a distinguished value below every natural.
 NEG_INF = float("-inf")
 
+# Deepest parenthesis nesting ``parse`` accepts; the parser recurses once per
+# level, so a cap keeps hostile input from exhausting the interpreter stack.
+MAX_PAREN_DEPTH = 100
+
 
 class DimensionMismatchError(ValueError):
     """Operands live in polynomial rings with different numbers of variables."""
@@ -395,6 +399,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.dim = dim
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -462,9 +467,17 @@ class _Parser:
                 )
             return Poly.var(self.dim, tok.value)
         if tok.kind == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ParseError(
+                    tok.position,
+                    f"at most {MAX_PAREN_DEPTH} nested parentheses",
+                    tok.describe(),
+                )
             self.advance()
+            self.depth += 1
             inner = self.parse_poly()
             self.expect(")", "')'")
+            self.depth -= 1
             return inner
         raise ParseError(
             tok.position, "a rational, a variable, or '('", tok.describe()

@@ -102,7 +102,7 @@ def _rand_skew_const(rng: random.Random, dim: int):
 # ----- suite: assembly round trip -------------------------------------------
 
 
-def roundtrip_suite(seed: int = 0, instances: int = 200) -> SuiteReport:
+def roundtrip_suite(seed: int = 0, *, instances: int) -> SuiteReport:
     """Random (ftilde, atilde) data assembles to a field that passes the
     membership test with sphere cofactor -2 sum ftilde_i x_i^2; constant
     (cubic) instances also round-trip through form recovery."""
@@ -229,7 +229,7 @@ def _perturb(form: CubicKolmogorovForm, rng: random.Random,
     return CubicKolmogorovForm.from_values(alpha, atilde)
 
 
-def hyperplane_suite(seed: int = 0, instances: int = 200) -> SuiteReport:
+def hyperplane_suite(seed: int = 0, *, instances: int) -> SuiteReport:
     """Instances meeting the coefficient conditions are invariant with the
     predicted structured cofactor (cross-validated against division inside
     the classifier); breaking a single condition defeats invariance."""
@@ -281,9 +281,10 @@ def hyperplane_suite(seed: int = 0, instances: int = 200) -> SuiteReport:
 # ----- suite: no Hamiltonian constant-form fields ----------------------------
 
 
-def hamiltonian_suite(seed: int = 0, instances: int = 0) -> SuiteReport:
+def hamiltonian_suite(seed: int = 0, *, instances: int) -> SuiteReport:
     """The constraint space of Hamiltonian constant-form fields must be
-    trivial for n = 1, 2, 3 (fields on R^2, R^4, R^6).
+    trivial for n = 1..instances (fields on R^2, R^4, ...; n = 1, 2, 3 by
+    default).
 
     Note: the n = 1 case reports dimension 1.  On R^2 the symmetry
     condition degenerates to zero divergence, and the one-parameter family
@@ -293,14 +294,17 @@ def hamiltonian_suite(seed: int = 0, instances: int = 0) -> SuiteReport:
     dimension 0 for every n and reports the n = 1 case as a failure rather
     than hiding it.
     """
-    report = SuiteReport("hamiltonian-space", 3)
-    for n in (1, 2, 3):
+    report = SuiteReport("hamiltonian-space", instances)
+    for n in range(1, instances + 1):
         dimension, basis = hamiltonian_constraint_space(n)
         line = f"n={n}: constraint space dimension {dimension}"
         report.lines.append(line)
         if dimension != 0:
+            vectors = "; ".join(
+                "(" + ", ".join(str(v) for v in vec) + ")" for vec in basis
+            )
             report.failures.append(
-                f"n={n}: dimension {dimension}, basis {basis}"
+                f"n={n}: dimension {dimension}, basis {vectors}"
             )
     return report
 
@@ -308,7 +312,7 @@ def hamiltonian_suite(seed: int = 0, instances: int = 0) -> SuiteReport:
 # ----- suite: sample determinants --------------------------------------------
 
 
-def sample_determinant_suite(seed: int = 0, instances: int = 6) -> SuiteReport:
+def sample_determinant_suite(seed: int = 0, *, instances: int) -> SuiteReport:
     """For the unit sphere and the standard sample points, the independence
     matrix that omits the last coordinate has determinant -6^n (n+3)."""
     max_n = max(1, instances)
@@ -352,7 +356,7 @@ def _rand_strict_homogeneous_field(
             return vf
 
 
-def slice_negative_suite(seed: int = 0, instances: int = 100) -> SuiteReport:
+def slice_negative_suite(seed: int = 0, *, instances: int) -> SuiteReport:
     """Homogeneous degree 3-4 fields on the 2-sphere never leave a slice
     {x3 = d}, d != 0, invariant (tested through the cone equivalence), and
     no constant-form field with alpha != 0 leaves a second sphere of
@@ -398,6 +402,7 @@ SUITES: Dict[str, Callable[..., SuiteReport]] = {
     "thm37": slice_negative_suite,
 }
 
+# The one source of each suite's default size.
 DEFAULT_INSTANCES: Dict[str, int] = {
     "roundtrip": 200,
     "thm41": 200,

@@ -276,6 +276,21 @@ def test_certify_constraint_suite_reports_the_planar_family(capsys):
     assert "n=1" in payload["failures"][0]
 
 
+def test_certify_constraint_suite_honours_instances(capsys):
+    code, out, _ = run(
+        capsys, "certify", "--suite", "thm13", "--instances", "2",
+        "--format", "json",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["instances"] == 2
+    assert payload["lines"] == [
+        "n=1: constraint space dimension 1",
+        "n=2: constraint space dimension 0",
+    ]
+    assert payload["failures"] == ["n=1: dimension 1, basis (1, -1, -2)"]
+
+
 def test_exit_code_two_for_unreadable_files(capsys):
     code, out, err = run(capsys, "check", "--field", "/definitely/not/here.json")
     assert code == 2
@@ -318,18 +333,59 @@ def test_construct_complete_rejects_wrong_degree(capsys):
         ["hamiltonian", "--constraint-space", "--n", "0"],
         ["syzygy-fi", "--form", "ZERO_DENOMINATOR_FORM"],
         ["certify", "--suite", "roundtrip", "--instances", "-5"],
+        ["cofactor", "--field", FIELD,
+         "--surface", "(" * 3000 + "x1" + ")" * 3000],
+        ["darboux", "--form", "UNSTRUCTURED_FORM", "--g", "1 + x1 - x2"],
     ],
     ids=["steps-0", "h-nan", "constraint-n-0", "form-1-over-0",
-         "negative-instances"],
+         "negative-instances", "3000-nested-parentheses",
+         "unstructured-cofactor"],
 )
 def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv):
-    form = tmp_path / "form.json"
-    form.write_text(json.dumps({
-        "dim": 2, "alpha": ["1/0", "1"], "atilde": [["0", "1"], ["-1", "0"]],
-    }))
-    argv = [str(form) if a == "ZERO_DENOMINATOR_FORM" else a for a in argv]
+    forms = {
+        "ZERO_DENOMINATOR_FORM": {
+            "dim": 2, "alpha": ["1/0", "1"],
+            "atilde": [["0", "1"], ["-1", "0"]],
+        },
+        # g = 1 + x1 - x2 is invariant with cofactor -x1^2 + x2^2 + x1 + x2,
+        # which is not of the shape k0 + sum k_i x_i^2.
+        "UNSTRUCTURED_FORM": {
+            "dim": 3, "alpha": ["1", "-1", "0"],
+            "atilde": [["0", "2", "1"], ["-2", "0", "-1"], ["-1", "1", "0"]],
+        },
+    }
+    for name, data in forms.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    argv = [str(tmp_path / a) if a in forms else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_internal_error_exits_three_without_a_verdict(capsys, monkeypatch):
+    def broken(form, g):
+        raise RuntimeError("internal error: x")
+
+    monkeypatch.setattr("kolmosphere.cli.find_darboux", broken)
+    code, out, err = run(
+        capsys, "darboux", "--form", FORM, "--g", "1 - x1^2 - x2^2 - x3^2",
+        "--format", "json",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: internal error: x\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_non_finite_watch_fails_the_integration(capsys, fmt):
+    code, out, err = run(
+        capsys, "integrate", "--field", FIELD, "--x0", "2,0,0",
+        "--h", "0.001", "--steps", "1", "--watch", "x1^2000", "--format", fmt,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "integration failed: watched value x1^2000 became non-finite at step 0\n"
+    )

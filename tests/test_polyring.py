@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kolmosphere.polyring import (
+    MAX_PAREN_DEPTH,
     NEG_INF,
     DimensionMismatchError,
     ParseError,
@@ -263,6 +264,15 @@ def test_parse_errors_carry_position_and_expectation(text, position, expected_hi
         parse(text, 2)
     assert exc.value.position == position
     assert exc.value.expected == expected_hint
+
+
+def test_parenthesis_nesting_is_capped_at_the_offending_paren():
+    depth = MAX_PAREN_DEPTH
+    assert parse("(" * depth + "x1 + 1" + ")" * depth, 2) == parse("x1 + 1", 2)
+    with pytest.raises(ParseError) as exc:
+        parse("-" + "(" * (depth + 1) + "x1" + ")" * (depth + 1), 2)
+    assert exc.value.position == depth + 1
+    assert exc.value.expected == f"at most {depth} nested parentheses"
 
 
 def test_variable_index_beyond_dimension_is_reported():
