@@ -7,6 +7,7 @@ attracted onto a certified surface leave the measurable domain.  The
 floor raises DomainViolationError there instead of reporting noise.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -184,6 +185,35 @@ def test_domain_floor_is_configurable():
     assert conservation_report(traj, integral) == 0.0
     with pytest.raises(DomainViolationError):
         conservation_report(traj, integral, floor=1e-6)
+
+
+def _pinned_cases():
+    yield "fixture", fixture_field(), fixture_integrals()
+    field, cert = construct_completely_integrable(2, 4, parse("x1", 3))
+    yield "complete-n2-m4", field, cert.integrals
+
+
+# Generated once and kept: any change to the term order of the evaluated
+# polynomials, to the RK4 arithmetic or to the drift sum moves these bits.
+# The digests are of float64 states in the machine's native byte order.
+PINNED_BITS = {
+    "fixture": (
+        "51634975e27788901111ab0aad08b5f922c26bd51b3d5f229c27923dbb482a66",
+        ["0x1.2000000000000p-48", "0x1.d880000000000p-41"],
+    ),
+    "complete-n2-m4": (
+        "b9400cc29e7fc5ebcc71a3a8f6ac1c6b600f1649efd813df9de136d091ce80e4",
+        ["0x1.e000000000000p-49", "0x0.0p+0"],
+    ),
+}
+
+
+def test_trajectories_and_drifts_are_bit_identical_to_the_pinned_values():
+    for name, field, integrals in _pinned_cases():
+        traj = integrate_rk4(field, (0.5, 0.4, 0.3), 1e-3, 500)
+        digest = hashlib.sha256(traj.states.tobytes()).hexdigest()
+        drifts = [conservation_report(traj, i).hex() for i in integrals]
+        assert (digest, drifts) == PINNED_BITS[name], name
 
 
 def test_csv_dump_round_trips_at_full_precision():
