@@ -4,6 +4,8 @@ tests, Darboux first integrals built from cofactor bookkeeping, Hamiltonian
 structure tests, and floating-point cross-checks of the exact certificates.
 """
 
+from types import ModuleType as _ModuleType
+
 from .polyring import (
     NEG_INF,
     DimensionMismatchError,
@@ -32,6 +34,7 @@ from .field_forms import (
     assemble_cubic,
     classify_homogeneous,
     construct_from_form,
+    coordinate_cofactors,
     cubic_form_from_dict,
     cubic_form_to_dict,
     field_from_dict,
@@ -76,7 +79,6 @@ from .darboux import (
     complete_integrability_check,
     construct_completely_integrable,
     construct_linear_fi_field,
-    coordinate_cofactor,
     decompose_syzygy,
     find_darboux,
     hypothesis_matrix,
@@ -96,11 +98,14 @@ from .numeric_validate import (
     DomainViolationError,
     NonFiniteError,
     Trajectory,
-    compile_poly,
+    compile_polys,
     conservation_report,
     integrate_rk4,
     trajectory_to_csv,
 )
 from .suites import SUITES, SuiteReport, run_suite
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -51,7 +51,7 @@ from .hamiltonian import hamiltonian_constraint_space, is_hamiltonian
 from .numeric_validate import (
     NonFiniteError,
     Trajectory,
-    compile_poly,
+    compile_polys,
     integrate_rk4,
     trajectory_to_csv,
 )
@@ -99,11 +99,17 @@ def _load_form(path: str) -> CubicKolmogorovForm:
 def _load_seed(path: str, dim: int) -> List[List[Poly]]:
     data = _load_json(path)
     try:
-        return [[parse(text, dim) for text in row] for row in data["entries"]]
+        rows = [list(row) for row in data["entries"]]
     except (KeyError, TypeError) as err:
         raise InputError(f"{path}: expected an 'entries' matrix") from err
-    except (ParseError, ValueError, IndexError) as err:
-        raise InputError(f"{path}: {err}") from err
+    for i, row in enumerate(rows, start=1):
+        for j, entry in enumerate(row, start=1):
+            if not isinstance(entry, str):
+                raise InputError(
+                    f"{path}: entry ({i}, {j}) is {json.dumps(entry)}, "
+                    "expected polynomial text"
+                )
+    return [[_parse_poly_arg(text, dim, path) for text in row] for row in rows]
 
 
 def _parse_poly_arg(text: str, dim: int, what: str) -> Poly:
@@ -268,6 +274,8 @@ def _cmd_construct_linear_fi(args) -> Outcome:
 
 
 def _cmd_construct_complete(args) -> Outcome:
+    if args.n < 1:  # before --atilde, which is parsed in n + 1 variables
+        raise InputError("need n >= 1")
     atilde = _parse_poly_arg(args.atilde, args.n + 1, "--atilde")
     field, cert = construct_completely_integrable(args.n, args.m, atilde)
     payload = {
@@ -323,9 +331,9 @@ def _cmd_hamiltonian(args) -> Outcome:
 def _max_drift(poly: Poly, text: str, traj: Trajectory) -> float:
     """max_t |p(x(t)) - p(x(0))|; a value or drift that overflows raises
     ``NonFiniteError`` at the first step where it does."""
-    ev = compile_poly(poly)
+    ev = compile_polys(traj.dim, [poly])
     with np.errstate(over="ignore", invalid="ignore"):
-        values = [ev(tuple(row)) for row in traj.states]
+        values = [ev(tuple(row))[0] for row in traj.states]
         drifts = [abs(value - values[0]) for value in values]
     for step, drift in enumerate(drifts):
         if not math.isfinite(drift):

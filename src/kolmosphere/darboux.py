@@ -23,10 +23,10 @@ from .field_forms import (
     KolmogorovForm,
     PolyVectorField,
     assemble_cubic,
+    check_skew,
     construct_from_form,
     lie_derivative,
     sphere_polynomial,
-    sum_of_squares,
 )
 from .invariance import (
     Cofactor,
@@ -123,17 +123,6 @@ def build_matrix_B(
         )
     rows.append([extra.structured.k0] + list(extra.structured.k))
     return RationalMatrix.from_rows(rows)
-
-
-def coordinate_cofactor(form: CubicKolmogorovForm, i: int) -> Poly:
-    """Cofactor of the hyperplane x_i = 0: alpha_i (1 - sum x^2) + sum_j atilde_ij x_j^2."""
-    d = form.dim
-    p = Poly.const(d, form.alpha[i - 1]) * (
-        Poly.const(d, 1) - sum_of_squares(d)
-    )
-    for j in range(d):
-        p = p + form.atilde[i - 1][j] * Poly.var(d, j + 1) ** 2
-    return p
 
 
 def _coordinate_surfaces(d: int) -> Tuple[Hypersurface, ...]:
@@ -320,12 +309,7 @@ def construct_linear_fi_field(
                 raise DimensionMismatchError(
                     f"seed entry in {p.dim} variables, field on R^{d}"
                 )
-    for i in range(n):
-        if not seed[i][i].is_zero():
-            raise ValueError("seed matrix has a nonzero diagonal entry")
-        for j in range(i + 1, n):
-            if seed[i][j] != -seed[j][i]:
-                raise ValueError("seed matrix is not skew-symmetric")
+    check_skew(seed, Poly.zero(d), "seed matrix")
     if all(p.is_zero() for row in seed for p in row):
         raise ZeroSeedError("seed matrix must not vanish identically")
 
@@ -344,7 +328,11 @@ def construct_linear_fi_field(
         for i in others:
             s = s + hp.a[i] * Poly.var(d, i + 1) * atilde[i][j]
         quotient = divide_exact(s, divisor)
-        assert quotient is not None, "row-k division must be exact"
+        if quotient is None:
+            raise RuntimeError(
+                f"internal error: row-{k + 1} division is not exact in "
+                f"column {j + 1}"
+            )
         atilde[k][j] = -quotient
         atilde[j][k] = quotient
 

@@ -56,7 +56,7 @@ class PolyVectorField:
         return max(p.degree() for p in self.components)
 
 
-def _check_skew(matrix: Sequence[Sequence], zero, label: str) -> None:
+def check_skew(matrix: Sequence[Sequence], zero, label: str) -> None:
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
@@ -94,7 +94,7 @@ class KolmogorovForm:
             for p in row:
                 if p.dim != self.dim:
                     raise DimensionMismatchError("atilde entry in the wrong ring")
-        _check_skew(self.atilde, Poly.zero(self.dim), "atilde")
+        check_skew(self.atilde, Poly.zero(self.dim), "atilde")
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class CubicKolmogorovForm:
             )
         if len(self.atilde) != self.dim:
             raise DimensionMismatchError("atilde must be dim x dim")
-        _check_skew(self.atilde, Fraction(0), "atilde")
+        check_skew(self.atilde, Fraction(0), "atilde")
 
     @classmethod
     def from_values(cls, alpha: Sequence, atilde: Sequence[Sequence]) -> "CubicKolmogorovForm":
@@ -159,18 +159,28 @@ def lie_derivative(vf: PolyVectorField, f: Poly) -> Poly:
     return total
 
 
-def construct_from_form(form: KolmogorovForm) -> PolyVectorField:
-    """Assemble the field P_i = x_i((1 - sum x^2) ftilde_i + sum_j atilde_ij x_j^2)."""
+def coordinate_cofactors(form: KolmogorovForm) -> Tuple[Poly, ...]:
+    """Q_i = (1 - sum x^2) ftilde_i + sum_j atilde_ij x_j^2 for i = 1..d:
+    the cofactor of the hyperplane x_i = 0 in the assembled field."""
     d = form.dim
     one_minus_r2 = Poly.const(d, 1) - sum_of_squares(d)
     squares = [Poly.var(d, j) ** 2 for j in range(1, d + 1)]
-    components = []
+    cofactors = []
     for i in range(d):
-        inner = one_minus_r2 * form.ftilde[i]
+        q = one_minus_r2 * form.ftilde[i]
         for j in range(d):
-            inner = inner + form.atilde[i][j] * squares[j]
-        components.append(Poly.var(d, i + 1) * inner)
-    return PolyVectorField(d, tuple(components))
+            q = q + form.atilde[i][j] * squares[j]
+        cofactors.append(q)
+    return tuple(cofactors)
+
+
+def construct_from_form(form: KolmogorovForm) -> PolyVectorField:
+    """Assemble the field P_i = x_i * Q_i from the coordinate cofactors."""
+    d = form.dim
+    cofactors = coordinate_cofactors(form)
+    return PolyVectorField(
+        d, tuple(Poly.var(d, i + 1) * q for i, q in enumerate(cofactors))
+    )
 
 
 def assemble_cubic(form: CubicKolmogorovForm) -> PolyVectorField:
@@ -190,19 +200,26 @@ class SphereKolmogorovReport:
         return self.kolmogorov and self.sphere_invariant
 
 
+def coordinate_quotients(vf: PolyVectorField) -> Optional[Tuple[Poly, ...]]:
+    """The quotients P_i / x_i, or None as soon as one component does not
+    factor through its coordinate."""
+    quotients = []
+    for i, p in enumerate(vf.components, start=1):
+        q = divide_exact(p, Poly.var(vf.dim, i))
+        if q is None:
+            return None
+        quotients.append(q)
+    return tuple(quotients)
+
+
 def is_kolmogorov_on_sphere(vf: PolyVectorField) -> SphereKolmogorovReport:
     """Does every component factor through its coordinate, and is the unit
     sphere invariant?  The witness cofactor K satisfies
     lie_derivative(vf, sphere) = K * sphere when the sphere is invariant."""
-    kolmogorov = True
-    for i in range(1, vf.dim + 1):
-        if divide_exact(vf.components[i - 1], Poly.var(vf.dim, i)) is None:
-            kolmogorov = False
-            break
     sphere = sphere_polynomial(vf.dim)
     cof = divide_exact(lie_derivative(vf, sphere), sphere)
     return SphereKolmogorovReport(
-        kolmogorov=kolmogorov,
+        kolmogorov=coordinate_quotients(vf) is not None,
         sphere_invariant=cof is not None,
         sphere_cofactor=cof,
     )
@@ -229,34 +246,23 @@ def recover_cubic_form(vf: PolyVectorField) -> Optional[CubicKolmogorovForm]:
     Each component must divide by its coordinate, the quotient may contain
     only a constant and pure squares, the x_i^2 coefficient of quotient i
     must be the negative of its constant term, and the off-diagonal reads
-    must come out skew.  The recovered data round-trips through
-    assemble_cubic by construction.
+    must come out skew.  atilde_ij is the x_j^2 coefficient of quotient i
+    plus alpha_i, so the last two conditions are the skew check of the
+    form.  The recovered data round-trips through assemble_cubic by
+    construction.
     """
-    d = vf.dim
-    alpha: List[Fraction] = []
-    profiles: List[List[Fraction]] = []
-    for i in range(1, d + 1):
-        q = divide_exact(vf.components[i - 1], Poly.var(d, i))
-        if q is None:
-            return None
-        profile = pure_square_profile(q)
-        if profile is None:
-            return None
-        a_i = profile[0]
-        if profile[i] != -a_i:
-            return None
-        alpha.append(a_i)
-        profiles.append(profile)
-    atilde = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                atilde[i][j] = profiles[i][j + 1] + alpha[i]
-    for i in range(d):
-        for j in range(i + 1, d):
-            if atilde[i][j] != -atilde[j][i]:
-                return None
-    return CubicKolmogorovForm.from_values(alpha, atilde)
+    quotients = coordinate_quotients(vf)
+    if quotients is None:
+        return None
+    profiles = [pure_square_profile(q) for q in quotients]
+    if any(profile is None for profile in profiles):
+        return None
+    alpha = [profile[0] for profile in profiles]
+    atilde = [[c + profile[0] for c in profile[1:]] for profile in profiles]
+    try:
+        return CubicKolmogorovForm.from_values(alpha, atilde)
+    except NotSkewError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -287,10 +293,7 @@ def classify_homogeneous(vf: PolyVectorField) -> HomogeneousReport:
     if len(degrees) > 1:
         homogeneous = False
     degree = max(degrees) if degrees else NEG_INF
-    kolmogorov = all(
-        divide_exact(vf.components[i - 1], Poly.var(vf.dim, i)) is not None
-        for i in range(1, vf.dim + 1)
-    )
+    kolmogorov = coordinate_quotients(vf) is not None
     tangent = Poly.zero(vf.dim)
     for i, p in enumerate(vf.components, start=1):
         tangent = tangent + p * Poly.var(vf.dim, i)

@@ -28,12 +28,20 @@ class HamiltonianReport:
     defects: Tuple[Tuple[Tuple[int, int], Poly], ...]
 
 
-def _rearranged(vf: PolyVectorField) -> List[Poly]:
+def _jacobian_defects(
+    vf: PolyVectorField,
+) -> List[Tuple[Tuple[int, int], Poly]]:
+    """dG_j/dx_k - dG_k/dx_j for every pair j < k (1-based) of the
+    rearranged field G, zero or not."""
     g = []
     for i in range(0, vf.dim, 2):
         g.append(vf.components[i + 1])
         g.append(-vf.components[i])
-    return g
+    return [
+        ((j + 1, k + 1), g[j].differentiate(k + 1) - g[k].differentiate(j + 1))
+        for j in range(vf.dim)
+        for k in range(j + 1, vf.dim)
+    ]
 
 
 def is_hamiltonian(vf: PolyVectorField) -> HamiltonianReport:
@@ -41,13 +49,11 @@ def is_hamiltonian(vf: PolyVectorField) -> HamiltonianReport:
     every violated pair is reported with its defect polynomial."""
     if vf.dim % 2 != 0:
         raise OddDimensionError(f"field on R^{vf.dim}")
-    g = _rearranged(vf)
-    defects = []
-    for j in range(vf.dim):
-        for k in range(j + 1, vf.dim):
-            defect = g[j].differentiate(k + 1) - g[k].differentiate(j + 1)
-            if not defect.is_zero():
-                defects.append(((j + 1, k + 1), defect))
+    defects = [
+        (pair, defect)
+        for pair, defect in _jacobian_defects(vf)
+        if not defect.is_zero()
+    ]
     return HamiltonianReport(
         is_hamiltonian=not defects, defects=tuple(defects)
     )
@@ -87,9 +93,7 @@ def hamiltonian_constraint_space(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    d = 2 * n
     params = parameter_count(n)
-    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
 
     # Column p holds every defect coefficient of the unit parameter field.
     columns: List[Dict[Tuple[int, Tuple[int, ...]], Fraction]] = []
@@ -97,10 +101,8 @@ def hamiltonian_constraint_space(
         values = [Fraction(0)] * params
         values[p] = Fraction(1)
         vf = assemble_cubic(_parameter_form(n, values))
-        g = _rearranged(vf)
         column: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
-        for slot, (j, k) in enumerate(pairs):
-            defect = g[j].differentiate(k + 1) - g[k].differentiate(j + 1)
+        for slot, (_, defect) in enumerate(_jacobian_defects(vf)):
             for exps, coeff in defect:
                 column[(slot, exps)] = coeff
         columns.append(column)

@@ -47,11 +47,14 @@ class Trajectory:
         return int(self.states.shape[1])
 
 
-def compile_poly(p: Poly) -> Callable[[Sequence[float]], float]:
-    """Fast float evaluator for one polynomial."""
-    names = [f"x{i + 1}" for i in range(p.dim)]
-    body = _poly_source(p)
-    source = f"def _eval({', '.join(names)}):\n    return {body}\n"
+def compile_polys(
+    dim: int, polys: Sequence[Poly]
+) -> Callable[[Sequence[float]], Tuple[float, ...]]:
+    """Fast float evaluator: a point in R^dim gives the tuple of the
+    polynomials' values, each summed in the polynomial's own term order."""
+    names = ", ".join(f"x{i + 1}" for i in range(dim))
+    bodies = "".join(f"{_poly_source(p)}, " for p in polys)
+    source = f"def _eval({names}):\n    return ({bodies})\n"
     scope: dict = {}
     exec(source, scope)  # source is generated purely from Poly data
     fn = scope["_eval"]
@@ -73,19 +76,6 @@ def _poly_source(p: Poly) -> str:
     return " + ".join(pieces)
 
 
-def _compile_field(vf: PolyVectorField) -> Callable[[Tuple[float, ...]], Tuple[float, ...]]:
-    names = [f"x{i + 1}" for i in range(vf.dim)]
-    bodies = [_poly_source(p) for p in vf.components]
-    source = (
-        f"def _field({', '.join(names)}):\n"
-        f"    return ({', '.join(bodies)}{',' if vf.dim == 1 else ''})\n"
-    )
-    scope: dict = {}
-    exec(source, scope)  # source is generated purely from Poly data
-    fn = scope["_field"]
-    return lambda state: fn(*state)
-
-
 def integrate_rk4(
     vf: PolyVectorField,
     x0: Sequence[float],
@@ -99,9 +89,11 @@ def integrate_rk4(
         raise ValueError(f"x0 has {len(x0)} coordinates, field on R^{vf.dim}")
     if h <= 0 or steps < 1:
         raise ValueError("need h > 0 and steps >= 1")
-    f = _compile_field(vf)
-    d = vf.dim
     state = tuple(float(v) for v in x0)
+    if not all(math.isfinite(v) for v in state):
+        raise ValueError(f"x0 must be finite, got {state}")
+    f = compile_polys(vf.dim, vf.components)
+    d = vf.dim
     rows: List[Tuple[float, ...]] = [state]
     half = h / 2.0
     sixth = h / 6.0
@@ -131,15 +123,14 @@ def conservation_report(
 ) -> float:
     """Max relative drift of L(t) = sum_i b_i log|f_i(x(t))| over the
     trajectory: max_t |L(t) - L(0)| / max(1, |L(0)|)."""
-    evaluators = [compile_poly(s.defining) for s in integral.surfaces]
     betas = [float(b) for b in integral.exponents]
+    surfaces = [s.defining for b, s in zip(betas, integral.surfaces) if b != 0.0]
+    values = compile_polys(traj.dim, surfaces)
+    betas = [b for b in betas if b != 0.0]
 
     def log_value(row) -> float:
         total = 0.0
-        for beta, ev in zip(betas, evaluators):
-            if beta == 0.0:
-                continue
-            value = ev(row)
+        for beta, value in zip(betas, values(row)):
             if abs(value) < floor:
                 raise DomainViolationError(
                     f"surface value {value!r} within {floor} of zero"

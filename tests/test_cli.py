@@ -324,25 +324,47 @@ def test_construct_complete_rejects_wrong_degree(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["integrate", "--field", FIELD, "--x0", "0.5,0.5,0.5",
-         "--h", "0.001", "--steps", "0"],
-        ["integrate", "--field", FIELD, "--x0", "0.5,0.5,0.5",
-         "--h", "nan", "--steps", "10"],
-        ["hamiltonian", "--constraint-space", "--n", "0"],
-        ["syzygy-fi", "--form", "ZERO_DENOMINATOR_FORM"],
-        ["certify", "--suite", "roundtrip", "--instances", "-5"],
-        ["cofactor", "--field", FIELD,
-         "--surface", "(" * 3000 + "x1" + ")" * 3000],
-        ["darboux", "--form", "UNSTRUCTURED_FORM", "--g", "1 + x1 - x2"],
+        (["integrate", "--field", FIELD, "--x0", "0.5,0.5,0.5",
+          "--h", "0.001", "--steps", "0"],
+         "need a finite --h > 0 and --steps >= 1"),
+        (["integrate", "--field", FIELD, "--x0", "0.5,0.5,0.5",
+          "--h", "nan", "--steps", "10"],
+         "need a finite --h > 0 and --steps >= 1"),
+        (["hamiltonian", "--constraint-space", "--n", "0"],
+         "--constraint-space needs --n >= 1"),
+        (["syzygy-fi", "--form", "ZERO_DENOMINATOR_FORM"],
+         "ZERO_DENOMINATOR_FORM: "),
+        (["certify", "--suite", "roundtrip", "--instances", "-5"],
+         "need --instances >= 1"),
+        (["cofactor", "--field", FIELD,
+          "--surface", "(" * 3000 + "x1" + ")" * 3000],
+         "expected at most 100 nested parentheses"),
+        (["darboux", "--form", "UNSTRUCTURED_FORM", "--g", "1 + x1 - x2"],
+         "is not of the shape k0 + sum k_i x_i^2"),
+        (["integrate", "--field", FIELD, "--x0", "nan,0.5,0.5",
+          "--h", "0.001", "--steps", "10"],
+         "x0 must be finite, got (nan, 0.5, 0.5)"),
+        (["integrate", "--field", FIELD, "--x0", "0.5,inf,0.5",
+          "--h", "0.001", "--steps", "10"],
+         "x0 must be finite, got (0.5, inf, 0.5)"),
+        (["construct", "linear-fi", "--a0", "5", "--a", "1,2,3",
+          "--seed", "NUMBER_SEED"],
+         "entry (1, 1) is 0, expected polynomial text"),
+        (["construct", "linear-fi", "--a0", "5", "--a", "1,2,3",
+          "--seed", "NOT_SKEW_SEED"],
+         "seed matrix entries (1,2) and (2,1) are not opposite"),
+        (["construct", "complete", "--n", "-3", "--m", "4", "--atilde", "x1"],
+         "need n >= 1"),
     ],
     ids=["steps-0", "h-nan", "constraint-n-0", "form-1-over-0",
          "negative-instances", "3000-nested-parentheses",
-         "unstructured-cofactor"],
+         "unstructured-cofactor", "x0-nan", "x0-inf", "seed-of-numbers",
+         "seed-not-skew", "negative-n"],
 )
-def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv):
-    forms = {
+def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv, message):
+    inputs = {
         "ZERO_DENOMINATOR_FORM": {
             "dim": 2, "alpha": ["1/0", "1"],
             "atilde": [["0", "1"], ["-1", "0"]],
@@ -353,14 +375,17 @@ def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv):
             "dim": 3, "alpha": ["1", "-1", "0"],
             "atilde": [["0", "2", "1"], ["-2", "0", "-1"], ["-1", "1", "0"]],
         },
+        "NUMBER_SEED": {"entries": [[0, 1], [-1, 0]]},
+        "NOT_SKEW_SEED": {"entries": [["0", "1"], ["1", "0"]]},
     }
-    for name, data in forms.items():
+    for name, data in inputs.items():
         (tmp_path / name).write_text(json.dumps(data))
-    argv = [str(tmp_path / a) if a in forms else a for a in argv]
+    argv = [str(tmp_path / a) if a in inputs else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert message in err
     assert "Traceback" not in err
 
 

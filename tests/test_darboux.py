@@ -26,7 +26,7 @@ from kolmosphere import (
     construct_completely_integrable,
     construct_from_form,
     construct_linear_fi_field,
-    coordinate_cofactor,
+    coordinate_cofactors,
     cofactor,
     cubic_form_from_dict,
     decompose_syzygy,
@@ -80,18 +80,21 @@ def test_matrix_rows_for_fixture_form():
 
 
 def test_coordinate_cofactors_of_fixture_form():
-    form = fixture_form()
-    assert str(coordinate_cofactor(form, 1)) == "-2*x1^2 + x2^2 - 2*x3^2 + 2"
-    assert str(coordinate_cofactor(form, 2)) == "-3*x1^2 - 3*x3^2"
-    assert str(coordinate_cofactor(form, 3)) == "-2*x1^2 + x2^2 - 2*x3^2 + 2"
+    cofactors = coordinate_cofactors(fixture_form().to_polynomial_form())
+    assert [str(q) for q in cofactors] == [
+        "-2*x1^2 + x2^2 - 2*x3^2 + 2",
+        "-3*x1^2 - 3*x3^2",
+        "-2*x1^2 + x2^2 - 2*x3^2 + 2",
+    ]
 
 
 def test_coordinate_cofactor_matches_division():
     form = fixture_form()
     vf = assemble_cubic(form)
+    cofactors = coordinate_cofactors(form.to_polynomial_form())
     for i in (1, 2, 3):
         direct = cofactor(vf, Hypersurface(Poly.var(3, i)))
-        assert coordinate_cofactor(form, i) == direct.poly
+        assert cofactors[i - 1] == direct.poly
 
 
 def test_find_darboux_returns_the_expected_exponent_plane():

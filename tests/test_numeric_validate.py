@@ -26,7 +26,7 @@ from kolmosphere import (
     Poly,
     PolyVectorField,
     Trajectory,
-    compile_poly,
+    compile_polys,
     conservation_report,
     construct_completely_integrable,
     field_from_dict,
@@ -51,17 +51,20 @@ def fixture_integrals():
     return find_darboux(form, Hypersurface(sphere_polynomial(3)))
 
 
-def test_compile_poly_matches_exact_evaluation():
+def test_compile_polys_matches_exact_evaluation():
     rng = random.Random(3)
     p = parse("1/2*x1^2*x2 - 3*x2^3 + x1 - 7", 2)
-    fn = compile_poly(p)
+    fn = compile_polys(2, [p, Poly.zero(2), -p])
     for _ in range(50):
         pt = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         exact = float(
             p.evaluate((Fraction(pt[0]).limit_denominator(10**6),
                         Fraction(pt[1]).limit_denominator(10**6)))
         )
-        assert math.isclose(fn(pt), exact, rel_tol=1e-9, abs_tol=1e-9)
+        value, zero, negated = fn(pt)
+        assert math.isclose(value, exact, rel_tol=1e-9, abs_tol=1e-9)
+        assert zero == 0.0 and negated == -value
+    assert compile_polys(2, [])((1.0, 2.0)) == ()
 
 
 def test_zero_field_gives_a_constant_trajectory():
@@ -97,6 +100,9 @@ def test_integrator_input_validation():
         integrate_rk4(vf, (1.0,), 0.1, 0)
     with pytest.raises(ValueError):
         integrate_rk4(vf, (1.0, 2.0), 0.1, 10)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            integrate_rk4(vf, (bad,), 0.1, 10)
 
 
 def test_blowup_is_reported_with_the_step_index():
