@@ -1,11 +1,15 @@
 """Exact polynomial arithmetic, parsing, and single-divisor division."""
 
+import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kolmosphere.field_forms import PolyVectorField, lie_derivative
+from kolmosphere.invariance import Hypersurface, cofactor
 from kolmosphere.polyring import (
     MAX_PAREN_DEPTH,
     NEG_INF,
@@ -283,3 +287,208 @@ def test_variable_index_beyond_dimension_is_reported():
 def test_zero_denominator_is_reported():
     with pytest.raises(ZeroDenominatorError):
         parse("1/0", 2)
+
+
+# ----- sympy as an independent oracle -------------------------------------------
+#
+# sympy shares no code with this module: its parser, expansion and division
+# check every operation above on hypothesis-drawn polynomials.
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def sympy_poly(sympy, p):
+    gens = sympy.symbols(f"x1:{p.dim + 1}")
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p}
+    return sympy.Poly.from_dict(terms, *gens, domain=sympy.QQ)
+
+
+def agrees(sympy, p, theirs):
+    """Is the Poly ``p`` the sympy polynomial ``theirs``, term for term?"""
+    ours = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p}
+    return ours == {e: c for e, c in theirs.terms() if c != 0}
+
+
+monomials = st.builds(
+    lambda exps, c: Poly.from_terms(3, [(exps, c)]),
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+    coeffs.filter(lambda c: c != 0),
+)
+
+
+@st.composite
+def texts(draw, dim=3, depth=2):
+    """Polynomial text in the grammar of ``parse``, with parentheses,
+    powers, rationals and redundant signs."""
+    def factor(level):
+        kinds = ["int", "ratio", "var"] + (["paren"] if level else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "int":
+            base = str(draw(st.integers(min_value=0, max_value=9)))
+        elif kind == "ratio":
+            base = (f"{draw(st.integers(min_value=0, max_value=9))}/"
+                    f"{draw(st.integers(min_value=1, max_value=9))}")
+        elif kind == "var":
+            base = f"x{draw(st.integers(min_value=1, max_value=dim))}"
+        else:
+            base = f"({poly(level - 1)})"
+        if draw(st.booleans()):
+            base += f"^{draw(st.integers(min_value=0, max_value=3))}"
+        return base
+
+    def term(level):
+        n = draw(st.integers(min_value=1, max_value=3))
+        return "*".join(factor(level) for _ in range(n))
+
+    def poly(level):
+        n = draw(st.integers(min_value=1, max_value=3))
+        text = ("-" if draw(st.booleans()) else "") + term(level)
+        for _ in range(n - 1):
+            text += draw(st.sampled_from([" + ", " - "])) + term(level)
+        return text
+
+    return poly(depth)
+
+
+@given(texts())
+@settings(max_examples=80, deadline=None)
+def test_parse_and_print_match_sympy(sympy, text):
+    gens = sympy.symbols("x1:4")
+    names = {str(g): g for g in gens}
+    # A rational literal is one token here, so "1/2^3" is (1/2)^3.
+    python_text = re.sub(r"(\d+/\d+)", r"(\1)", text).replace("^", "**")
+    theirs = sympy.Poly(sympy.sympify(python_text, locals=names),
+                        *gens, domain=sympy.QQ)
+    p = parse(text, 3)
+    assert agrees(sympy, p, theirs)
+    assert parse(str(p), 3) == p
+    assert agrees(sympy, parse(str(p), 3), theirs)
+
+
+@given(polys(dim=3), polys(dim=3))
+@settings(max_examples=60, deadline=None)
+def test_ring_operations_match_sympy(sympy, p, q):
+    sp, sq = sympy_poly(sympy, p), sympy_poly(sympy, q)
+    assert agrees(sympy, p + q, sp + sq)
+    assert agrees(sympy, p - q, sp - sq)
+    assert agrees(sympy, -p, -sp)
+    assert agrees(sympy, p * q, sp * sq)
+    for var in (1, 2, 3):
+        assert agrees(sympy, p.differentiate(var), sp.diff(sp.gens[var - 1]))
+
+
+@given(polys(dim=3, max_degree=2), monomials, st.integers(min_value=0, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_powers_match_sympy(sympy, p, m, k):
+    assert agrees(sympy, p ** k, sympy_poly(sympy, p) ** k)
+    assert agrees(sympy, m ** k, sympy_poly(sympy, m) ** k)
+    assert agrees(sympy, m ** (3 * k + 1), sympy_poly(sympy, m) ** (3 * k + 1))
+
+
+@given(polys(dim=3), polys(dim=3), polys(dim=3), monomials)
+@settings(max_examples=60, deadline=None)
+def test_divide_exact_matches_sympy(sympy, p, q, r, m):
+    for divisor in (q, m):
+        if divisor.is_zero():
+            continue
+        sd = sympy_poly(sympy, divisor)
+        quotient = divide_exact(p * divisor, divisor)
+        assert quotient == p
+        assert agrees(sympy, quotient, sympy_poly(sympy, p * divisor).exquo(sd))
+        dividend = p * divisor + r
+        their_q, their_r = sympy_poly(sympy, dividend).div(sd)
+        ours = divide_exact(dividend, divisor)
+        if their_r.is_zero:
+            assert ours is not None and agrees(sympy, ours, their_q)
+        else:
+            assert ours is None
+
+
+@st.composite
+def kolmogorov_fields(draw, dim=3):
+    """Fields P_i = x_i * Q_i: every hyperplane x_i = 0 is invariant with
+    cofactor Q_i, so both outcomes of ``cofactor`` are drawn."""
+    qs = [draw(polys(dim=dim, max_degree=2)) for _ in range(dim)]
+    comps = tuple(Poly.var(dim, i + 1) * q for i, q in enumerate(qs))
+    return PolyVectorField(dim, comps)
+
+
+@given(kolmogorov_fields(), polys(dim=3, max_degree=2),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_lie_derivative_and_cofactor_match_sympy(sympy, vf, f, i, j):
+    comps = [sympy_poly(sympy, c) for c in vf.components]
+    for surface in (f, Poly.var(3, i) * Poly.var(3, j), f * Poly.var(3, i)):
+        sf = sympy_poly(sympy, surface)
+        theirs = sum((c * sf.diff(g) for c, g in zip(comps, sf.gens)),
+                     sympy.Poly(0, *sf.gens, domain=sympy.QQ))
+        ours = lie_derivative(vf, surface)
+        assert agrees(sympy, ours, theirs)
+        if surface.is_zero() or surface.degree() == 0:
+            continue
+        their_k, their_r = theirs.div(sf)
+        k = cofactor(vf, Hypersurface(surface))
+        if their_r.is_zero:
+            assert k is not None and agrees(sympy, k.poly, their_k)
+        else:
+            assert k is None
+
+
+# ----- term insertion order -----------------------------------------------------
+#
+# A result's term insertion order is the float evaluation order of
+# ``numeric_validate.compile_polys``, so it is part of the numeric results.
+# These digests pin ``list(p.terms)`` for seeded results of every operation.
+
+
+TERM_ORDER_DIGESTS = {
+    "add":
+        "4a48f64b2cf8d59c57730c30f5f4915c26dcebdf5bb765aa7fcbe19530ff8ac2",
+    "sub":
+        "7095ca5a69cb0e5f9cccd95b75ba861f461a9298a8827282b55f12e1490cc9e2",
+    "mul":
+        "5e8241362f37a5c874556935dfed5001470d37d6ab061ef1fec6f8d96ccb8e38",
+    "pow":
+        "19217a39301e5441e71ffe9c91b58d16d24cc50d9c153fb23b0fb7e336658212",
+    "differentiate":
+        "3ae4212fdc3e9432c932487533ac525a45bb57d1ee1a9226723002916ab876e1",
+    "divide_exact_monomial":
+        "549c2fddb48588e9207ace3bbff10c796ebf83c1aa52c0a2539f7dfe9fed7290",
+    "divide_exact":
+        "b59c594d4d69a0ed9791eae70b1138646280acfeb07791d8c8c9de360cddfd2d",
+    "parse":
+        "a8b8157bd3a09810d66f54fa8ea473f3b18478d7d2158c4d7a7b46c937adc8d1",
+}
+
+
+def _term_orders(rng):
+    cases = {op: [] for op in TERM_ORDER_DIGESTS}
+    for _ in range(80):
+        dim = rng.randint(1, 3)
+        p = rand_poly(rng, dim, 3, terms=6)
+        q = rand_poly(rng, dim, 3, terms=6)
+        m = rand_poly(rng, dim, 3, terms=1)
+        k = rng.randint(0, 4)
+        cases["add"].append(p + q)
+        cases["sub"].append(p - q)
+        cases["sub"].append(-p)
+        cases["mul"].append(p * q)
+        cases["pow"].append(p ** k)
+        cases["pow"].append(m ** (k + 1))
+        cases["differentiate"].append(p.differentiate(rng.randint(1, dim)))
+        if not m.is_zero():
+            cases["divide_exact_monomial"].append(divide_exact(q * m, m))
+        if not q.is_zero():
+            cases["divide_exact"].append(divide_exact(p * q, q))
+        cases["parse"].append(parse(f"({p})*({q}) - ({m})^{k} + ({q})", dim))
+    return cases
+
+
+@pytest.mark.parametrize("op", sorted(TERM_ORDER_DIGESTS))
+def test_term_insertion_order_is_pinned(op):
+    results = _term_orders(random.Random(20260618))[op]
+    text = "\n".join(repr(list(p.terms)) for p in results)
+    assert hashlib.sha256(text.encode()).hexdigest() == TERM_ORDER_DIGESTS[op]
