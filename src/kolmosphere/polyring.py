@@ -13,7 +13,9 @@ The same order drives both ``divide_exact`` and canonical printing, so
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
 Monomial = Tuple[int, ...]
@@ -63,8 +65,13 @@ class Poly:
     """Immutable sparse polynomial with Fraction coefficients.
 
     Construct through :meth:`zero`, :meth:`const`, :meth:`var`,
-    :meth:`from_terms` or :func:`parse`; the constructor trusts its input
-    mapping to be canonical apart from zero coefficients, which it drops.
+    :meth:`from_terms`, :func:`parse` or ``Poly(dim, terms)``: these take
+    input from outside the ring, so they check every exponent tuple, wrap
+    every coefficient in ``Fraction`` and drop zeros.  The ring's own
+    results (``+ - *``, ``**``, :meth:`differentiate`, :func:`divide_exact`)
+    are built by :meth:`_trusted`, which only drops zeros.  The insertion
+    order of ``terms`` is the float evaluation order of
+    ``numeric_validate.compile_polys``, so every operation keeps it fixed.
     """
 
     __slots__ = ("dim", "terms")
@@ -85,6 +92,15 @@ class Poly:
                 clean[tuple(exps)] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: Mapping[Monomial, Fraction]) -> "Poly":
+        """A Poly from exponent tuples of length ``dim`` and ``Fraction``
+        coefficients built by this module; only zeros are dropped."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        return p
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Poly is immutable")
@@ -177,13 +193,14 @@ class Poly:
             return NotImplemented
         acc = dict(self.terms)
         for exps, coeff in rhs.terms.items():
-            acc[exps] = acc.get(exps, Fraction(0)) + coeff
-        return Poly(self.dim, acc)
+            old = acc.get(exps)
+            acc[exps] = coeff if old is None else old + coeff
+        return Poly._trusted(self.dim, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.dim, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         rhs = self._coerce(other)
@@ -201,23 +218,30 @@ class Poly:
         acc: Dict[Monomial, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in rhs.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return Poly(self.dim, acc)
+                key = tuple(map(add, e1, e2))
+                old = acc.get(key)
+                acc[key] = c1 * c2 if old is None else old + c1 * c2
+        return Poly._trusted(self.dim, acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take natural exponents")
+        if len(self.terms) == 1:
+            ((exps, coeff),) = self.terms.items()
+            return Poly._trusted(
+                self.dim, {tuple(e * exponent for e in exps): coeff ** exponent}
+            )
         result = Poly.const(self.dim, 1)
         base = self
         e = exponent
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -242,9 +266,8 @@ class Poly:
             e = exps[i]
             if e == 0:
                 continue
-            key = exps[:i] + (e - 1,) + exps[i + 1:]
-            acc[key] = acc.get(key, Fraction(0)) + coeff * e
-        return Poly(self.dim, acc)
+            acc[exps[:i] + (e - 1,) + exps[i + 1:]] = coeff * e
+        return Poly._trusted(self.dim, acc)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point."""
@@ -295,6 +318,11 @@ def _term_text(exps: Monomial, coeff: Fraction) -> str:
     return f"{coeff}*{vars_part}"
 
 
+def _heap_key(exps: Monomial) -> tuple:
+    """Min-heap key of a monomial: the grlex-largest has the smallest key."""
+    return (-sum(exps),) + tuple(map(neg, exps))
+
+
 def divide_exact(dividend: Poly, divisor: Poly):
     """Quotient when ``divisor`` divides ``dividend`` exactly, else None.
 
@@ -303,6 +331,12 @@ def divide_exact(dividend: Poly, divisor: Poly):
     term.  If at any point the leading monomial is not divisible the
     dividend cannot be a multiple (over a field a nonzero remainder is
     definitive for a singleton divisor set), so the scan stops early.
+
+    The remainder is one dict, updated in place by each step's
+    ``c * divisor``, with a heap holding each of its monomials once to find
+    the leading one (Johnson 1974; Monagan & Pearce 2007).  A monomial whose
+    coefficient cancels stays, at zero, until it surfaces and is skipped.
+    The quotient's terms come out in grlex-descending order.
     """
     if divisor.dim != dividend.dim:
         raise DimensionMismatchError(
@@ -311,17 +345,31 @@ def divide_exact(dividend: Poly, divisor: Poly):
     if divisor.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     lead_exps, lead_coeff = divisor.leading()
-    remainder = dividend
+    tail = [(e, c) for e, c in divisor.terms.items() if e != lead_exps]
+    remainder = dict(dividend.terms)
+    heap = [(_heap_key(e), e) for e in remainder]
+    heapq.heapify(heap)
     quotient: Dict[Monomial, Fraction] = {}
-    while not remainder.is_zero():
-        r_exps, r_coeff = remainder.leading()
-        step = tuple(a - b for a, b in zip(r_exps, lead_exps))
-        if any(e < 0 for e in step):
+    while heap:
+        r_exps = heapq.heappop(heap)[1]
+        r_coeff = remainder.pop(r_exps)
+        if not r_coeff:
+            continue
+        step = tuple(map(sub, r_exps, lead_exps))
+        if min(step, default=0) < 0:
             return None
         c = r_coeff / lead_coeff
-        quotient[step] = quotient.get(step, Fraction(0)) + c
-        remainder = remainder - Poly(dividend.dim, {step: c}) * divisor
-    return Poly(dividend.dim, quotient)
+        quotient[step] = c
+        minus_c = -c
+        for d_exps, d_coeff in tail:
+            m = tuple(map(add, step, d_exps))
+            old = remainder.get(m)
+            if old is None:
+                remainder[m] = minus_c * d_coeff
+                heapq.heappush(heap, (_heap_key(m), m))
+            else:
+                remainder[m] = old + minus_c * d_coeff
+    return Poly._trusted(dividend.dim, quotient)
 
 
 # ----- parsing --------------------------------------------------------------
