@@ -38,9 +38,7 @@ from .field_forms import (
     cubic_form_from_dict,
     cubic_form_to_dict,
     field_from_dict,
-    field_from_json,
     field_to_dict,
-    field_to_json,
     is_kolmogorov_on_sphere,
     lie_derivative,
     recover_cubic_form,

@@ -92,7 +92,7 @@ def _load_form(path: str) -> CubicKolmogorovForm:
     data = _load_json(path)
     try:
         return cubic_form_from_dict(data)
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as err:
+    except (KeyError, ValueError, TypeError) as err:
         raise InputError(f"{path}: {err}") from err
 
 

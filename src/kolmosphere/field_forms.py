@@ -14,7 +14,6 @@ and a constant skew matrix atilde.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -331,9 +330,25 @@ def cubic_form_to_dict(form: CubicKolmogorovForm) -> dict:
     }
 
 
+def _form_entry(value, what: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} has a zero denominator") from None
+    except OverflowError:
+        raise ValueError(f"{what} is not finite") from None
+
+
 def cubic_form_from_dict(data: dict) -> CubicKolmogorovForm:
-    alpha = [Fraction(s) for s in data["alpha"]]
-    atilde = [[Fraction(s) for s in row] for row in data["atilde"]]
+    alpha = [
+        _form_entry(s, f"alpha entry {i}")
+        for i, s in enumerate(data["alpha"], start=1)
+    ]
+    atilde = [
+        [_form_entry(s, f"atilde entry ({i}, {j})")
+         for j, s in enumerate(row, start=1)]
+        for i, row in enumerate(data["atilde"], start=1)
+    ]
     form = CubicKolmogorovForm.from_values(alpha, atilde)
     if form.dim != int(data["dim"]):
         raise DimensionMismatchError(
@@ -341,10 +356,3 @@ def cubic_form_from_dict(data: dict) -> CubicKolmogorovForm:
         )
     return form
 
-
-def field_to_json(vf: PolyVectorField) -> str:
-    return json.dumps(field_to_dict(vf), indent=2, sort_keys=True)
-
-
-def field_from_json(text: str) -> PolyVectorField:
-    return field_from_dict(json.loads(text))

@@ -87,8 +87,8 @@ def integrate_rk4(
     bit-reproducible."""
     if len(x0) != vf.dim:
         raise ValueError(f"x0 has {len(x0)} coordinates, field on R^{vf.dim}")
-    if h <= 0 or steps < 1:
-        raise ValueError("need h > 0 and steps >= 1")
+    if not (math.isfinite(h) and h > 0) or steps < 1:
+        raise ValueError("need a finite h > 0 and steps >= 1")
     state = tuple(float(v) for v in x0)
     if not all(math.isfinite(v) for v in state):
         raise ValueError(f"x0 must be finite, got {state}")

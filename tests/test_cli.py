@@ -335,7 +335,11 @@ def test_construct_complete_rejects_wrong_degree(capsys):
         (["hamiltonian", "--constraint-space", "--n", "0"],
          "--constraint-space needs --n >= 1"),
         (["syzygy-fi", "--form", "ZERO_DENOMINATOR_FORM"],
-         "ZERO_DENOMINATOR_FORM: "),
+         "ZERO_DENOMINATOR_FORM: alpha entry 1 has a zero denominator"),
+        (["syzygy-fi", "--form", "ZERO_DENOMINATOR_ATILDE_FORM"],
+         "ZERO_DENOMINATOR_ATILDE_FORM: atilde entry (2, 1) has a zero denominator"),
+        (["syzygy-fi", "--form", "INFINITE_FORM"],
+         "INFINITE_FORM: alpha entry 2 is not finite"),
         (["certify", "--suite", "roundtrip", "--instances", "-5"],
          "need --instances >= 1"),
         (["cofactor", "--field", FIELD,
@@ -359,6 +363,7 @@ def test_construct_complete_rejects_wrong_degree(capsys):
          "need n >= 1"),
     ],
     ids=["steps-0", "h-nan", "constraint-n-0", "form-1-over-0",
+         "form-atilde-1-over-0", "form-infinity",
          "negative-instances", "3000-nested-parentheses",
          "unstructured-cofactor", "x0-nan", "x0-inf", "seed-of-numbers",
          "seed-not-skew", "negative-n"],
@@ -367,6 +372,14 @@ def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv, message):
     inputs = {
         "ZERO_DENOMINATOR_FORM": {
             "dim": 2, "alpha": ["1/0", "1"],
+            "atilde": [["0", "1"], ["-1", "0"]],
+        },
+        "ZERO_DENOMINATOR_ATILDE_FORM": {
+            "dim": 2, "alpha": ["1", "1"],
+            "atilde": [["0", "1"], ["-1/0", "0"]],
+        },
+        "INFINITE_FORM": {
+            "dim": 2, "alpha": ["1", float("inf")],
             "atilde": [["0", "1"], ["-1", "0"]],
         },
         # g = 1 + x1 - x2 is invariant with cofactor -x1^2 + x2^2 + x1 + x2,

@@ -19,9 +19,7 @@ from kolmosphere import (
     cubic_form_from_dict,
     cubic_form_to_dict,
     field_from_dict,
-    field_from_json,
     field_to_dict,
-    field_to_json,
     is_kolmogorov_on_sphere,
     lie_derivative,
     parse,
@@ -220,7 +218,8 @@ def test_field_json_round_trip():
         vf = PolyVectorField(
             dim, tuple(rand_poly(rng, dim, 3) for _ in range(dim))
         )
-        assert field_from_json(field_to_json(vf)).components == vf.components
+        text = json.dumps(field_to_dict(vf))
+        assert field_from_dict(json.loads(text)).components == vf.components
     data = field_to_dict(vf)
     assert set(data) == {"dim", "components"}
 

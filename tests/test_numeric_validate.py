@@ -96,6 +96,9 @@ def test_integrator_input_validation():
     vf = PolyVectorField(1, (Poly.var(1, 1),))
     with pytest.raises(ValueError):
         integrate_rk4(vf, (1.0,), -0.1, 10)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="need a finite h > 0"):
+            integrate_rk4(vf, (0.5,), bad, 3)
     with pytest.raises(ValueError):
         integrate_rk4(vf, (1.0,), 0.1, 0)
     with pytest.raises(ValueError):
