@@ -355,4 +355,3 @@ def cubic_form_from_dict(data: dict) -> CubicKolmogorovForm:
             f"declared dim {data['dim']} but {form.dim} alpha entries"
         )
     return form
-

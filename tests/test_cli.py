@@ -337,7 +337,7 @@ def test_construct_complete_rejects_wrong_degree(capsys):
         (["syzygy-fi", "--form", "ZERO_DENOMINATOR_FORM"],
          "ZERO_DENOMINATOR_FORM: alpha entry 1 has a zero denominator"),
         (["syzygy-fi", "--form", "ZERO_DENOMINATOR_ATILDE_FORM"],
-         "ZERO_DENOMINATOR_ATILDE_FORM: atilde entry (2, 1) has a zero denominator"),
+         "ATILDE_FORM: atilde entry (2, 1) has a zero denominator"),
         (["syzygy-fi", "--form", "INFINITE_FORM"],
          "INFINITE_FORM: alpha entry 2 is not finite"),
         (["certify", "--suite", "roundtrip", "--instances", "-5"],
