@@ -21,8 +21,6 @@ import sys
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from .polyring import ParseError, Poly, parse
 from .field_forms import (
     CubicKolmogorovForm,
@@ -51,6 +49,7 @@ from .hamiltonian import hamiltonian_constraint_space, is_hamiltonian
 from .numeric_validate import (
     NonFiniteError,
     Trajectory,
+    _finite_rows,
     compile_polys,
     integrate_rk4,
     trajectory_to_csv,
@@ -75,17 +74,12 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {err}") from err
 
 
-def _load_field(path: str, dim_flag: Optional[int]) -> PolyVectorField:
+def _load_field(path: str) -> PolyVectorField:
     data = _load_json(path)
     try:
-        vf = field_from_dict(data)
+        return field_from_dict(data)
     except (KeyError, ValueError, TypeError) as err:
         raise InputError(f"{path}: {err}") from err
-    if dim_flag is not None and dim_flag != vf.dim:
-        raise InputError(
-            f"--dim {dim_flag} disagrees with file dimension {vf.dim}"
-        )
-    return vf
 
 
 def _load_form(path: str) -> CubicKolmogorovForm:
@@ -169,7 +163,7 @@ def _exponent_lines(integrals: List[dict]) -> List[str]:
 
 
 def _cmd_check(args) -> Outcome:
-    vf = _load_field(args.field, args.dim)
+    vf = _load_field(args.field)
     report = is_kolmogorov_on_sphere(vf)
     degree = vf.degree()
     payload = {
@@ -193,7 +187,7 @@ def _cmd_check(args) -> Outcome:
 
 
 def _cmd_cofactor(args) -> Outcome:
-    vf = _load_field(args.field, args.dim)
+    vf = _load_field(args.field)
     outcome = cofactor(vf, _surface_arg(args.surface, vf.dim, "--surface"))
     if outcome is None:
         payload = {"invariant": False, "cofactor": None, "structured": None}
@@ -313,7 +307,7 @@ def _cmd_hamiltonian(args) -> Outcome:
         return (0 if dimension == 0 else 1), payload, lines
     if args.field is None:
         raise InputError("need --field FILE or --constraint-space --n N")
-    vf = _load_field(args.field, args.dim)
+    vf = _load_field(args.field)
     report = is_hamiltonian(vf)
     payload = {
         "dim": vf.dim,
@@ -331,18 +325,18 @@ def _cmd_hamiltonian(args) -> Outcome:
 def _max_drift(poly: Poly, text: str, traj: Trajectory) -> float:
     """max_t |p(x(t)) - p(x(0))|; a value or drift that overflows raises
     ``NonFiniteError`` at the first step where it does."""
+    what = f"watched value {text}"
     ev = compile_polys(traj.dim, [poly])
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = [ev(tuple(row))[0] for row in traj.states]
-        drifts = [abs(value - values[0]) for value in values]
+    values = [value for (value,) in _finite_rows(ev, traj, what)]
+    drifts = [abs(value - values[0]) for value in values]
     for step, drift in enumerate(drifts):
         if not math.isfinite(drift):
-            raise NonFiniteError(step, f"watched value {text}")
+            raise NonFiniteError(step, what)
     return max(drifts)
 
 
 def _cmd_integrate(args) -> Outcome:
-    vf = _load_field(args.field, args.dim)
+    vf = _load_field(args.field)
     x0 = _float_list(args.x0, "--x0")
     if len(x0) != vf.dim:
         raise InputError(f"--x0 has {len(x0)} coordinates, field on R^{vf.dim}")
@@ -416,11 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(sub, "check", _cmd_check, "membership and sphere invariance")
     p.add_argument("--field", required=True)
-    p.add_argument("--dim", type=int)
 
     p = command(sub, "cofactor", _cmd_cofactor, "cofactor of a hypersurface")
     p.add_argument("--field", required=True)
-    p.add_argument("--dim", type=int)
     p.add_argument("--surface", required=True)
 
     p = command(sub, "darboux", _cmd_darboux,
@@ -458,13 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(sub, "hamiltonian", _cmd_hamiltonian, "Hamiltonian structure tests")
     p.add_argument("--field")
-    p.add_argument("--dim", type=int)
     p.add_argument("--constraint-space", action="store_true")
     p.add_argument("--n", type=int)
 
     p = command(sub, "integrate", _cmd_integrate, "fixed-step RK4 trajectory")
     p.add_argument("--field", required=True)
-    p.add_argument("--dim", type=int)
     p.add_argument("--x0", required=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)

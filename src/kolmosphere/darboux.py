@@ -54,15 +54,13 @@ class ZeroSeedError(ValueError):
 
 
 class HypothesisFailedError(ValueError):
-    """An independence hypothesis matrix is singular."""
+    """The independence hypothesis fails for the family that omits
+    coordinate ``index``: g or dg/dx_index vanishes at a sample point, or
+    the evaluation matrix is singular."""
 
-    def __init__(self, index: int, achieved_rank: int, needed: int):
+    def __init__(self, index: int, message: str):
         self.index = index
-        self.achieved_rank = achieved_rank
-        super().__init__(
-            f"hypothesis matrix for omitted coordinate {index} has rank "
-            f"{achieved_rank}, need {needed}"
-        )
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -150,13 +148,10 @@ def _cofactor_sums_vanish(
         cofactors.append(cof.poly)
     if g_cofactor is not None:
         cofactors.append(g_cofactor)
-    verdicts = []
-    for vec in vectors:
-        total = Poly.zero(vf.dim)
-        for b, k in zip(vec, cofactors):
-            total = total + b * k
-        verdicts.append(total.is_zero())
-    return verdicts
+    return [
+        Poly.sum(vf.dim, (b * k for b, k in zip(vec, cofactors))).is_zero()
+        for vec in vectors
+    ]
 
 
 def verify_first_integral(
@@ -248,10 +243,7 @@ def decompose_syzygy(
                 f"syzygy of length {d} with an entry in {p.dim} variables"
             )
     powers = [Poly.var(d, j) ** k for j in range(1, d + 1)]
-    total = Poly.zero(d)
-    for p, xk in zip(q, powers):
-        total = total + p * xk
-    if not total.is_zero():
+    if not Poly.sum(d, (p * xk for p, xk in zip(q, powers))).is_zero():
         raise NotASyzygyError("sum_i q_i x_i^k is not the zero polynomial")
 
     residuals = list(q)
@@ -324,9 +316,9 @@ def construct_linear_fi_field(
 
     divisor = Fraction(hp.a[k]) * x_k
     for j in others:
-        s = Poly.zero(d)
-        for i in others:
-            s = s + hp.a[i] * Poly.var(d, i + 1) * atilde[i][j]
+        s = Poly.sum(
+            d, (hp.a[i] * Poly.var(d, i + 1) * atilde[i][j] for i in others)
+        )
         quotient = divide_exact(s, divisor)
         if quotient is None:
             raise RuntimeError(
@@ -501,16 +493,24 @@ def complete_integrability_check(
 
     determinants = []
     for i in range(1, d + 1):
-        dg_i = g.defining.differentiate(i)
-        for j, pt in enumerate(samples[i - 1], start=1):
-            if g.defining.evaluate(pt.coords) == 0:
-                raise HypothesisFailedError(i, 0, d)
-            if dg_i.evaluate(pt.coords) == 0:
-                raise HypothesisFailedError(i, 0, d)
+        checked = (("g", g.defining), (f"dg/dx{i}", g.defining.differentiate(i)))
+        for pt in samples[i - 1]:
+            for name, poly in checked:
+                if poly.evaluate(pt.coords) == 0:
+                    point = ", ".join(str(c) for c in pt.coords)
+                    raise HypothesisFailedError(
+                        i,
+                        f"{name} = {poly} vanishes at the sample point "
+                        f"({point}) for omitted coordinate {i}",
+                    )
         matrix = hypothesis_matrix(g.defining, i, samples[i - 1])
         det = determinant(matrix)
         if det == 0:
-            raise HypothesisFailedError(i, rank(matrix), d)
+            raise HypothesisFailedError(
+                i,
+                f"hypothesis matrix for omitted coordinate {i} has rank "
+                f"{rank(matrix)}, need {d}",
+            )
         determinants.append(det)
 
     vf, g_cofactor, matrix_b, surfaces = _exponent_problem(form, g)

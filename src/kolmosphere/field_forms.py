@@ -152,10 +152,10 @@ def lie_derivative(vf: PolyVectorField, f: Poly) -> Poly:
         raise DimensionMismatchError(
             f"function in {f.dim} variables, field on R^{vf.dim}"
         )
-    total = Poly.zero(vf.dim)
-    for i, p in enumerate(vf.components, start=1):
-        total = total + p * f.differentiate(i)
-    return total
+    return Poly.sum(
+        vf.dim,
+        (p * f.differentiate(i) for i, p in enumerate(vf.components, start=1)),
+    )
 
 
 def coordinate_cofactors(form: KolmogorovForm) -> Tuple[Poly, ...]:
@@ -164,13 +164,14 @@ def coordinate_cofactors(form: KolmogorovForm) -> Tuple[Poly, ...]:
     d = form.dim
     one_minus_r2 = Poly.const(d, 1) - sum_of_squares(d)
     squares = [Poly.var(d, j) ** 2 for j in range(1, d + 1)]
-    cofactors = []
-    for i in range(d):
-        q = one_minus_r2 * form.ftilde[i]
-        for j in range(d):
-            q = q + form.atilde[i][j] * squares[j]
-        cofactors.append(q)
-    return tuple(cofactors)
+    return tuple(
+        Poly.sum(
+            d,
+            [one_minus_r2 * form.ftilde[i]]
+            + [form.atilde[i][j] * squares[j] for j in range(d)],
+        )
+        for i in range(d)
+    )
 
 
 def construct_from_form(form: KolmogorovForm) -> PolyVectorField:
@@ -293,9 +294,10 @@ def classify_homogeneous(vf: PolyVectorField) -> HomogeneousReport:
         homogeneous = False
     degree = max(degrees) if degrees else NEG_INF
     kolmogorov = coordinate_quotients(vf) is not None
-    tangent = Poly.zero(vf.dim)
-    for i, p in enumerate(vf.components, start=1):
-        tangent = tangent + p * Poly.var(vf.dim, i)
+    tangent = Poly.sum(
+        vf.dim,
+        (p * Poly.var(vf.dim, i) for i, p in enumerate(vf.components, start=1)),
+    )
     return HomogeneousReport(
         homogeneous=homogeneous,
         degree=degree,
@@ -316,10 +318,26 @@ def field_to_dict(vf: PolyVectorField) -> dict:
     return {"dim": vf.dim, "components": [str(p) for p in vf.components]}
 
 
+def _json_dim(data: dict) -> int:
+    dim = data["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError("dim must be a positive integer")
+    return dim
+
+
+def _json_array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be an array")
+    return value
+
+
 def field_from_dict(data: dict) -> PolyVectorField:
-    dim = int(data["dim"])
-    components = tuple(parse(text, dim) for text in data["components"])
-    return PolyVectorField(dim, components)
+    dim = _json_dim(data)
+    texts = _json_array(data["components"], "components")
+    for i, text in enumerate(texts, start=1):
+        if not isinstance(text, str):
+            raise ValueError(f"component {i} must be polynomial text")
+    return PolyVectorField(dim, tuple(parse(text, dim) for text in texts))
 
 
 def cubic_form_to_dict(form: CubicKolmogorovForm) -> dict:
@@ -331,6 +349,8 @@ def cubic_form_to_dict(form: CubicKolmogorovForm) -> dict:
 
 
 def _form_entry(value, what: str) -> Fraction:
+    if isinstance(value, bool):
+        raise ValueError(f"{what} is a boolean, expected a rational")
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -340,18 +360,19 @@ def _form_entry(value, what: str) -> Fraction:
 
 
 def cubic_form_from_dict(data: dict) -> CubicKolmogorovForm:
+    dim = _json_dim(data)
     alpha = [
         _form_entry(s, f"alpha entry {i}")
-        for i, s in enumerate(data["alpha"], start=1)
+        for i, s in enumerate(_json_array(data["alpha"], "alpha"), start=1)
     ]
     atilde = [
         [_form_entry(s, f"atilde entry ({i}, {j})")
-         for j, s in enumerate(row, start=1)]
-        for i, row in enumerate(data["atilde"], start=1)
+         for j, s in enumerate(_json_array(row, f"atilde row {i}"), start=1)]
+        for i, row in enumerate(_json_array(data["atilde"], "atilde"), start=1)
     ]
     form = CubicKolmogorovForm.from_values(alpha, atilde)
-    if form.dim != int(data["dim"]):
+    if form.dim != dim:
         raise DimensionMismatchError(
-            f"declared dim {data['dim']} but {form.dim} alpha entries"
+            f"declared dim {dim} but {form.dim} alpha entries"
         )
     return form

@@ -107,10 +107,12 @@ class HyperplaneSpec:
         return len(self.a)
 
     def defining_poly(self) -> Poly:
-        p = Poly.const(self.dim, self.a0)
-        for i, coeff in enumerate(self.a, start=1):
-            p = p + coeff * Poly.var(self.dim, i)
-        return p
+        d = self.dim
+        return Poly.sum(
+            d,
+            [Poly.const(d, self.a0)]
+            + [a * Poly.var(d, i) for i, a in enumerate(self.a, start=1)],
+        )
 
 
 class PreconditionError(ValueError):

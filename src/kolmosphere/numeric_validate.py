@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class DomainViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution: times[k] = t0 + k*h, states[k] is the state row."""
+    """Sampled solution: times[k] = k*h, states[k] is the state row."""
 
     times: np.ndarray
     states: np.ndarray
@@ -81,7 +81,6 @@ def integrate_rk4(
     x0: Sequence[float],
     h: float,
     steps: int,
-    t0: float = 0.0,
 ) -> Trajectory:
     """Classical RK4 with a fixed step; no adaptivity, so reruns are
     bit-reproducible."""
@@ -112,7 +111,7 @@ def integrate_rk4(
         if not all(math.isfinite(v) for v in state):
             raise NonFiniteError(step + 1)
         rows.append(state)
-    times = t0 + h * np.arange(steps + 1, dtype=np.float64)
+    times = h * np.arange(steps + 1, dtype=np.float64)
     return Trajectory(times=times, states=np.array(rows, dtype=np.float64))
 
 
@@ -128,9 +127,9 @@ def conservation_report(
     values = compile_polys(traj.dim, surfaces)
     betas = [b for b in betas if b != 0.0]
 
-    def log_value(row) -> float:
+    def log_value(row_values) -> float:
         total = 0.0
-        for beta, value in zip(betas, values(row)):
+        for beta, value in zip(betas, row_values):
             if abs(value) < floor:
                 raise DomainViolationError(
                     f"surface value {value!r} within {floor} of zero"
@@ -138,10 +137,27 @@ def conservation_report(
             total += beta * math.log(abs(value))
         return total
 
-    rows = [tuple(row) for row in traj.states]
-    base = log_value(rows[0])
-    scale = max(1.0, abs(base))
-    return max(abs(log_value(row) - base) for row in rows) / scale
+    logs = [log_value(v) for v in _finite_rows(values, traj, "surface value")]
+    scale = max(1.0, abs(logs[0]))
+    return max(abs(log - logs[0]) for log in logs) / scale
+
+
+def _finite_rows(
+    values: Callable[[Sequence[float]], Tuple[float, ...]],
+    traj: Trajectory,
+    what: str,
+) -> Iterator[Tuple[float, ...]]:
+    """``values`` at each state row, on Python floats, in step order;
+    raises ``NonFiniteError(step, what)`` at the first row where a value
+    overflows or is not finite."""
+    for step, row in enumerate(traj.states.tolist()):
+        try:
+            out = values(row)
+        except OverflowError as err:
+            raise NonFiniteError(step, what) from err
+        if not all(map(math.isfinite, out)):
+            raise NonFiniteError(step, what)
+        yield out
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

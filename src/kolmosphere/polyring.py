@@ -68,10 +68,11 @@ class Poly:
     :meth:`from_terms`, :func:`parse` or ``Poly(dim, terms)``: these take
     input from outside the ring, so they check every exponent tuple, wrap
     every coefficient in ``Fraction`` and drop zeros.  The ring's own
-    results (``+ - *``, ``**``, :meth:`differentiate`, :func:`divide_exact`)
-    are built by :meth:`_trusted`, which only drops zeros.  The insertion
-    order of ``terms`` is the float evaluation order of
-    ``numeric_validate.compile_polys``, so every operation keeps it fixed.
+    results (:meth:`sum`, ``+ - *``, ``**``, :meth:`differentiate`,
+    :func:`divide_exact`) are built by :meth:`_trusted`, which only drops
+    zeros.  The insertion order of ``terms`` is the float evaluation order
+    of ``numeric_validate.compile_polys``, so every operation keeps it
+    fixed.
     """
 
     __slots__ = ("dim", "terms")
@@ -187,15 +188,41 @@ class Poly:
             return Poly.const(self.dim, other)
         return NotImplemented  # type: ignore[return-value]
 
+    @classmethod
+    def sum(cls, dim: int, addends: Iterable["Poly"]) -> "Poly":
+        """The sum of ``addends`` in ``dim`` variables; zero when there are
+        none.
+
+        The first addend's terms are copied into one dict and each later
+        addend is folded into it in place, as ``divide_exact`` updates its
+        remainder, so the cost is the total term count, not one copy of the
+        running sum per addend.  A monomial is deleted the moment its
+        coefficient cancels, which keeps the term order of a left-to-right
+        chain of ``+``.
+        """
+        acc = None
+        for p in addends:
+            if p.dim != dim:
+                raise DimensionMismatchError(
+                    f"cannot combine polynomials in {dim} and {p.dim} variables"
+                )
+            if acc is None:
+                acc = dict(p.terms)
+                continue
+            for exps, coeff in p.terms.items():
+                old = acc.get(exps)
+                new = coeff if old is None else old + coeff
+                if new:
+                    acc[exps] = new
+                else:
+                    del acc[exps]
+        return cls._trusted(dim, acc or {})
+
     def __add__(self, other) -> "Poly":
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        acc = dict(self.terms)
-        for exps, coeff in rhs.terms.items():
-            old = acc.get(exps)
-            acc[exps] = coeff if old is None else old + coeff
-        return Poly._trusted(self.dim, acc)
+        return Poly.sum(self.dim, (self, rhs))
 
     __radd__ = __add__
 
@@ -464,18 +491,16 @@ class _Parser:
         return self.advance()
 
     def parse_poly(self) -> Poly:
-        negate = False
-        if self.peek().kind == "-":
-            self.advance()
-            negate = True
-        result = self.parse_term()
+        negate = self.peek().kind == "-"
         if negate:
-            result = -result
+            self.advance()
+        term = self.parse_term()
+        terms = [-term if negate else term]
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             term = self.parse_term()
-            result = result + term if op.kind == "+" else result - term
-        return result
+            terms.append(term if op.kind == "+" else -term)
+        return Poly.sum(self.dim, terms)
 
     def parse_term(self) -> Poly:
         result = self.parse_factor()

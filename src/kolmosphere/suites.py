@@ -128,9 +128,10 @@ def roundtrip_suite(seed: int = 0, *, instances: int) -> SuiteReport:
         if not rep.passes:
             report.failures.append(f"instance {idx}: membership test failed")
             continue
-        predicted = Poly.zero(dim)
-        for i in range(dim):
-            predicted = predicted - 2 * form.ftilde[i] * Poly.var(dim, i + 1) ** 2
+        predicted = Poly.sum(
+            dim,
+            (-(2 * form.ftilde[i] * Poly.var(dim, i + 1) ** 2) for i in range(dim)),
+        )
         if rep.sphere_cofactor != predicted:
             report.failures.append(
                 f"instance {idx}: cofactor {rep.sphere_cofactor} != {predicted}"

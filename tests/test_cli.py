@@ -305,14 +305,6 @@ def test_exit_code_two_for_parse_errors(capsys):
     assert "position" in err
 
 
-def test_exit_code_two_for_dimension_mismatch(capsys):
-    code, _, err = run(
-        capsys, "check", "--field", FIELD, "--dim", "4"
-    )
-    assert code == 2
-    assert "disagrees" in err
-
-
 def test_construct_complete_rejects_wrong_degree(capsys):
     code, _, err = run(
         capsys,
@@ -361,12 +353,31 @@ def test_construct_complete_rejects_wrong_degree(capsys):
          "seed matrix entries (1,2) and (2,1) are not opposite"),
         (["construct", "complete", "--n", "-3", "--m", "4", "--atilde", "x1"],
          "need n >= 1"),
+        (["construct", "cubic", "--form", "STRING_ALPHA_FORM"],
+         "STRING_ALPHA_FORM: alpha must be an array"),
+        (["construct", "cubic", "--form", "STRING_ROW_FORM"],
+         "STRING_ROW_FORM: atilde row 1 must be an array"),
+        (["syzygy-fi", "--form", "BOOLEAN_ALPHA_FORM"],
+         "BOOLEAN_ALPHA_FORM: alpha entry 2 is a boolean, expected a rational"),
+        (["syzygy-fi", "--form", "FLOAT_DIM_FORM"],
+         "FLOAT_DIM_FORM: dim must be a positive integer"),
+        (["check", "--field", "FLOAT_DIM_FIELD"],
+         "FLOAT_DIM_FIELD: dim must be a positive integer"),
+        (["check", "--field", "BOOLEAN_DIM_FIELD"],
+         "BOOLEAN_DIM_FIELD: dim must be a positive integer"),
+        (["check", "--field", "STRING_COMPONENTS_FIELD"],
+         "STRING_COMPONENTS_FIELD: components must be an array"),
+        (["check", "--field", "NUMBER_COMPONENT_FIELD"],
+         "NUMBER_COMPONENT_FIELD: component 1 must be polynomial text"),
     ],
     ids=["steps-0", "h-nan", "constraint-n-0", "form-1-over-0",
          "form-atilde-1-over-0", "form-infinity",
          "negative-instances", "3000-nested-parentheses",
          "unstructured-cofactor", "x0-nan", "x0-inf", "seed-of-numbers",
-         "seed-not-skew", "negative-n"],
+         "seed-not-skew", "negative-n", "form-alpha-string",
+         "form-atilde-row-string", "form-alpha-boolean", "form-dim-float",
+         "field-dim-float", "field-dim-boolean", "field-components-string",
+         "field-component-number"],
 )
 def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv, message):
     inputs = {
@@ -389,6 +400,25 @@ def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv, message):
             "atilde": [["0", "2", "1"], ["-2", "0", "-1"], ["-1", "1", "0"]],
         },
         "NUMBER_SEED": {"entries": [[0, 1], [-1, 0]]},
+        # Read character by character, this was alpha = (1, 2, 3).
+        "STRING_ALPHA_FORM": {
+            "dim": 3, "alpha": "123", "atilde": ["000", "000", "000"],
+        },
+        "STRING_ROW_FORM": {
+            "dim": 2, "alpha": ["1", "1"], "atilde": ["01", ["-1", "0"]],
+        },
+        "BOOLEAN_ALPHA_FORM": {
+            "dim": 2, "alpha": ["1", True],
+            "atilde": [["0", "1"], ["-1", "0"]],
+        },
+        "FLOAT_DIM_FORM": {
+            "dim": 2.0, "alpha": ["1", "1"],
+            "atilde": [["0", "1"], ["-1", "0"]],
+        },
+        "FLOAT_DIM_FIELD": {"dim": 3.9, "components": ["x1", "x2", "x3"]},
+        "BOOLEAN_DIM_FIELD": {"dim": True, "components": ["x1"]},
+        "STRING_COMPONENTS_FIELD": {"dim": 1, "components": "1"},
+        "NUMBER_COMPONENT_FIELD": {"dim": 1, "components": [1]},
         "NOT_SKEW_SEED": {"entries": [["0", "1"], ["1", "0"]]},
     }
     for name, data in inputs.items():

@@ -397,3 +397,27 @@ def test_complete_integrability_rejects_degenerate_sample_grids():
     with pytest.raises(HypothesisFailedError) as exc:
         complete_integrability_check(fixture_form(), sphere_surface(3), grid)
     assert exc.value.index == 1
+
+
+@pytest.mark.parametrize(
+    "g_text, point, message",
+    [
+        ("x1^2 + x2^2 + x3^2 - 1", (Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)),
+         "g = x1^2 + x2^2 + x3^2 - 1 vanishes at the sample point "
+         "(2/3, 2/3, 1/3) for omitted coordinate 1"),
+        ("x1^2 - 2*x1*x2", (1, 1, 1),
+         "dg/dx1 = 2*x1 - 2*x2 vanishes at the sample point (1, 1, 1) "
+         "for omitted coordinate 1"),
+    ],
+    ids=["g", "dg"],
+)
+def test_complete_integrability_names_the_point_where_a_polynomial_vanishes(
+    g_text, point, message
+):
+    pt = SamplePoint.of(point)
+    grid = [[pt, pt, pt] for _ in range(3)]
+    g = Hypersurface(parse(g_text, 3))
+    with pytest.raises(HypothesisFailedError) as exc:
+        complete_integrability_check(fixture_form(), g, grid)
+    assert exc.value.index == 1
+    assert str(exc.value) == message

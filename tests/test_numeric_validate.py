@@ -115,6 +115,18 @@ def test_blowup_is_reported_with_the_step_index():
     assert 0 <= exc.value.step_index <= 100
 
 
+@pytest.mark.parametrize(
+    "surface", ["x1^200", "10^300*x1^10"], ids=["power-overflows", "product-is-inf"]
+)
+def test_overflowing_surface_value_fails_instead_of_a_nan_drift(surface):
+    vf = PolyVectorField(1, (Poly.var(1, 1),))
+    traj = integrate_rk4(vf, (100.0,), 0.01, 10)
+    integral = DarbouxIntegral((Fraction(1),), (Hypersurface(parse(surface, 1)),))
+    with pytest.raises(NonFiniteError) as exc:
+        conservation_report(traj, integral)
+    assert str(exc.value) == "surface value became non-finite at step 0"
+
+
 def test_constant_trajectory_has_zero_drift():
     vf = PolyVectorField(2, (Poly.zero(2), Poly.zero(2)))
     traj = integrate_rk4(vf, (0.5, 0.5), 0.01, 50)

@@ -1,6 +1,8 @@
 """Exact polynomial arithmetic, parsing, and single-divisor division."""
 
+import functools
 import hashlib
+import operator
 import random
 import re
 from fractions import Fraction
@@ -146,6 +148,39 @@ def test_ring_laws(p, q, r):
     assert p * Poly.const(2, 1) == p
 
 
+@st.composite
+def addend_lists(draw):
+    """Up to six polynomials; a later one may repeat or negate an earlier
+    one, so that monomials cancel and then reappear."""
+    addends = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["new", "repeat", "negate"]))
+        if kind == "new" or not addends:
+            addends.append(draw(polys()))
+        else:
+            earlier = draw(st.sampled_from(addends))
+            addends.append(earlier if kind == "repeat" else -earlier)
+    return addends
+
+
+@given(addend_lists())
+@settings(max_examples=150, deadline=None)
+def test_sum_equals_left_to_right_addition_in_value_and_term_order(addends):
+    total = Poly.sum(2, addends)
+    chained = functools.reduce(operator.add, addends, Poly.zero(2))
+    assert total == chained
+    assert list(total.terms) == list(chained.terms)
+
+
+def test_sum_of_nothing_is_zero_and_mixed_dimensions_are_rejected():
+    assert Poly.sum(3, []) == Poly.zero(3)
+    assert Poly.sum(3, []).dim == 3
+    with pytest.raises(DimensionMismatchError):
+        Poly.sum(2, [Poly.var(2, 1), Poly.var(3, 1)])
+    with pytest.raises(DimensionMismatchError):
+        Poly.sum(2, [Poly.var(3, 1)])
+
+
 @given(polys(), polys())
 @settings(max_examples=60, deadline=None)
 def test_degree_of_product_adds_for_nonzero_factors(p, q):
@@ -248,6 +283,17 @@ def test_print_then_parse_is_identity_on_random_polynomials():
         dim = rng.randint(1, 4)
         p = rand_poly(rng, dim, 4)
         assert parse(str(p), dim) == p
+
+
+def test_a_3000_term_sum_round_trips_through_text():
+    text = "1/7*x1*x2" + "".join(
+        f" {'-' if i % 2 else '+'} {i}/7*x1^{i}*x2^{i % 5}" for i in range(2, 3001)
+    )
+    p = parse(text, 2)
+    assert len(p) == 3000
+    assert p.coefficient((3000, 0)) == Fraction(3000, 7)
+    assert p.coefficient((2999, 4)) == Fraction(-2999, 7)
+    assert parse(str(p), 2) == p
 
 
 @pytest.mark.parametrize(
