@@ -42,6 +42,7 @@ from .field_forms import (
     is_kolmogorov_on_sphere,
     lie_derivative,
     recover_cubic_form,
+    seed_from_dict,
     sphere_polynomial,
 )
 from .invariance import (
@@ -99,6 +100,7 @@ from .numeric_validate import (
     compile_polys,
     conservation_report,
     integrate_rk4,
+    max_abs_drift,
     trajectory_to_csv,
 )
 from .suites import SUITES, SuiteReport, run_suite

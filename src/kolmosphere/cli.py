@@ -16,21 +16,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
 
 from .polyring import ParseError, Poly, parse
 from .field_forms import (
-    CubicKolmogorovForm,
-    PolyVectorField,
     assemble_cubic,
     construct_from_form,
     cubic_form_from_dict,
     field_from_dict,
     field_to_dict,
     is_kolmogorov_on_sphere,
+    seed_from_dict,
 )
 from .invariance import (
     Hypersurface,
@@ -48,10 +46,8 @@ from .darboux import (
 from .hamiltonian import hamiltonian_constraint_space, is_hamiltonian
 from .numeric_validate import (
     NonFiniteError,
-    Trajectory,
-    _finite_rows,
-    compile_polys,
     integrate_rk4,
+    max_abs_drift,
     trajectory_to_csv,
 )
 from .suites import SUITES, run_suite
@@ -64,46 +60,27 @@ class InputError(Exception):
     """Bad file, bad text, bad flag combination: exit code 2."""
 
 
-def _load_json(path: str) -> dict:
+T = TypeVar("T")
+
+
+def _load(path: str, reader: Callable[[dict], T]) -> T:
+    """``reader`` applied to the JSON object in ``path``; every fault in
+    the file becomes an ``InputError`` that names it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise InputError(f"{path} is not valid JSON: {err}") from err
-
-
-def _load_field(path: str) -> PolyVectorField:
-    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object")
     try:
-        return field_from_dict(data)
-    except (KeyError, ValueError, TypeError) as err:
+        return reader(data)
+    except KeyError as err:
+        raise InputError(f"{path}: missing key {err}") from err
+    except (ValueError, TypeError, IndexError) as err:
         raise InputError(f"{path}: {err}") from err
-
-
-def _load_form(path: str) -> CubicKolmogorovForm:
-    data = _load_json(path)
-    try:
-        return cubic_form_from_dict(data)
-    except (KeyError, ValueError, TypeError) as err:
-        raise InputError(f"{path}: {err}") from err
-
-
-def _load_seed(path: str, dim: int) -> List[List[Poly]]:
-    data = _load_json(path)
-    try:
-        rows = [list(row) for row in data["entries"]]
-    except (KeyError, TypeError) as err:
-        raise InputError(f"{path}: expected an 'entries' matrix") from err
-    for i, row in enumerate(rows, start=1):
-        for j, entry in enumerate(row, start=1):
-            if not isinstance(entry, str):
-                raise InputError(
-                    f"{path}: entry ({i}, {j}) is {json.dumps(entry)}, "
-                    "expected polynomial text"
-                )
-    return [[_parse_poly_arg(text, dim, path) for text in row] for row in rows]
 
 
 def _parse_poly_arg(text: str, dim: int, what: str) -> Poly:
@@ -163,7 +140,7 @@ def _exponent_lines(integrals: List[dict]) -> List[str]:
 
 
 def _cmd_check(args) -> Outcome:
-    vf = _load_field(args.field)
+    vf = _load(args.field, field_from_dict)
     report = is_kolmogorov_on_sphere(vf)
     degree = vf.degree()
     payload = {
@@ -187,7 +164,7 @@ def _cmd_check(args) -> Outcome:
 
 
 def _cmd_cofactor(args) -> Outcome:
-    vf = _load_field(args.field)
+    vf = _load(args.field, field_from_dict)
     outcome = cofactor(vf, _surface_arg(args.surface, vf.dim, "--surface"))
     if outcome is None:
         payload = {"invariant": False, "cofactor": None, "structured": None}
@@ -211,7 +188,7 @@ def _cmd_cofactor(args) -> Outcome:
 
 
 def _cmd_darboux(args) -> Outcome:
-    form = _load_form(args.form)
+    form = _load(args.form, cubic_form_from_dict)
     g = _surface_arg(args.g, form.dim, "--g")
     try:
         found = find_darboux(form, g)
@@ -225,7 +202,7 @@ def _cmd_darboux(args) -> Outcome:
 
 
 def _cmd_syzygy_fi(args) -> Outcome:
-    form = _load_form(args.form)
+    form = _load(args.form, cubic_form_from_dict)
     integrals = [i.to_dict() for i in syzygy_first_integral(form)]
     payload = {"integrals": integrals}
     lines = [f"{len(integrals)} monomial integral(s)"] + _exponent_lines(integrals)
@@ -233,7 +210,7 @@ def _cmd_syzygy_fi(args) -> Outcome:
 
 
 def _cmd_classify_hyperplane(args) -> Outcome:
-    form = _load_form(args.form)
+    form = _load(args.form, cubic_form_from_dict)
     verdict = classify_hyperplane(form, _hyperplane_arg(args.a0, args.a, form.dim))
     predicted = verdict.predicted
     payload = {
@@ -253,7 +230,9 @@ def _cmd_classify_hyperplane(args) -> Outcome:
 
 def _cmd_construct_linear_fi(args) -> Outcome:
     hp = _hyperplane_arg(args.a0, args.a)
-    form = construct_linear_fi_field(hp, _load_seed(args.seed, hp.dim))
+    form = construct_linear_fi_field(
+        hp, _load(args.seed, lambda data: seed_from_dict(data, hp.dim))
+    )
     field = construct_from_form(form)
     payload = {
         "dim": field.dim,
@@ -289,11 +268,14 @@ def _cmd_construct_complete(args) -> Outcome:
 
 
 def _cmd_construct_cubic(args) -> Outcome:
-    payload = field_to_dict(assemble_cubic(_load_form(args.form)))
+    form = _load(args.form, cubic_form_from_dict)
+    payload = field_to_dict(assemble_cubic(form))
     return 0, payload, [f"field: {payload['components']}"]
 
 
 def _cmd_hamiltonian(args) -> Outcome:
+    if args.constraint_space and args.field is not None:
+        raise InputError("give --field or --constraint-space, not both")
     if args.constraint_space:
         if args.n is None or args.n < 1:
             raise InputError("--constraint-space needs --n >= 1")
@@ -307,7 +289,7 @@ def _cmd_hamiltonian(args) -> Outcome:
         return (0 if dimension == 0 else 1), payload, lines
     if args.field is None:
         raise InputError("need --field FILE or --constraint-space --n N")
-    vf = _load_field(args.field)
+    vf = _load(args.field, field_from_dict)
     report = is_hamiltonian(vf)
     payload = {
         "dim": vf.dim,
@@ -322,21 +304,8 @@ def _cmd_hamiltonian(args) -> Outcome:
     return 1, payload, [f"not Hamiltonian ({len(payload['defects'])} defect pairs)"]
 
 
-def _max_drift(poly: Poly, text: str, traj: Trajectory) -> float:
-    """max_t |p(x(t)) - p(x(0))|; a value or drift that overflows raises
-    ``NonFiniteError`` at the first step where it does."""
-    what = f"watched value {text}"
-    ev = compile_polys(traj.dim, [poly])
-    values = [value for (value,) in _finite_rows(ev, traj, what)]
-    drifts = [abs(value - values[0]) for value in values]
-    for step, drift in enumerate(drifts):
-        if not math.isfinite(drift):
-            raise NonFiniteError(step, what)
-    return max(drifts)
-
-
 def _cmd_integrate(args) -> Outcome:
-    vf = _load_field(args.field)
+    vf = _load(args.field, field_from_dict)
     x0 = _float_list(args.x0, "--x0")
     if len(x0) != vf.dim:
         raise InputError(f"--x0 has {len(x0)} coordinates, field on R^{vf.dim}")
@@ -348,7 +317,8 @@ def _cmd_integrate(args) -> Outcome:
     ]
     traj = integrate_rk4(vf, x0, args.h, args.steps)
     watch_payload = [
-        {"poly": text, "max_abs_drift": _max_drift(poly, text, traj)}
+        {"poly": text,
+         "max_abs_drift": max_abs_drift(traj, poly, f"watched value {text}")}
         for poly, text in watches
     ]
     if args.dump:

@@ -47,22 +47,6 @@ class RationalMatrix:
         ncols = len(data[0]) if data else 0
         return cls(nrows, ncols, data)
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls.from_rows([[0] * cols for _ in range(rows)])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(self.cols, self.rows, tuple(
             tuple(self.entries[i][j] for i in range(self.rows))

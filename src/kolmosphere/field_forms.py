@@ -14,9 +14,10 @@ and a constant skew matrix atilde.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from .polyring import (
     DimensionMismatchError,
@@ -25,6 +26,9 @@ from .polyring import (
     divide_exact,
     parse,
 )
+
+
+T = TypeVar("T")
 
 
 class NotSkewError(ValueError):
@@ -69,6 +73,19 @@ def check_skew(matrix: Sequence[Sequence], zero, label: str) -> None:
                     f"{label} entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) "
                     "are not opposite"
                 )
+
+
+def skew_matrix(
+    dim: int, entry: Callable[[int, int], T], zero: T
+) -> Tuple[Tuple[T, ...], ...]:
+    """The skew matrix with ``zero`` on the diagonal and entry(i, j) above
+    it, called once for each 0-based i < j in row-major order."""
+    rows = [[zero] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            rows[i][j] = entry(i, j)
+            rows[j][i] = -rows[i][j]
+    return tuple(tuple(row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -310,8 +327,12 @@ def classify_homogeneous(vf: PolyVectorField) -> HomogeneousReport:
 #
 # Vector field:  {"dim": d, "components": ["<poly text>", ...]}
 # Constant form: {"dim": d, "alpha": ["p/q", ...], "atilde": [["p/q", ...], ...]}
+# Skew seed:     {"entries": [["<poly text>", ...], ...]}
 #
-# Rationals travel as strings so exactness survives serialization.
+# Rationals travel as strings so exactness survives serialization.  The
+# readers take the decoded JSON object.  A missing key raises KeyError; any
+# other fault raises a ValueError, or the parser's IndexError for a variable
+# outside x1..xd, with a message that says what is wrong.
 
 
 def field_to_dict(vf: PolyVectorField) -> dict:
@@ -376,3 +397,21 @@ def cubic_form_from_dict(data: dict) -> CubicKolmogorovForm:
             f"declared dim {dim} but {form.dim} alpha entries"
         )
     return form
+
+
+def seed_from_dict(data: dict, dim: int) -> List[List[Poly]]:
+    """The seed matrix of ``construct_linear_fi_field``, its entries parsed
+    in ``dim`` variables; its shape and skew-symmetry are checked there."""
+    entries = _json_array(data["entries"], "entries")
+    rows = [
+        _json_array(row, f"entries row {i}")
+        for i, row in enumerate(entries, start=1)
+    ]
+    for i, row in enumerate(rows, start=1):
+        for j, entry in enumerate(row, start=1):
+            if not isinstance(entry, str):
+                raise ValueError(
+                    f"entry ({i}, {j}) is {json.dumps(entry)}, "
+                    "expected polynomial text"
+                )
+    return [[parse(text, dim) for text in row] for row in rows]

@@ -15,7 +15,12 @@ from typing import Dict, List, Tuple
 
 from .exactla import RationalMatrix, nullspace
 from .polyring import Poly
-from .field_forms import CubicKolmogorovForm, PolyVectorField, assemble_cubic
+from .field_forms import (
+    CubicKolmogorovForm,
+    PolyVectorField,
+    assemble_cubic,
+    skew_matrix,
+)
 
 
 class OddDimensionError(ValueError):
@@ -63,15 +68,9 @@ def _parameter_form(n: int, values: List[Fraction]) -> CubicKolmogorovForm:
     """Unpack (alpha_1..alpha_2n, atilde entries above the diagonal) into
     constant assembly data."""
     d = 2 * n
-    alpha = values[:d]
-    atilde = [[Fraction(0)] * d for _ in range(d)]
-    pos = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            atilde[i][j] = values[pos]
-            atilde[j][i] = -values[pos]
-            pos += 1
-    return CubicKolmogorovForm.from_values(alpha, atilde)
+    above = iter(values[d:])
+    atilde = skew_matrix(d, lambda i, j: next(above), Fraction(0))
+    return CubicKolmogorovForm.from_values(values[:d], atilde)
 
 
 def parameter_count(n: int) -> int:

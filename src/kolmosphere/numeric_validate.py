@@ -142,6 +142,18 @@ def conservation_report(
     return max(abs(log - logs[0]) for log in logs) / scale
 
 
+def max_abs_drift(traj: Trajectory, poly: Poly, what: str) -> float:
+    """max_t |p(x(t)) - p(x(0))|; a value or drift that overflows raises
+    ``NonFiniteError(step, what)`` at the first step where it does."""
+    ev = compile_polys(traj.dim, [poly])
+    values = [value for (value,) in _finite_rows(ev, traj, what)]
+    drifts = [abs(value - values[0]) for value in values]
+    for step, drift in enumerate(drifts):
+        if not math.isfinite(drift):
+            raise NonFiniteError(step, what)
+    return max(drifts)
+
+
 def _finite_rows(
     values: Callable[[Sequence[float]], Tuple[float, ...]],
     traj: Trajectory,

@@ -23,6 +23,7 @@ from .field_forms import (
     construct_from_form,
     is_kolmogorov_on_sphere,
     recover_cubic_form,
+    skew_matrix,
     sphere_polynomial,
 )
 from .invariance import (
@@ -80,23 +81,13 @@ def _rand_homogeneous_poly(rng: random.Random, dim: int, degree: int) -> Poly:
 
 
 def _rand_skew_poly(rng: random.Random, dim: int, max_degree: int):
-    rows = [[Poly.zero(dim) for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            p = _rand_poly(rng, dim, max_degree)
-            rows[i][j] = p
-            rows[j][i] = -p
-    return tuple(tuple(r) for r in rows)
+    return skew_matrix(
+        dim, lambda i, j: _rand_poly(rng, dim, max_degree), Poly.zero(dim)
+    )
 
 
 def _rand_skew_const(rng: random.Random, dim: int):
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            v = _rand_fraction(rng)
-            rows[i][j] = v
-            rows[j][i] = -v
-    return rows
+    return skew_matrix(dim, lambda i, j: _rand_fraction(rng), Fraction(0))
 
 
 # ----- suite: assembly round trip -------------------------------------------
@@ -161,13 +152,13 @@ def _case_offset_instance(rng: random.Random, dim: int):
         Fraction(0) if i in support else _rand_fraction(rng)
         for i in range(dim)
     ]
-    atilde = [[Fraction(0)] * dim for _ in range(dim)]
-    outside = [i for i in range(dim) if i not in support]
-    for ii, i in enumerate(outside):
-        for j in outside[ii + 1:]:
-            v = _rand_fraction(rng)
-            atilde[i][j] = v
-            atilde[j][i] = -v
+    atilde = skew_matrix(
+        dim,
+        lambda i, j: (
+            Fraction(0) if i in support or j in support else _rand_fraction(rng)
+        ),
+        Fraction(0),
+    )
     form = CubicKolmogorovForm.from_values(alpha, atilde)
     hp = HyperplaneSpec.from_values(_rand_fraction(rng, allow_zero=False), a)
     return form, hp, support
@@ -184,16 +175,13 @@ def _case_origin_instance(rng: random.Random, dim: int):
     ]
     outside = [i for i in range(dim) if i not in support]
     template = {j: _rand_fraction(rng) for j in outside}
-    atilde = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in support:
-        for j in outside:
-            atilde[i][j] = template[j]
-            atilde[j][i] = -template[j]
-    for ii, i in enumerate(outside):
-        for j in outside[ii + 1:]:
-            v = _rand_fraction(rng)
-            atilde[i][j] = v
-            atilde[j][i] = -v
+
+    def entry(i: int, j: int) -> Fraction:
+        if i in support:
+            return template[j] if j in outside else Fraction(0)
+        return -template[i] if j in support else _rand_fraction(rng)
+
+    atilde = skew_matrix(dim, entry, Fraction(0))
     form = CubicKolmogorovForm.from_values(alpha, atilde)
     hp = HyperplaneSpec.from_values(0, a)
     return form, hp, support, outside
@@ -212,19 +200,16 @@ def _perturb(form: CubicKolmogorovForm, rng: random.Random,
     if not moves:
         moves = ["row_offset"]
     move = rng.choice(moves)
+    i = support[0]
     if move == "alpha":
-        alpha[support[0]] += 1
-    elif move == "pair":
-        i, j = support[0], support[1]
-        atilde[i][j] += 1
-        atilde[j][i] -= 1
-    elif move == "row":
-        i, j = support[0], outside[0]
-        atilde[i][j] += 1
-        atilde[j][i] -= 1
-    else:  # offset case: any nonzero entry in a supported row
-        i = support[0]
-        j = (i + 1) % form.dim
+        alpha[i] += 1
+    else:
+        if move == "pair":
+            j = support[1]
+        elif move == "row":
+            j = outside[0]
+        else:  # offset case: any nonzero entry in a supported row
+            j = (i + 1) % form.dim
         atilde[i][j] += 1
         atilde[j][i] -= 1
     return CubicKolmogorovForm.from_values(alpha, atilde)
@@ -338,20 +323,17 @@ def _rand_strict_homogeneous_field(
 ) -> PolyVectorField:
     """Homogeneous degree-m field from skew data, with a nonzero last
     component so the last coordinate is not trivially conserved."""
+    zero = Poly.zero(dim)
     while True:
-        rows = [[Poly.zero(dim) for _ in range(dim)] for _ in range(dim)]
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                if rng.random() < 0.3:
-                    continue
-                p = _rand_homogeneous_poly(rng, dim, m - 3)
-                rows[i][j] = p
-                rows[j][i] = -p
-        form = KolmogorovForm(
+        atilde = skew_matrix(
             dim,
-            tuple(Poly.zero(dim) for _ in range(dim)),
-            tuple(tuple(r) for r in rows),
+            lambda i, j: (
+                zero if rng.random() < 0.3
+                else _rand_homogeneous_poly(rng, dim, m - 3)
+            ),
+            zero,
         )
+        form = KolmogorovForm(dim, (zero,) * dim, atilde)
         vf = construct_from_form(form)
         if not vf.components[dim - 1].is_zero():
             return vf

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, golden outputs, file formats."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -369,6 +370,20 @@ def test_construct_complete_rejects_wrong_degree(capsys):
          "STRING_COMPONENTS_FIELD: components must be an array"),
         (["check", "--field", "NUMBER_COMPONENT_FIELD"],
          "NUMBER_COMPONENT_FIELD: component 1 must be polynomial text"),
+        (["check", "--field", "ARRAY_FIELD"],
+         "ARRAY_FIELD: expected a JSON object"),
+        (["syzygy-fi", "--form", "NO_DIM_FORM"],
+         "NO_DIM_FORM: missing key 'dim'"),
+        (["construct", "linear-fi", "--a0", "5", "--a", "1,2,3",
+          "--seed", "STRING_ROWS_SEED"],
+         "STRING_ROWS_SEED: entries row 1 must be an array"),
+        (["construct", "linear-fi", "--a0", "5", "--a", "1,2,3",
+          "--seed", "STRING_ENTRIES_SEED"],
+         "STRING_ENTRIES_SEED: entries must be an array"),
+        (["check", "--field", "OUT_OF_RANGE_FIELD"],
+         "OUT_OF_RANGE_FIELD: at position 0: variable x5 outside 1..3"),
+        (["hamiltonian", "--constraint-space", "--n", "1", "--field", FIELD],
+         "give --field or --constraint-space, not both"),
     ],
     ids=["steps-0", "h-nan", "constraint-n-0", "form-1-over-0",
          "form-atilde-1-over-0", "form-infinity",
@@ -377,7 +392,9 @@ def test_construct_complete_rejects_wrong_degree(capsys):
          "seed-not-skew", "negative-n", "form-alpha-string",
          "form-atilde-row-string", "form-alpha-boolean", "form-dim-float",
          "field-dim-float", "field-dim-boolean", "field-components-string",
-         "field-component-number"],
+         "field-component-number", "field-top-level-array", "form-no-dim",
+         "seed-rows-strings", "seed-entries-string",
+         "field-variable-out-of-range", "hamiltonian-field-and-space"],
 )
 def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv, message):
     inputs = {
@@ -420,6 +437,12 @@ def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv, message):
         "STRING_COMPONENTS_FIELD": {"dim": 1, "components": "1"},
         "NUMBER_COMPONENT_FIELD": {"dim": 1, "components": [1]},
         "NOT_SKEW_SEED": {"entries": [["0", "1"], ["1", "0"]]},
+        "ARRAY_FIELD": [1, 2],
+        "NO_DIM_FORM": {"alpha": ["1"], "atilde": [["0"]]},
+        # Read character by character, these were the matrix [[0, 1], [1, 0]].
+        "STRING_ROWS_SEED": {"entries": ["01", "10"]},
+        "STRING_ENTRIES_SEED": {"entries": "ab"},
+        "OUT_OF_RANGE_FIELD": {"dim": 3, "components": ["x5", "x2", "x3"]},
     }
     for name, data in inputs.items():
         (tmp_path / name).write_text(json.dumps(data))
@@ -457,3 +480,17 @@ def test_non_finite_watch_fails_the_integration(capsys, fmt):
     assert err == (
         "integration failed: watched value x1^2000 became non-finite at step 0\n"
     )
+
+
+def test_cli_imports_no_private_name_from_a_sibling_module():
+    """File formats and numeric checks live in the library; the CLI only
+    uses their public names."""
+    tree = ast.parse((ROOT / "src" / "kolmosphere" / "cli.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

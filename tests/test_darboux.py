@@ -70,7 +70,7 @@ def test_matrix_rows_for_fixture_form():
     extra = cofactor(vf, sphere_surface(3))
     b = build_matrix_B(form, extra)
     assert b.rows == 4 and b.cols == 4
-    assert [b.row(i) for i in range(4)] == [
+    assert list(b.entries) == [
         (Fraction(2), Fraction(-2), Fraction(1), Fraction(-2)),
         (Fraction(0), Fraction(-3), Fraction(0), Fraction(-3)),
         (Fraction(2), Fraction(-2), Fraction(1), Fraction(-2)),

@@ -24,8 +24,10 @@ from kolmosphere import (
     lie_derivative,
     parse,
     recover_cubic_form,
+    seed_from_dict,
     sphere_polynomial,
 )
+from kolmosphere.field_forms import skew_matrix
 from kolmosphere.polyring import NEG_INF
 
 from conftest import rand_poly, rand_skew_constant
@@ -233,3 +235,28 @@ def test_cubic_form_dict_round_trip_preserves_rationals():
     back = cubic_form_from_dict(data)
     assert back.alpha == form.alpha
     assert back.atilde == form.atilde
+
+
+def test_skew_matrix_asks_for_the_upper_triangle_in_row_major_order():
+    calls = []
+
+    def entry(i, j):
+        calls.append((i, j))
+        return Fraction(len(calls))
+
+    m = skew_matrix(3, entry, Fraction(0))
+    assert calls == [(0, 1), (0, 2), (1, 2)]
+    assert m == ((0, 1, 2), (-1, 0, 3), (-2, -3, 0))
+
+
+def test_seed_from_dict_parses_polynomial_rows_in_the_given_dimension():
+    seed = seed_from_dict({"entries": [["0", "x3"], ["-x3", "0"]]}, 3)
+    assert seed == [
+        [Poly.zero(3), Poly.var(3, 3)], [-Poly.var(3, 3), Poly.zero(3)]
+    ]
+    with pytest.raises(ValueError, match="entries row 2 must be an array"):
+        seed_from_dict({"entries": [["0"], "0"]}, 3)
+    with pytest.raises(ValueError, match=r"entry \(1, 2\) is null"):
+        seed_from_dict({"entries": [["0", None]]}, 3)
+    with pytest.raises(KeyError):
+        seed_from_dict({"rows": []}, 3)

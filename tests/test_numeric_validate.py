@@ -32,6 +32,7 @@ from kolmosphere import (
     field_from_dict,
     find_darboux,
     integrate_rk4,
+    max_abs_drift,
     parse,
     recover_cubic_form,
     sphere_polynomial,
@@ -125,6 +126,19 @@ def test_overflowing_surface_value_fails_instead_of_a_nan_drift(surface):
     with pytest.raises(NonFiniteError) as exc:
         conservation_report(traj, integral)
     assert str(exc.value) == "surface value became non-finite at step 0"
+
+
+def test_max_abs_drift_is_the_largest_change_of_the_watched_value():
+    vf = PolyVectorField(2, (parse("-x2", 2), parse("x1", 2)))
+    traj = integrate_rk4(vf, (1.0, 0.0), 1e-2, 200)
+    x1 = traj.states[:, 0]
+    assert max_abs_drift(traj, parse("x1", 2), "x1") == np.max(np.abs(x1 - x1[0]))
+    assert max_abs_drift(traj, parse("x1^2 + x2^2", 2), "r2") < 1e-10
+    # Every value is finite, but its change from 1e308 overflows.
+    with pytest.raises(NonFiniteError) as exc:
+        max_abs_drift(traj, parse("10^308*x1 - 10^308*x2", 2), "watched v")
+    assert str(exc.value).startswith("watched v became non-finite at step ")
+    assert exc.value.step_index > 0
 
 
 def test_constant_trajectory_has_zero_drift():
