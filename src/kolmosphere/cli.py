@@ -73,6 +73,10 @@ def _load(path: str, reader: Callable[[dict], T]) -> T:
         raise InputError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise InputError(f"{path} is not valid JSON: {err}") from err
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path} is not UTF-8 text: {err}") from err
+    except RecursionError as err:
+        raise InputError(f"{path} is nested too deeply") from err
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
     try:
@@ -276,6 +280,8 @@ def _cmd_construct_cubic(args) -> Outcome:
 def _cmd_hamiltonian(args) -> Outcome:
     if args.constraint_space and args.field is not None:
         raise InputError("give --field or --constraint-space, not both")
+    if args.n is not None and not args.constraint_space:
+        raise InputError("--n needs --constraint-space")
     if args.constraint_space:
         if args.n is None or args.n < 1:
             raise InputError("--constraint-space needs --n >= 1")

@@ -5,13 +5,23 @@ Conservation of a product integral H = prod_i f_i^(b_i) is measured in log
 space, L(t) = sum_i b_i log|f_i(x(t))|, which keeps exponents linear and
 tolerates negative surface values; the largest relative deviation of L from
 its initial value is the drift.
+
+Each call generates one Python function from the polynomials and runs it:
+``integrate_rk4`` the whole stepping loop, with the four stages unrolled,
+and ``conservation_report`` and ``max_abs_drift`` one sweep over the state
+rows with its checks.  Every value lives in a local variable, so the loop
+pays no call or tuple per point.  ``_poly_source`` writes each polynomial
+as one float expression in its own term order with ``**`` for powers, the
+same text ``compile_polys`` evaluates, so every float operation and its
+order is that of a point-by-point evaluation: results match it bit for
+bit, errors and their step indices included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -52,28 +62,57 @@ def compile_polys(
 ) -> Callable[[Sequence[float]], Tuple[float, ...]]:
     """Fast float evaluator: a point in R^dim gives the tuple of the
     polynomials' values, each summed in the polynomial's own term order."""
-    names = ", ".join(f"x{i + 1}" for i in range(dim))
-    bodies = "".join(f"{_poly_source(p)}, " for p in polys)
-    source = f"def _eval({names}):\n    return ({bodies})\n"
-    scope: dict = {}
-    exec(source, scope)  # source is generated purely from Poly data
-    fn = scope["_eval"]
+    x = _names("x", dim)
+    values = "".join(f"{_poly_source(p, x)}, " for p in polys)
+    fn = _compile(x, [f"return ({values})"])
     return lambda point: fn(*point)
 
 
-def _poly_source(p: Poly) -> str:
+def _names(prefix: str, count: int) -> List[str]:
+    return [f"{prefix}{i + 1}" for i in range(count)]
+
+
+def _poly_source(p: Poly, names: Sequence[str]) -> str:
+    """``p`` as a float expression in the variables ``names``, one product
+    per term in the polynomial's own term order."""
     if p.is_zero():
         return "0.0"
     pieces = []
     for exps, coeff in p:
         factors = [repr(float(coeff))]
-        for i, e in enumerate(exps):
+        for name, e in zip(names, exps):
             if e == 1:
-                factors.append(f"x{i + 1}")
+                factors.append(name)
             elif e > 1:
-                factors.append(f"x{i + 1}**{e}")
+                factors.append(f"{name}**{e}")
         pieces.append("*".join(factors))
     return " + ".join(pieces)
+
+
+def _compile(args: Sequence[str], body: Sequence[str]) -> Callable:
+    """The function ``def _fn(*args)`` with the generated ``body`` lines."""
+    source = f"def _fn({', '.join(args)}):\n" + "".join(
+        f"    {line}\n" for line in body
+    )
+    scope = {
+        "isfinite": math.isfinite,
+        "log": math.log,
+        "NonFiniteError": NonFiniteError,
+        "DomainViolationError": DomainViolationError,
+    }
+    exec(source, scope)  # source is generated purely from Poly data
+    return scope["_fn"]
+
+
+def _guarded(body: Sequence[str], checked: Sequence[str], error: str) -> List[str]:
+    """``body`` such that an OverflowError in it, or a non-finite value
+    left in one of the ``checked`` names, raises ``error``."""
+    lines = ["try:", *(f"    {line}" for line in body or ["pass"])]
+    lines += ["except OverflowError as err:", f"    raise {error} from err"]
+    if checked:
+        finite = " and ".join(f"isfinite({name})" for name in checked)
+        lines += [f"if not ({finite}):", f"    raise {error}"]
+    return lines
 
 
 def integrate_rk4(
@@ -91,28 +130,61 @@ def integrate_rk4(
     state = tuple(float(v) for v in x0)
     if not all(math.isfinite(v) for v in state):
         raise ValueError(f"x0 must be finite, got {state}")
-    f = compile_polys(vf.dim, vf.components)
-    d = vf.dim
-    rows: List[Tuple[float, ...]] = [state]
-    half = h / 2.0
-    sixth = h / 6.0
-    for step in range(steps):
-        try:
-            k1 = f(state)
-            k2 = f(tuple(state[i] + half * k1[i] for i in range(d)))
-            k3 = f(tuple(state[i] + half * k2[i] for i in range(d)))
-            k4 = f(tuple(state[i] + h * k3[i] for i in range(d)))
-            state = tuple(
-                state[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                for i in range(d)
-            )
-        except OverflowError as err:
-            raise NonFiniteError(step + 1) from err
-        if not all(math.isfinite(v) for v in state):
-            raise NonFiniteError(step + 1)
-        rows.append(state)
+    x = _names("x", vf.dim)
+    y = _names("y", vf.dim)
+    k1, k2, k3, k4 = (_names(f"k{s}_", vf.dim) for s in "1234")
+    # Each stage evaluates the field into k, then moves y ahead of x by k.
+    stages = ((k1, x, "half"), (k2, y, "half"), (k3, y, "h"), (k4, y, None))
+    body: List[str] = []
+    for k, at, ahead in stages:
+        body += [f"{ki} = {_poly_source(p, at)}" for ki, p in zip(k, vf.components)]
+        if ahead is not None:
+            body += [f"{yi} = {xi} + {ahead} * {ki}" for xi, yi, ki in zip(x, y, k)]
+    body += [
+        f"{xi} = {xi} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {e})"
+        for xi, a, b, c, e in zip(x, k1, k2, k3, k4)
+    ]
+    row = f"({', '.join(x)},)"
+    stepper = _compile(["h", "steps", *x], [
+        "half = h / 2.0",
+        "sixth = h / 6.0",
+        f"rows = [{row}]",
+        "for step in range(1, steps + 1):",
+        *(f"    {line}" for line in _guarded(body, x, "NonFiniteError(step)")),
+        f"    rows.append({row})",
+        "return rows",
+    ])
+    rows = stepper(h, steps, *state)
     times = h * np.arange(steps + 1, dtype=np.float64)
     return Trajectory(times=times, states=np.array(rows, dtype=np.float64))
+
+
+def _row_sweep(
+    dim: int, polys: Sequence[Poly], level: Sequence[str], args: Sequence[str]
+) -> Callable:
+    """Compile ``sweep(rows, what, *args)``.  Over the state rows in step
+    order it binds the polynomials' values to v1..vm, raises
+    ``NonFiniteError(step, what)`` at the first row where one overflows or
+    is not finite, and runs the ``level`` lines, which set ``level`` from
+    them.  It returns the level at row 0, the largest |level - level at
+    row 0| (the first maximal one, as ``max`` keeps it) and its step."""
+    x = _names("x", dim)
+    v = _names("v", len(polys))
+    values = [f"{vj} = {_poly_source(p, x)}" for vj, p in zip(v, polys)]
+    return _compile(["rows", "what", *args], [
+        "first = None",
+        f"for step, ({', '.join(x)},) in enumerate(rows):",
+        *(f"    {line}" for line in _guarded(values, v, "NonFiniteError(step, what)")),
+        *(f"    {line}" for line in level),
+        "    if first is None:",
+        "        first = level",
+        "        worst = abs(level - first)",
+        "        at = step",
+        "    elif abs(level - first) > worst:",
+        "        worst = abs(level - first)",
+        "        at = step",
+        "return first, worst, at",
+    ])
 
 
 def conservation_report(
@@ -123,53 +195,33 @@ def conservation_report(
     """Max relative drift of L(t) = sum_i b_i log|f_i(x(t))| over the
     trajectory: max_t |L(t) - L(0)| / max(1, |L(0)|)."""
     betas = [float(b) for b in integral.exponents]
-    surfaces = [s.defining for b, s in zip(betas, integral.surfaces) if b != 0.0]
-    values = compile_polys(traj.dim, surfaces)
-    betas = [b for b in betas if b != 0.0]
-
-    def log_value(row_values) -> float:
-        total = 0.0
-        for beta, value in zip(betas, row_values):
-            if abs(value) < floor:
-                raise DomainViolationError(
-                    f"surface value {value!r} within {floor} of zero"
-                )
-            total += beta * math.log(abs(value))
-        return total
-
-    logs = [log_value(v) for v in _finite_rows(values, traj, "surface value")]
-    scale = max(1.0, abs(logs[0]))
-    return max(abs(log - logs[0]) for log in logs) / scale
+    kept = [(b, s.defining) for b, s in zip(betas, integral.surfaces) if b != 0.0]
+    b = _names("b", len(kept))
+    level = ["level = 0.0"]
+    for bj, vj in zip(b, _names("v", len(kept))):
+        level += [
+            f"if abs({vj}) < floor:",
+            f"    raise DomainViolationError("
+            f"f'surface value {{{vj}!r}} within {{floor}} of zero')",
+            f"level += {bj} * log(abs({vj}))",
+        ]
+    sweep = _row_sweep(traj.dim, [s for _, s in kept], level, ["floor", *b])
+    first, worst, _ = sweep(
+        traj.states.tolist(), "surface value", floor, *(beta for beta, _ in kept)
+    )
+    return worst / max(1.0, abs(first))
 
 
 def max_abs_drift(traj: Trajectory, poly: Poly, what: str) -> float:
     """max_t |p(x(t)) - p(x(0))|; a value or drift that overflows raises
     ``NonFiniteError(step, what)`` at the first step where it does."""
-    ev = compile_polys(traj.dim, [poly])
-    values = [value for (value,) in _finite_rows(ev, traj, what)]
-    drifts = [abs(value - values[0]) for value in values]
-    for step, drift in enumerate(drifts):
-        if not math.isfinite(drift):
-            raise NonFiniteError(step, what)
-    return max(drifts)
-
-
-def _finite_rows(
-    values: Callable[[Sequence[float]], Tuple[float, ...]],
-    traj: Trajectory,
-    what: str,
-) -> Iterator[Tuple[float, ...]]:
-    """``values`` at each state row, on Python floats, in step order;
-    raises ``NonFiniteError(step, what)`` at the first row where a value
-    overflows or is not finite."""
-    for step, row in enumerate(traj.states.tolist()):
-        try:
-            out = values(row)
-        except OverflowError as err:
-            raise NonFiniteError(step, what) from err
-        if not all(map(math.isfinite, out)):
-            raise NonFiniteError(step, what)
-        yield out
+    sweep = _row_sweep(traj.dim, [poly], ["level = v1"], [])
+    _, worst, at = sweep(traj.states.tolist(), what)
+    # Values are checked at every row first; a drift of two finite values
+    # is never NaN, so the first infinite one is where the max became inf.
+    if not math.isfinite(worst):
+        raise NonFiniteError(at, what)
+    return worst
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

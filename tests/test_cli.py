@@ -384,6 +384,8 @@ def test_construct_complete_rejects_wrong_degree(capsys):
          "OUT_OF_RANGE_FIELD: at position 0: variable x5 outside 1..3"),
         (["hamiltonian", "--constraint-space", "--n", "1", "--field", FIELD],
          "give --field or --constraint-space, not both"),
+        (["hamiltonian", "--field", FIELD, "--n", "3"],
+         "--n needs --constraint-space"),
     ],
     ids=["steps-0", "h-nan", "constraint-n-0", "form-1-over-0",
          "form-atilde-1-over-0", "form-infinity",
@@ -394,7 +396,8 @@ def test_construct_complete_rejects_wrong_degree(capsys):
          "field-dim-float", "field-dim-boolean", "field-components-string",
          "field-component-number", "field-top-level-array", "form-no-dim",
          "seed-rows-strings", "seed-entries-string",
-         "field-variable-out-of-range", "hamiltonian-field-and-space"],
+         "field-variable-out-of-range", "hamiltonian-field-and-space",
+         "hamiltonian-field-and-n"],
 )
 def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv, message):
     inputs = {
@@ -453,6 +456,24 @@ def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv, message):
     assert err.startswith("error: ")
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"[" * 100000, "is nested too deeply"),
+        (b"\xff\xfe{}", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+         "in position 0: invalid start byte"),
+    ],
+    ids=["deep-nesting", "not-utf-8"],
+)
+def test_unreadable_json_file_exits_two_naming_it(capsys, tmp_path, content, message):
+    path = tmp_path / "field.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "check", "--field", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path} {message}\n"
 
 
 def test_internal_error_exits_three_without_a_verdict(capsys, monkeypatch):

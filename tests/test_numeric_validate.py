@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +39,8 @@ from kolmosphere import (
     sphere_polynomial,
     trajectory_to_csv,
 )
+
+from conftest import rand_fraction, rand_poly
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -139,6 +142,11 @@ def test_max_abs_drift_is_the_largest_change_of_the_watched_value():
         max_abs_drift(traj, parse("10^308*x1 - 10^308*x2", 2), "watched v")
     assert str(exc.value).startswith("watched v became non-finite at step ")
     assert exc.value.step_index > 0
+    # The step is the first one whose drift overflows, not a later one.
+    huge = parse("10^308*x1 - 10^308*x2", 2)
+    assert outcome(max_abs_drift, traj, huge, "v") == outcome(
+        reference_max_abs_drift, traj, huge, "v"
+    )
 
 
 def test_constant_trajectory_has_zero_drift():
@@ -249,6 +257,208 @@ def test_trajectories_and_drifts_are_bit_identical_to_the_pinned_values():
         digest = hashlib.sha256(traj.states.tobytes()).hexdigest()
         drifts = [conservation_report(traj, i).hex() for i in integrals]
         assert (digest, drifts) == PINNED_BITS[name], name
+
+
+# ----- the scalar reference ---------------------------------------------------
+#
+# integrate_rk4, conservation_report and max_abs_drift each run one generated
+# loop.  The functions below are the loops those replaced: a compile_polys
+# evaluator called once per point, RK4 on tuples, and the drifts taken from
+# lists of row values.  The generated loops must match them bit for bit,
+# errors and step indices included.
+
+
+def reference_rk4(vf, x0, h, steps):
+    f = compile_polys(vf.dim, vf.components)
+    d = vf.dim
+    state = tuple(float(v) for v in x0)
+    rows = [state]
+    half = h / 2.0
+    sixth = h / 6.0
+    for step in range(steps):
+        try:
+            k1 = f(state)
+            k2 = f(tuple(state[i] + half * k1[i] for i in range(d)))
+            k3 = f(tuple(state[i] + half * k2[i] for i in range(d)))
+            k4 = f(tuple(state[i] + h * k3[i] for i in range(d)))
+            state = tuple(
+                state[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                for i in range(d)
+            )
+        except OverflowError as err:
+            raise NonFiniteError(step + 1) from err
+        if not all(math.isfinite(v) for v in state):
+            raise NonFiniteError(step + 1)
+        rows.append(state)
+    return np.array(rows, dtype=np.float64)
+
+
+def reference_values(traj, polys, what):
+    values = compile_polys(traj.dim, polys)
+    for step, row in enumerate(traj.states.tolist()):
+        try:
+            out = values(row)
+        except OverflowError as err:
+            raise NonFiniteError(step, what) from err
+        if not all(map(math.isfinite, out)):
+            raise NonFiniteError(step, what)
+        yield out
+
+
+def reference_report(traj, integral, floor=DEFAULT_DOMAIN_FLOOR):
+    betas = [float(b) for b in integral.exponents]
+    surfaces = [s.defining for b, s in zip(betas, integral.surfaces) if b != 0.0]
+    betas = [b for b in betas if b != 0.0]
+
+    def log_value(row_values):
+        total = 0.0
+        for beta, value in zip(betas, row_values):
+            if abs(value) < floor:
+                raise DomainViolationError(
+                    f"surface value {value!r} within {floor} of zero"
+                )
+            total += beta * math.log(abs(value))
+        return total
+
+    logs = [
+        log_value(v) for v in reference_values(traj, surfaces, "surface value")
+    ]
+    scale = max(1.0, abs(logs[0]))
+    return max(abs(log - logs[0]) for log in logs) / scale
+
+
+def reference_max_abs_drift(traj, poly, what):
+    values = [value for (value,) in reference_values(traj, [poly], what)]
+    drifts = [abs(value - values[0]) for value in values]
+    for step, drift in enumerate(drifts):
+        if not math.isfinite(drift):
+            raise NonFiniteError(step, what)
+    return max(drifts)
+
+
+def outcome(fn, *args):
+    """("ok", the result as exact bits), or the error's type, message and
+    step."""
+    try:
+        result = fn(*args)
+    except (NonFiniteError, DomainViolationError) as err:
+        return type(err).__name__, str(err), getattr(err, "step_index", None)
+    if isinstance(result, Trajectory):
+        result = result.states
+    if isinstance(result, np.ndarray):
+        return "ok", result.shape, result.tobytes()
+    return "ok", result.hex()
+
+
+def random_component(rng, dim, kind):
+    if kind == "zero":
+        return Poly.zero(dim)
+    if kind == "single":
+        exps = [0] * dim
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(dim)] += 1
+        return Poly.from_terms(dim, [(tuple(exps), rand_fraction(rng, False))])
+    while True:
+        p = rand_poly(rng, dim, 3, terms=5)
+        if len(p.terms) >= 2:
+            return p
+
+
+def random_surface(rng, dim):
+    while True:
+        p = random_component(rng, dim, rng.choice(["single", "multi"]))
+        if p.degree() >= 1:
+            return Hypersurface(p)
+
+
+def test_generated_loops_match_the_scalar_reference_bit_for_bit():
+    rng = random.Random(2024)
+    seen = Counter()
+    for dim in range(1, 6):
+        for _ in range(16):
+            vf = PolyVectorField(dim, tuple(
+                random_component(rng, dim, rng.choice(["zero", "single", "multi"]))
+                for _ in range(dim)
+            ))
+            x0 = tuple(rng.uniform(-1.5, 1.5) for _ in range(dim))
+            h, steps = rng.choice([1e-3, 1e-2, 0.05]), 120
+            result = outcome(integrate_rk4, vf, x0, h, steps)
+            assert result == outcome(reference_rk4, vf, x0, h, steps), (vf, x0, h)
+            seen[f"rk4 {result[0]}"] += 1
+            if result[0] != "ok":
+                continue
+            traj = integrate_rk4(vf, x0, h, steps)
+            for _ in range(3):
+                count = rng.randint(1, 3)
+                integral = DarbouxIntegral(
+                    (Fraction(rng.choice([-3, 1, 2]), rng.randint(1, 3)),)
+                    + tuple(Fraction(rng.randint(-2, 2), 2) for _ in range(count - 1)),
+                    tuple(random_surface(rng, dim) for _ in range(count)),
+                )
+                floor = rng.choice([DEFAULT_DOMAIN_FLOOR, 1e-3, 0.2])
+                result = outcome(conservation_report, traj, integral, floor)
+                assert result == outcome(reference_report, traj, integral, floor)
+                seen[f"report {result[0]}"] += 1
+            watched = random_component(rng, dim, rng.choice(["single", "multi"]))
+            result = outcome(max_abs_drift, traj, watched, "watched v")
+            assert result == outcome(
+                reference_max_abs_drift, traj, watched, "watched v"
+            )
+    # Every path was taken: finished and blown-up runs, finished reports and
+    # reports stopped by the floor.
+    assert min(seen[key] for key in (
+        "rk4 ok", "rk4 NonFiniteError", "report ok", "report DomainViolationError",
+    )) >= 3, seen
+
+
+def test_a_row_under_the_floor_before_an_overflowing_row_is_a_domain_exit():
+    states = np.array([[1.0, 1.0], [1e-13, 1.0], [1e200, 1e200]])
+    traj = Trajectory(times=np.arange(3.0), states=states)
+    square = DarbouxIntegral((Fraction(1),), (Hypersurface(parse("x1^2", 2)),))
+    with pytest.raises(DomainViolationError, match="within 1e-12 of zero"):
+        conservation_report(traj, square)
+    # With the rows swapped, the overflow comes first.
+    swapped = Trajectory(times=traj.times, states=states[[0, 2, 1]])
+    with pytest.raises(NonFiniteError) as exc:
+        conservation_report(swapped, square)
+    assert str(exc.value) == "surface value became non-finite at step 1"
+    # Within one row, every surface is checked for finiteness before any
+    # is checked against the floor.
+    both = DarbouxIntegral(
+        (Fraction(1), Fraction(1)),
+        (Hypersurface(parse("x1", 2)), Hypersurface(parse("10^300*x2", 2))),
+    )
+    mixed = Trajectory(times=traj.times, states=np.array(
+        [[1.0, 1.0], [1e-13, 1e10], [1.0, 1.0]]
+    ))
+    with pytest.raises(NonFiniteError) as exc:
+        conservation_report(mixed, both)
+    assert exc.value.step_index == 1
+    for case in (traj, swapped, mixed):
+        for integral in (square, both):
+            assert outcome(conservation_report, case, integral) == outcome(
+                reference_report, case, integral
+            )
+
+
+def test_an_overflowing_power_reports_the_same_step_as_the_scalar_loop():
+    vf = PolyVectorField(1, (parse("x1^3", 1),))
+    with pytest.raises(NonFiniteError) as exc:
+        integrate_rk4(vf, (1.0,), 0.01, 200)
+    assert isinstance(exc.value.__cause__, OverflowError)
+    assert outcome(integrate_rk4, vf, (1.0,), 0.01, 200) == outcome(
+        reference_rk4, vf, (1.0,), 0.01, 200
+    )
+    growth = PolyVectorField(1, (Poly.var(1, 1),))
+    traj = integrate_rk4(growth, (1e30,), 0.05, 200)
+    watched = parse("x1^10", 1)
+    with pytest.raises(NonFiniteError) as exc:
+        max_abs_drift(traj, watched, "watched x1^10")
+    assert isinstance(exc.value.__cause__, OverflowError)
+    assert exc.value.step_index > 0
+    assert outcome(max_abs_drift, traj, watched, "watched x1^10") == outcome(
+        reference_max_abs_drift, traj, watched, "watched x1^10"
+    )
 
 
 def test_csv_dump_round_trips_at_full_precision():
