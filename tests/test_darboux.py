@@ -1,6 +1,7 @@
 """Exponent-matrix first integrals, syzygy decompositions, and the two
 constructive families."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -40,6 +41,7 @@ from kolmosphere import (
     verify_first_integral,
 )
 from kolmosphere.exactla import determinant, rank
+from kolmosphere.field_forms import skew_matrix
 
 from conftest import rand_poly, span_equal
 
@@ -421,3 +423,52 @@ def test_complete_integrability_names_the_point_where_a_polynomial_vanishes(
         complete_integrability_check(fixture_form(), g, grid)
     assert exc.value.index == 1
     assert str(exc.value) == message
+
+
+# ----- pinned outputs on seeded forms ---------------------------------------------
+
+
+DARBOUX_DIGEST = "33d1d39d83c9be4702b66a55d2febefa2a27371f7dc4b738a1106b2a005b1e44"
+
+
+def seeded_forms(seed, count):
+    """Small constant forms on R^2..R^4 with entries in {-1, 0, 1/2, 1}; every
+    third one has equal alpha and zero atilde, so B has rank at most two."""
+    rng = random.Random(seed)
+    values = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1)]
+    forms = []
+    for k in range(count):
+        dim = rng.randint(2, 4)
+        if k % 3 == 2:
+            c = rng.choice(values[2:])
+            forms.append(CubicKolmogorovForm.from_values([c] * dim, [[0] * dim] * dim))
+            continue
+        alpha = [rng.choice(values) for _ in range(dim)]
+        atilde = skew_matrix(dim, lambda i, j: rng.choice(values), Fraction(0))
+        forms.append(CubicKolmogorovForm.from_values(alpha, atilde))
+    return forms
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as err:
+        return [type(err).__name__, str(err)]
+
+
+def test_darboux_outputs_on_seeded_forms_match_their_pinned_digest():
+    records = []
+    for form in seeded_forms(1234, 45):
+        d = form.dim
+        surfaces = [sphere_surface(d), Hypersurface(parse("x1 - x2", d))]
+        records.append([i.to_dict() for i in syzygy_first_integral(form)])
+        for g in surfaces:
+            records.append(_outcome(
+                lambda: [i.to_dict() for i in find_darboux(form, g)]
+            ))
+            records.append(_outcome(
+                lambda: complete_integrability_check(form, g).to_dict()
+            ))
+    text = json.dumps(records, sort_keys=True)
+    assert '"exponents"' in text and "NotInvariantError" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == DARBOUX_DIGEST

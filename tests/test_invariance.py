@@ -1,6 +1,7 @@
 """Invariant hypersurfaces: cofactors, hyperplane classification, planes
 through the origin of homogeneous fields, sphere slices, second spheres."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -32,6 +33,7 @@ from kolmosphere import (
     second_sphere_check,
     sphere_polynomial,
 )
+from kolmosphere.field_forms import skew_matrix
 from kolmosphere.suites import hyperplane_suite, slice_negative_suite
 
 from conftest import rand_skew_constant
@@ -342,3 +344,39 @@ def test_second_sphere_random_homogeneous_forms_conserve_every_radius():
         if r in (1, -1):
             continue
         assert second_sphere_check(form, r).first_integral
+
+
+# ----- pinned classifications on seeded forms ------------------------------------
+
+
+HYPERPLANE_DIGEST = "b6e7a1c08a2be4ed140f9f24f2c402ccd768edfec1a4e4287b16c27a9d8e22fd"
+
+
+def test_hyperplane_classifications_on_seeded_forms_match_their_pinned_digest():
+    """Forms on R^3 with entries in {-1, 0, 1}, mostly 0, against planes
+    with and without an offset; the digest covers each verdict's case and
+    predicted cofactor view."""
+    rng = random.Random(4321)
+    values = (0, 0, 0, 1, -1)
+    planes = [
+        HyperplaneSpec.from_values(0, [1, -1, 0]),
+        HyperplaneSpec.from_values(0, [2, 0, -1]),
+        HyperplaneSpec.from_values(0, [1, 1, 1]),
+        HyperplaneSpec.from_values(1, [1, 0, 0]),
+        HyperplaneSpec.from_values(-2, [0, 1, 3]),
+    ]
+    records = []
+    for _ in range(300):
+        alpha = [rng.choice(values) for _ in range(3)]
+        atilde = skew_matrix(3, lambda i, j: Fraction(rng.choice(values)), Fraction(0))
+        form = CubicKolmogorovForm.from_values(alpha, atilde)
+        verdict = classify_hyperplane(form, rng.choice(planes))
+        view = verdict.predicted
+        records.append([
+            verdict.invariant,
+            verdict.case,
+            None if view is None else [str(view.k0)] + [str(c) for c in view.k],
+        ])
+    assert sum(r[0] for r in records) >= 30
+    text = json.dumps(records)
+    assert hashlib.sha256(text.encode()).hexdigest() == HYPERPLANE_DIGEST
