@@ -25,6 +25,7 @@ from .field_forms import (
     assemble_cubic,
     check_skew,
     construct_from_form,
+    coordinate_quotients,
     lie_derivative,
     sphere_polynomial,
 )
@@ -128,28 +129,13 @@ def _coordinate_surfaces(d: int) -> Tuple[Hypersurface, ...]:
 
 
 def _cofactor_sums_vanish(
-    vf: PolyVectorField,
-    surfaces: Sequence[Hypersurface],
+    dim: int,
+    cofactors: Sequence[Poly],
     vectors: Sequence[Sequence[Fraction]],
-    g_cofactor: Optional[Poly] = None,
 ) -> List[bool]:
-    """Whether sum_i b_i K_i = 0, for each exponent vector b.  The cofactor
-    K_i of each surface comes from exact division, once; ``g_cofactor`` is
-    the last surface's, when the caller already divided it out."""
-    if not vectors:
-        return []
-    cofactors = []
-    for surface in surfaces if g_cofactor is None else surfaces[:-1]:
-        cof = cofactor(vf, surface)
-        if cof is None:
-            raise NotInvariantError(
-                f"surface {surface.defining} is not invariant for the field"
-            )
-        cofactors.append(cof.poly)
-    if g_cofactor is not None:
-        cofactors.append(g_cofactor)
+    """Whether sum_i b_i K_i = 0, for each exponent vector b."""
     return [
-        Poly.sum(vf.dim, (b * k for b, k in zip(vec, cofactors))).is_zero()
+        Poly.sum(dim, (b * k for b, k in zip(vec, cofactors))).is_zero()
         for vec in vectors
     ]
 
@@ -157,22 +143,35 @@ def _cofactor_sums_vanish(
 def verify_first_integral(
     vf: PolyVectorField, integral: DarbouxIntegral
 ) -> bool:
-    """Bit-exact certificate: the exponent-weighted cofactor sum vanishes."""
-    return _cofactor_sums_vanish(
-        vf, integral.surfaces, [integral.exponents]
-    )[0]
+    """Bit-exact certificate: the exponent-weighted cofactor sum vanishes.
+    The cofactor of each surface comes from exact division."""
+    cofactors = []
+    for surface in integral.surfaces:
+        cof = cofactor(vf, surface)
+        if cof is None:
+            raise NotInvariantError(
+                f"surface {surface.defining} is not invariant for the field"
+            )
+        cofactors.append(cof.poly)
+    return _cofactor_sums_vanish(vf.dim, cofactors, [integral.exponents])[0]
 
 
 def _certified_integrals(
     vf: PolyVectorField,
-    surfaces: Tuple[Hypersurface, ...],
     vectors: Sequence[Tuple[Fraction, ...]],
-    g_cofactor: Optional[Poly] = None,
+    extra: Sequence[Tuple[Hypersurface, Poly]] = (),
 ) -> List[DarbouxIntegral]:
-    """One integral per exponent vector; a vector that fails the
-    cofactor-sum certificate is an internal error."""
+    """One integral per exponent vector over the surfaces (x_1, ..., x_d)
+    and then the ``extra`` surfaces, given with their cofactors.  The
+    coordinate cofactors are the quotients P_i / x_i, taken only when there
+    is a vector to certify; a vector that fails the cofactor-sum
+    certificate is an internal error."""
+    if not vectors:
+        return []
+    surfaces = _coordinate_surfaces(vf.dim) + tuple(s for s, _ in extra)
+    cofactors = coordinate_quotients(vf) + tuple(k for _, k in extra)
     integrals = [DarbouxIntegral(vec, surfaces) for vec in vectors]
-    verdicts = _cofactor_sums_vanish(vf, surfaces, vectors, g_cofactor)
+    verdicts = _cofactor_sums_vanish(vf.dim, cofactors, vectors)
     for vec, certified in zip(vectors, verdicts):
         if not certified:
             raise RuntimeError(
@@ -183,16 +182,15 @@ def _certified_integrals(
 
 
 def _exponent_problem(form: CubicKolmogorovForm, g: Hypersurface):
-    """The assembled field, g's cofactor, the matrix B, and the surfaces
-    (x_1, ..., x_d, g) that B's rows belong to."""
+    """The assembled field, g's cofactor K_g, and the matrix B whose rows
+    belong to the surfaces (x_1, ..., x_d, g)."""
     vf = assemble_cubic(form)
     extra = cofactor(vf, g)
     if extra is None:
         raise NotInvariantError(
             f"surface {g.defining} is not invariant for the assembled field"
         )
-    surfaces = _coordinate_surfaces(form.dim) + (g,)
-    return vf, extra.poly, build_matrix_B(form, extra), surfaces
+    return vf, extra.poly, build_matrix_B(form, extra)
 
 
 def find_darboux(
@@ -200,9 +198,9 @@ def find_darboux(
 ) -> List[DarbouxIntegral]:
     """All first integrals g^(b_{d+1}) prod x_i^(b_i), as a basis of
     exponent vectors; empty when the matrix B has full rank."""
-    vf, g_cofactor, matrix_b, surfaces = _exponent_problem(form, g)
+    vf, k_g, matrix_b = _exponent_problem(form, g)
     return _certified_integrals(
-        vf, surfaces, nullspace(matrix_b, side="left"), g_cofactor
+        vf, nullspace(matrix_b, side="left"), [(g, k_g)]
     )
 
 
@@ -216,9 +214,7 @@ def syzygy_first_integral(
         [list(form.alpha)] + [list(row) for row in form.atilde]
     )
     return _certified_integrals(
-        assemble_cubic(form),
-        _coordinate_surfaces(form.dim),
-        nullspace(stacked, side="right"),
+        assemble_cubic(form), nullspace(stacked, side="right")
     )
 
 
@@ -513,13 +509,13 @@ def complete_integrability_check(
             )
         determinants.append(det)
 
-    vf, g_cofactor, matrix_b, surfaces = _exponent_problem(form, g)
+    vf, k_g, matrix_b = _exponent_problem(form, g)
     rank_b = rank(matrix_b)
 
     integrals: List[DarbouxIntegral] = []
     if rank_b <= 2:
         integrals = _certified_integrals(
-            vf, surfaces, nullspace(matrix_b, side="left")[:n], g_cofactor
+            vf, nullspace(matrix_b, side="left")[:n], [(g, k_g)]
         )
         stacked = RationalMatrix.from_rows([i.exponents for i in integrals])
         if rank(stacked) != n:

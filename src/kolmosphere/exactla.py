@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 Vector = Tuple[Fraction, ...]
 
@@ -52,25 +52,6 @@ class RationalMatrix:
             tuple(self.entries[i][j] for i in range(self.rows))
             for j in range(self.cols)
         ))
-
-    def matvec(self, v: Sequence) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError(f"vector length {len(v)}, expected {self.cols}")
-        vec = [Fraction(x) for x in v]
-        return tuple(
-            sum((row[j] * vec[j] for j in range(self.cols)), Fraction(0))
-            for row in self.entries
-        )
-
-    def vecmat(self, v: Sequence) -> Vector:
-        if len(v) != self.rows:
-            raise ValueError(f"vector length {len(v)}, expected {self.rows}")
-        vec = [Fraction(x) for x in v]
-        return tuple(
-            sum((vec[i] * self.entries[i][j] for i in range(self.rows)),
-                Fraction(0))
-            for j in range(self.cols)
-        )
 
 
 def _integer_copy(m: RationalMatrix) -> Tuple[List[List[int]], List[int]]:

@@ -242,19 +242,28 @@ def is_kolmogorov_on_sphere(vf: PolyVectorField) -> SphereKolmogorovReport:
     )
 
 
-def pure_square_profile(q: Poly) -> Optional[List[Fraction]]:
-    """Coefficients [c_0, c_1, ..., c_d] when q = c_0 + sum_j c_j x_j^2,
-    None if q has any other monomial; the zero polynomial gives all zeros."""
-    out = [Fraction(0)] * (q.dim + 1)
+@dataclass(frozen=True)
+class StructuredView:
+    """Cofactor decomposition K = k0 + sum_i k_i x_i^2."""
+
+    k0: Fraction
+    k: Tuple[Fraction, ...]
+
+
+def pure_square_profile(q: Poly) -> Optional[StructuredView]:
+    """The view q = k0 + sum_j k_j x_j^2, None if q has any other monomial;
+    the zero polynomial gives all zeros."""
+    k0 = Fraction(0)
+    k = [Fraction(0)] * q.dim
     for exps, coeff in q:
         nonzero = [(pos, e) for pos, e in enumerate(exps) if e != 0]
         if not nonzero:
-            out[0] = coeff
+            k0 = coeff
         elif len(nonzero) == 1 and nonzero[0][1] == 2:
-            out[nonzero[0][0] + 1] = coeff
+            k[nonzero[0][0]] = coeff
         else:
             return None
-    return out
+    return StructuredView(k0, tuple(k))
 
 
 def recover_cubic_form(vf: PolyVectorField) -> Optional[CubicKolmogorovForm]:
@@ -274,8 +283,8 @@ def recover_cubic_form(vf: PolyVectorField) -> Optional[CubicKolmogorovForm]:
     profiles = [pure_square_profile(q) for q in quotients]
     if any(profile is None for profile in profiles):
         return None
-    alpha = [profile[0] for profile in profiles]
-    atilde = [[c + profile[0] for c in profile[1:]] for profile in profiles]
+    alpha = [profile.k0 for profile in profiles]
+    atilde = [[c + profile.k0 for c in profile.k] for profile in profiles]
     try:
         return CubicKolmogorovForm.from_values(alpha, atilde)
     except NotSkewError:

@@ -53,7 +53,10 @@ def is_hamiltonian(vf: PolyVectorField) -> HamiltonianReport:
     """Check dG_j/dx_k = dG_k/dx_j for all j < k on the rearranged field;
     every violated pair is reported with its defect polynomial."""
     if vf.dim % 2 != 0:
-        raise OddDimensionError(f"field on R^{vf.dim}")
+        raise OddDimensionError(
+            "Hamiltonian structure needs an even number of coordinates, "
+            f"field on R^{vf.dim}"
+        )
     defects = [
         (pair, defect)
         for pair, defect in _jacobian_defects(vf)

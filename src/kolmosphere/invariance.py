@@ -3,8 +3,8 @@
 A hypersurface {f = 0} is invariant when the derivative of f along the
 field is a polynomial multiple K * f; the quotient K is the cofactor.
 For the fields assembled in :mod:`.field_forms` the cofactors of interest
-all have the shape k0 + sum_i k_i x_i^2, which this module extracts as a
-structured view whenever it exists.
+all have the shape k0 + sum_i k_i x_i^2; each cofactor carries that
+structured view (``field_forms.pure_square_profile``) whenever it exists.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .polyring import DimensionMismatchError, Poly, divide_exact
 from .field_forms import (
     CubicKolmogorovForm,
     PolyVectorField,
+    StructuredView,
     assemble_cubic,
     classify_homogeneous,
     lie_derivative,
@@ -53,14 +54,6 @@ class Hypersurface:
 
 
 @dataclass(frozen=True)
-class StructuredView:
-    """Cofactor decomposition K = k0 + sum_i k_i x_i^2."""
-
-    k0: Fraction
-    k: Tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class Cofactor:
     poly: Poly
     structured: Optional[StructuredView]
@@ -75,32 +68,23 @@ def cofactor(vf: PolyVectorField, h: Hypersurface) -> Optional[Cofactor]:
     quotient = divide_exact(lie_derivative(vf, h.defining), h.defining)
     if quotient is None:
         return None
-    profile = pure_square_profile(quotient)
-    if profile is None:
-        return Cofactor(quotient, None)
-    return Cofactor(quotient, StructuredView(profile[0], tuple(profile[1:])))
+    return Cofactor(quotient, pure_square_profile(quotient))
 
 
 @dataclass(frozen=True)
 class HyperplaneSpec:
-    """Affine hyperplane a0 + a1 x1 + ... + ad xd = 0, with an optional
-    offset used by slice and cone operations."""
+    """Affine hyperplane a0 + a1 x1 + ... + ad xd = 0."""
 
     a0: Fraction
     a: Tuple[Fraction, ...]
-    offset_d: Optional[Fraction] = None
 
     def __post_init__(self):
         if all(x == 0 for x in self.a):
             raise ValueError("some linear coefficient a_i must be nonzero")
 
     @classmethod
-    def from_values(cls, a0, a: Sequence, offset_d=None) -> "HyperplaneSpec":
-        return cls(
-            Fraction(a0),
-            tuple(Fraction(x) for x in a),
-            None if offset_d is None else Fraction(offset_d),
-        )
+    def from_values(cls, a0, a: Sequence) -> "HyperplaneSpec":
+        return cls(Fraction(a0), tuple(Fraction(x) for x in a))
 
     @property
     def dim(self) -> int:
@@ -135,20 +119,20 @@ class HyperplaneClassification:
     division_cofactor: Optional[Cofactor]
 
 
-def _conditions_offset(form: CubicKolmogorovForm, hp: HyperplaneSpec) -> bool:
-    support = [i for i, x in enumerate(hp.a) if x != 0]
+def _conditions_offset(
+    form: CubicKolmogorovForm, support: Sequence[int]
+) -> Optional[StructuredView]:
     for i in support:
         if form.alpha[i] != 0:
-            return False
+            return None
         if any(form.atilde[i][j] != 0 for j in range(form.dim)):
-            return False
-    return True
+            return None
+    return StructuredView(Fraction(0), (Fraction(0),) * form.dim)
 
 
 def _conditions_through_origin(
-    form: CubicKolmogorovForm, hp: HyperplaneSpec
+    form: CubicKolmogorovForm, support: Sequence[int]
 ) -> Optional[StructuredView]:
-    support = [i for i, x in enumerate(hp.a) if x != 0]
     first = support[0]
     k0 = form.alpha[first]
     for i in support[1:]:
@@ -180,22 +164,18 @@ def classify_hyperplane(
         raise DimensionMismatchError(
             f"form on R^{form.dim}, hyperplane in R^{hp.dim}"
         )
-    nonzero_count = (1 if hp.a0 != 0 else 0) + sum(1 for x in hp.a if x != 0)
-    if nonzero_count < 2:
+    support = [i for i, x in enumerate(hp.a) if x != 0]
+    if (1 if hp.a0 != 0 else 0) + len(support) < 2:
         raise PreconditionError(
             "need at least two nonzero coefficients among a0, a1, ..."
         )
 
     if hp.a0 != 0:
         case = "nonzero_offset"
-        predicted = (
-            StructuredView(Fraction(0), (Fraction(0),) * form.dim)
-            if _conditions_offset(form, hp)
-            else None
-        )
+        predicted = _conditions_offset(form, support)
     else:
         case = "through_origin"
-        predicted = _conditions_through_origin(form, hp)
+        predicted = _conditions_through_origin(form, support)
 
     vf = assemble_cubic(form)
     division = cofactor(vf, Hypersurface(hp.defining_poly()))
@@ -293,12 +273,12 @@ class ConeReport:
     cofactor: Optional[Poly]
 
 
-def cone_invariance(vf: PolyVectorField, hp: HyperplaneSpec) -> ConeReport:
+def cone_invariance(
+    vf: PolyVectorField, hp: HyperplaneSpec, d: Fraction
+) -> ConeReport:
     """For a homogeneous field, invariance of the sphere slice
     {sum a_i x_i = d} on the unit sphere is equivalent to invariance of the
     cone (sum a_i x_i)^2 - d^2 sum x_i^2, which this tests by division."""
-    if hp.offset_d is None:
-        raise ValueError("hyperplane spec carries no offset d")
     if hp.a0 != 0:
         raise ValueError("slice specs use a0 = 0 with the offset in d")
     if hp.dim != vf.dim:
@@ -310,7 +290,7 @@ def cone_invariance(vf: PolyVectorField, hp: HyperplaneSpec) -> ConeReport:
             "cone equivalence only applies to homogeneous fields"
         )
     linear = hp.defining_poly()
-    cone = linear * linear - hp.offset_d**2 * sum_of_squares(vf.dim)
+    cone = linear * linear - Fraction(d) ** 2 * sum_of_squares(vf.dim)
     if cone.is_zero():
         raise ValueError("degenerate cone: the defining polynomial vanishes")
     quotient = divide_exact(lie_derivative(vf, cone), cone)

@@ -242,10 +242,7 @@ def hyperplane_suite(seed: int = 0, *, instances: int) -> SuiteReport:
                 f"got {verdict}"
             )
             continue
-        if offset_case:
-            perturbed = _perturb(form, rng, support, [])
-        else:
-            perturbed = _perturb(form, rng, support, outside)
+        perturbed = _perturb(form, rng, support, outside)
         try:
             verdict2 = classify_hyperplane(perturbed, hp)
         except RuntimeError as err:
@@ -301,9 +298,8 @@ def hamiltonian_suite(seed: int = 0, *, instances: int) -> SuiteReport:
 def sample_determinant_suite(seed: int = 0, *, instances: int) -> SuiteReport:
     """For the unit sphere and the standard sample points, the independence
     matrix that omits the last coordinate has determinant -6^n (n+3)."""
-    max_n = max(1, instances)
-    report = SuiteReport("sample-determinants", max_n)
-    for n in range(1, max_n + 1):
+    report = SuiteReport("sample-determinants", instances)
+    for n in range(1, instances + 1):
         d = n + 1
         g = sphere_polynomial(d)
         matrix = hypothesis_matrix(g, d, standard_sample_points(d))
@@ -347,11 +343,11 @@ def slice_negative_suite(seed: int = 0, *, instances: int) -> SuiteReport:
     rng = random.Random(seed)
     report = SuiteReport("slice-negatives", instances)
     offsets = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+    hp = HyperplaneSpec.from_values(0, [0, 0, 1])
     for idx in range(instances):
         vf = _rand_strict_homogeneous_field(rng, 3, rng.choice((3, 4)))
         for d in offsets:
-            hp = HyperplaneSpec.from_values(0, [0, 0, 1], offset_d=d)
-            outcome = cone_invariance(vf, hp)
+            outcome = cone_invariance(vf, hp, d)
             if outcome.invariant:
                 report.failures.append(
                     f"instance {idx}: slice d={d} invariant for "

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from kolmosphere import Poly
 from kolmosphere.exactla import RationalMatrix, rank
+from kolmosphere.field_forms import skew_matrix
 
 
 def span_equal(vectors_a, vectors_b) -> bool:
@@ -52,9 +53,4 @@ def rand_nonzero_poly(rng: random.Random, dim: int, max_degree: int) -> Poly:
 
 
 def rand_skew_constant(rng: random.Random, dim: int):
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            rows[i][j] = rand_fraction(rng)
-            rows[j][i] = -rows[i][j]
-    return rows
+    return skew_matrix(dim, lambda i, j: rand_fraction(rng), Fraction(0))

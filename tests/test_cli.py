@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from kolmosphere.cli import main
+from kolmosphere.suites import run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
@@ -267,6 +268,9 @@ def test_certify_determinant_suite(capsys):
     )
     assert code == 0
     assert json.loads(out)["passed"] is True
+    # Zero instances run nothing and say so, as in the other suites.
+    empty = run_suite("cor44", instances=0)
+    assert (empty.instances, empty.lines) == (0, [])
 
 
 def test_certify_constraint_suite_reports_the_planar_family(capsys):
@@ -386,6 +390,9 @@ def test_construct_complete_rejects_wrong_degree(capsys):
          "give --field or --constraint-space, not both"),
         (["hamiltonian", "--field", FIELD, "--n", "3"],
          "--n needs --constraint-space"),
+        (["hamiltonian", "--field", FIELD],
+         "error: Hamiltonian structure needs an even number of coordinates, "
+         "field on R^3"),
     ],
     ids=["steps-0", "h-nan", "constraint-n-0", "form-1-over-0",
          "form-atilde-1-over-0", "form-infinity",
@@ -397,7 +404,7 @@ def test_construct_complete_rejects_wrong_degree(capsys):
          "field-component-number", "field-top-level-array", "form-no-dim",
          "seed-rows-strings", "seed-entries-string",
          "field-variable-out-of-range", "hamiltonian-field-and-space",
-         "hamiltonian-field-and-n"],
+         "hamiltonian-field-and-n", "hamiltonian-odd-dimension"],
 )
 def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv, message):
     inputs = {

@@ -27,7 +27,7 @@ from kolmosphere import (
     seed_from_dict,
     sphere_polynomial,
 )
-from kolmosphere.field_forms import skew_matrix
+from kolmosphere.field_forms import StructuredView, pure_square_profile, skew_matrix
 from kolmosphere.polyring import NEG_INF
 
 from conftest import rand_poly, rand_skew_constant
@@ -41,12 +41,10 @@ FORM_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "demo3d_for
 
 def rand_form(rng, dim, max_degree):
     ftilde = tuple(rand_poly(rng, dim, max_degree) for _ in range(dim))
-    atilde = [[Poly.zero(dim) for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            atilde[i][j] = rand_poly(rng, dim, max_degree)
-            atilde[j][i] = -atilde[i][j]
-    return KolmogorovForm(dim, ftilde, tuple(tuple(r) for r in atilde))
+    atilde = skew_matrix(
+        dim, lambda i, j: rand_poly(rng, dim, max_degree), Poly.zero(dim)
+    )
+    return KolmogorovForm(dim, ftilde, atilde)
 
 
 def test_sphere_polynomial_text():
@@ -149,6 +147,20 @@ def test_cubic_assembly_matches_field_fixture():
     with open(FIXTURE) as fh:
         vf = field_from_dict(json.load(fh))
     assert assemble_cubic(form).components == vf.components
+
+
+def test_pure_square_profile_reads_constant_and_square_coefficients():
+    zero = (Fraction(0),) * 3
+    assert pure_square_profile(Poly.zero(3)) == StructuredView(Fraction(0), zero)
+    assert pure_square_profile(parse("-5/2", 3)) == StructuredView(
+        Fraction(-5, 2), zero
+    )
+    assert pure_square_profile(parse("3*x1^2 - x3^2 + 7", 3)) == StructuredView(
+        Fraction(7), (Fraction(3), Fraction(0), Fraction(-1))
+    )
+    assert pure_square_profile(parse("x1^2 + x1*x2", 3)) is None
+    assert pure_square_profile(parse("x2^4 + 1", 3)) is None
+    assert pure_square_profile(parse("x3", 3)) is None
 
 
 def test_recover_cubic_form_round_trips_random_constant_forms():

@@ -252,7 +252,7 @@ def test_every_horizontal_slice_is_invariant_when_the_axis_is_flat():
     # every orbit and each slice x3 = d of the sphere is preserved.
     vf = slice_field_with_flat_axis()
     for d in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
-        report = cone_invariance(vf, HyperplaneSpec.from_values(0, [0, 0, 1], d))
+        report = cone_invariance(vf, HyperplaneSpec.from_values(0, [0, 0, 1]), d)
         assert isinstance(report, ConeReport)
         assert report.invariant
         assert report.cofactor.is_zero()
@@ -261,7 +261,7 @@ def test_every_horizontal_slice_is_invariant_when_the_axis_is_flat():
 def test_cone_polynomial_shape():
     vf = slice_field_with_flat_axis()
     report = cone_invariance(
-        vf, HyperplaneSpec.from_values(0, [0, 0, 1], Fraction(1, 2))
+        vf, HyperplaneSpec.from_values(0, [0, 0, 1]), Fraction(1, 2)
     )
     assert str(report.cone) == "-1/4*x1^2 - 1/4*x2^2 + 3/4*x3^2"
 
@@ -278,10 +278,10 @@ def test_generic_slices_of_a_mixing_field_are_not_invariant():
     assert classify_homogeneous(vf).passes
     for d in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
         assert not cone_invariance(
-            vf, HyperplaneSpec.from_values(0, [0, 0, 1], d)
+            vf, HyperplaneSpec.from_values(0, [0, 0, 1]), d
         ).invariant
     # the great-circle slice d = 0 of the same field is preserved
-    zero_slice = cone_invariance(vf, HyperplaneSpec.from_values(0, [0, 0, 1], 0))
+    zero_slice = cone_invariance(vf, HyperplaneSpec.from_values(0, [0, 0, 1]), 0)
     assert zero_slice.invariant
     assert str(zero_slice.cofactor) == "-2*x2^2"
 
@@ -289,13 +289,7 @@ def test_generic_slices_of_a_mixing_field_are_not_invariant():
 def test_cone_invariance_rejects_inhomogeneous_fields():
     vf = assemble_cubic(load_demo3d_form())
     with pytest.raises(NotHomogeneousError):
-        cone_invariance(vf, HyperplaneSpec.from_values(0, [0, 0, 1], Fraction(1, 2)))
-
-
-def test_cone_invariance_needs_an_offset():
-    vf = slice_field_with_flat_axis()
-    with pytest.raises(ValueError):
-        cone_invariance(vf, HyperplaneSpec.from_values(0, [0, 0, 1]))
+        cone_invariance(vf, HyperplaneSpec.from_values(0, [0, 0, 1]), Fraction(1, 2))
 
 
 def test_random_generic_slices_are_never_invariant():
