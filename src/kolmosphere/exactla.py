@@ -1,12 +1,13 @@
-"""Exact linear algebra over the rationals for small dense matrices.
+"""Exact linear algebra over the rationals.
 
 One elimination serves everything: fraction-free (Bareiss) echelon form of
-a denominator-cleared integer copy, which keeps intermediate entries
-polynomially bounded.  Rank counts its pivots, the determinant is its last
-pivot, and nullspaces come from back substitution on it: one basis vector
-per free column, with a 1 there and 0 at the other free columns, scaled so
-its first nonzero entry is 1 and ordered by free column.  Such a vector is
-unique, so the basis is the one a reduced row echelon form would give.
+the rows, scaled to integers and stored sparsely as {column: value}.
+Columns keep their order; each pivot is the candidate row with the fewest
+nonzeros, the first on ties.  Rank counts the pivots and the determinant is
+the last one.  Nullspaces come from back substitution: one basis vector per
+free column, with a 1 there and 0 at the other free columns, scaled so its
+first nonzero entry is 1.  Such a vector is unique and the free columns do
+not depend on the row order, so the basis is the reduced-echelon one.
 """
 
 from __future__ import annotations
@@ -54,52 +55,56 @@ class RationalMatrix:
         ))
 
 
-def _integer_copy(m: RationalMatrix) -> Tuple[List[List[int]], List[int]]:
-    """Integer matrix equal to m with each row scaled up; returns scalers."""
-    rows = []
-    scalers = []
-    for row in m.entries:
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        rows.append([int(x * scale) for x in row])
-        scalers.append(scale)
-    return rows, scalers
-
-
-def _bareiss_echelon(mat: List[List[int]], rows: int, cols: int):
-    """In-place fraction-free elimination; returns (pivot columns, sign)."""
+def _bareiss_echelon(m: RationalMatrix):
+    """Returns (pivots, sign, scale): the (pivot column, echelon row) pairs
+    from the top, the sign of the row permutation, and the product of the
+    lcms that scaled m's rows to integers."""
+    active = []
+    scale = 1
+    for entries in m.entries:
+        nonzero = [(c, x) for c, x in enumerate(entries) if x]
+        s = lcm(*(x.denominator for _, x in nonzero))
+        active.append({c: x.numerator * (s // x.denominator) for c, x in nonzero})
+        scale *= s
     sign = 1
     prev = 1
-    pivot_cols = []
-    pr = 0
-    for col in range(cols):
-        if pr >= rows:
-            break
-        pivot = next(
-            (r for r in range(pr, rows) if mat[r][col] != 0), None
-        )
-        if pivot is None:
+    pivots = []
+    for col in range(m.cols):
+        best = None
+        for pos, row in enumerate(active):
+            if col in row and (best is None or len(row) < len(active[best])):
+                best = pos
+        if best is None:
             continue
-        if pivot != pr:
-            mat[pr], mat[pivot] = mat[pivot], mat[pr]
+        if best % 2:  # moving the pivot row up past best rows
             sign = -sign
-        for r in range(pr + 1, rows):
-            for c in range(col + 1, cols):
-                num = mat[pr][col] * mat[r][c] - mat[r][col] * mat[pr][c]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "fraction-free step left a remainder"
-                mat[r][c] = q
-            mat[r][col] = 0
-        prev = mat[pr][col]
-        pivot_cols.append(col)
-        pr += 1
-    return pivot_cols, sign
+        prow = active.pop(best)
+        a = prow[col]
+        for r, row in enumerate(active):
+            b = row.pop(col, 0)
+            if not b and a == prev:
+                continue  # a / prev = 1 leaves the row as it is
+            for c, v in row.items():
+                row[c] = a * v
+            if b:
+                for c, v in prow.items():
+                    row[c] = row.get(c, 0) - b * v
+                del row[col]
+            if prev != 1:
+                for c, v in row.items():
+                    q, rem = divmod(v, prev)
+                    assert rem == 0, "fraction-free step left a remainder"
+                    row[c] = q
+            if b:
+                active[r] = {c: v for c, v in row.items() if v}
+        prev = a
+        pivots.append((col, prow))
+    return pivots, sign, scale
 
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank via fraction-free elimination."""
-    mat, _ = _integer_copy(m)
-    pivot_cols, _ = _bareiss_echelon(mat, m.rows, m.cols)
-    return len(pivot_cols)
+    return len(_bareiss_echelon(m)[0])
 
 
 def determinant(m: RationalMatrix) -> Fraction:
@@ -108,23 +113,13 @@ def determinant(m: RationalMatrix) -> Fraction:
         raise NotSquareError(f"matrix is {m.rows}x{m.cols}")
     if m.rows == 0:
         return Fraction(1)
-    mat, scalers = _integer_copy(m)
-    pivot_cols, sign = _bareiss_echelon(mat, m.rows, m.cols)
-    if len(pivot_cols) < m.rows:
+    pivots, sign, scale = _bareiss_echelon(m)
+    if len(pivots) < m.rows:
         return Fraction(0)
     # After full elimination the last pivot is the determinant of the
     # integer matrix; undo the per-row scaling.
-    det_scaled = Fraction(sign * mat[m.rows - 1][m.cols - 1])
-    for s in scalers:
-        det_scaled /= s
-    return det_scaled
-
-
-def _normalize(v: List[Fraction]) -> Vector:
-    first = next((x for x in v if x != 0), None)
-    if first is None:
-        raise ValueError("cannot normalize the zero vector")
-    return tuple(x / first for x in v)
+    col, row = pivots[-1]
+    return Fraction(sign * row[col], scale)
 
 
 def nullspace(m: RationalMatrix, side: str = "right") -> List[Vector]:
@@ -138,22 +133,20 @@ def nullspace(m: RationalMatrix, side: str = "right") -> List[Vector]:
         return nullspace(m.transpose(), "right")
     if side != "right":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    mat, _ = _integer_copy(m)
-    pivot_cols, _ = _bareiss_echelon(mat, m.rows, m.cols)
-    pivots_set = set(pivot_cols)
+    pivots = _bareiss_echelon(m)[0]
+    pivot_cols = {col for col, _ in pivots}
     basis: List[Vector] = []
     for free in range(m.cols):
-        if free in pivots_set:
+        if free in pivot_cols:
             continue
         # Back substitution, bottom row first; the entries left of a row's
         # pivot are zero, so only the entries solved so far contribute.
         solved = {free: Fraction(1)}
-        for r in range(len(pivot_cols) - 1, -1, -1):
-            row = mat[r]
-            total = sum(row[c] * x for c, x in solved.items())
+        for col, row in reversed(pivots):
+            total = sum(v * solved[c] for c, v in row.items() if c in solved)
             if total:
-                solved[pivot_cols[r]] = -total / row[pivot_cols[r]]
-        basis.append(
-            _normalize([solved.get(c, Fraction(0)) for c in range(m.cols)])
-        )
+                solved[col] = -total / row[col]
+        vector = [solved.get(c, Fraction(0)) for c in range(m.cols)]
+        first = next(x for x in vector if x)
+        basis.append(tuple(x / first for x in vector))
     return basis

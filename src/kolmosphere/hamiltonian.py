@@ -15,12 +15,7 @@ from typing import Dict, List, Tuple
 
 from .exactla import RationalMatrix, nullspace
 from .polyring import Poly
-from .field_forms import (
-    CubicKolmogorovForm,
-    PolyVectorField,
-    assemble_cubic,
-    skew_matrix,
-)
+from .field_forms import PolyVectorField, sum_of_squares
 
 
 class OddDimensionError(ValueError):
@@ -33,20 +28,18 @@ class HamiltonianReport:
     defects: Tuple[Tuple[Tuple[int, int], Poly], ...]
 
 
-def _jacobian_defects(
-    vf: PolyVectorField,
-) -> List[Tuple[Tuple[int, int], Poly]]:
-    """dG_j/dx_k - dG_k/dx_j for every pair j < k (1-based) of the
-    rearranged field G, zero or not."""
+def _rearranged(components) -> List[Poly]:
+    """G = (P_2, -P_1, P_4, -P_3, ...)."""
     g = []
-    for i in range(0, vf.dim, 2):
-        g.append(vf.components[i + 1])
-        g.append(-vf.components[i])
-    return [
-        ((j + 1, k + 1), g[j].differentiate(k + 1) - g[k].differentiate(j + 1))
-        for j in range(vf.dim)
-        for k in range(j + 1, vf.dim)
-    ]
+    for i in range(0, len(components), 2):
+        g.append(components[i + 1])
+        g.append(-components[i])
+    return g
+
+
+def _defect(g: List[Poly], j: int, k: int) -> Poly:
+    """dG_j/dx_k - dG_k/dx_j for 0-based j < k."""
+    return g[j].differentiate(k + 1) - g[k].differentiate(j + 1)
 
 
 def is_hamiltonian(vf: PolyVectorField) -> HamiltonianReport:
@@ -57,28 +50,46 @@ def is_hamiltonian(vf: PolyVectorField) -> HamiltonianReport:
             "Hamiltonian structure needs an even number of coordinates, "
             f"field on R^{vf.dim}"
         )
-    defects = [
-        (pair, defect)
-        for pair, defect in _jacobian_defects(vf)
-        if not defect.is_zero()
-    ]
+    g = _rearranged(vf.components)
+    defects = []
+    for j in range(vf.dim):
+        for k in range(j + 1, vf.dim):
+            defect = _defect(g, j, k)
+            if not defect.is_zero():
+                defects.append(((j + 1, k + 1), defect))
     return HamiltonianReport(
         is_hamiltonian=not defects, defects=tuple(defects)
     )
 
 
-def _parameter_form(n: int, values: List[Fraction]) -> CubicKolmogorovForm:
-    """Unpack (alpha_1..alpha_2n, atilde entries above the diagonal) into
-    constant assembly data."""
-    d = 2 * n
-    above = iter(values[d:])
-    atilde = skew_matrix(d, lambda i, j: next(above), Fraction(0))
-    return CubicKolmogorovForm.from_values(values[:d], atilde)
-
-
 def parameter_count(n: int) -> int:
     d = 2 * n
     return d + d * (d - 1) // 2
+
+
+def _constraint_columns(n: int) -> List[Dict[tuple, Fraction]]:
+    """Per parameter, {(pair slot, monomial): coefficient} of the Jacobian
+    defects of its unit value.  alpha_i puts x_i(1 - |x|^2) into P_i and
+    atilde_ij puts x_i x_j^2 into P_i and -x_j x_i^2 into P_j, so only the
+    pairs that touch those components of G can have a defect."""
+    d = 2 * n
+    xs = [Poly.var(d, i) for i in range(1, d + 1)]
+    one_minus_r2 = Poly.const(d, 1) - sum_of_squares(d)
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    touched = [{i: xs[i] * one_minus_r2} for i in range(d)] + [
+        {i: xs[i] * xs[j] ** 2, j: -xs[j] * xs[i] ** 2} for i, j in pairs
+    ]
+    columns = []
+    for parts in touched:
+        g = _rearranged([parts.get(i, Poly.zero(d)) for i in range(d)])
+        moved = {i ^ 1 for i in parts}  # P_i sits in G_(i xor 1), 0-based
+        columns.append({
+            (slot, exps): coeff
+            for slot, (j, k) in enumerate(pairs)
+            if j in moved or k in moved
+            for exps, coeff in _defect(g, j, k)
+        })
+    return columns
 
 
 def hamiltonian_constraint_space(
@@ -90,31 +101,18 @@ def hamiltonian_constraint_space(
     The Jacobian-symmetry defects are linear in the parameters, so stacking
     their coefficients (one matrix column per parameter, one row per
     (pair, monomial) slot) turns the question into a nullspace computation.
+    Each column comes from the one or two components its parameter touches;
+    ``exactla`` eliminates the sparse matrix by sparsest-row pivots.
     Returns (dimension, basis) in the parameter order alpha_1..alpha_2n,
     then atilde_ij for i < j in row-major order.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    params = parameter_count(n)
-
-    # Column p holds every defect coefficient of the unit parameter field.
-    columns: List[Dict[Tuple[int, Tuple[int, ...]], Fraction]] = []
-    for p in range(params):
-        values = [Fraction(0)] * params
-        values[p] = Fraction(1)
-        vf = assemble_cubic(_parameter_form(n, values))
-        column: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
-        for slot, (_, defect) in enumerate(_jacobian_defects(vf)):
-            for exps, coeff in defect:
-                column[(slot, exps)] = coeff
-        columns.append(column)
-
+    columns = _constraint_columns(n)
+    zero = Fraction(0)
     row_keys = sorted({key for col in columns for key in col})
-    matrix = RationalMatrix.from_rows(
-        [
-            [col.get(key, Fraction(0)) for col in columns]
-            for key in row_keys
-        ]
-    )
+    matrix = RationalMatrix(len(row_keys), len(columns), tuple(
+        tuple(col.get(key, zero) for col in columns) for key in row_keys
+    ))
     basis = nullspace(matrix, side="right")
     return len(basis), basis

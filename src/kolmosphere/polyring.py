@@ -302,15 +302,21 @@ class Poly:
             raise DimensionMismatchError(
                 f"point has {len(point)} coordinates, expected {self.dim}"
             )
-        coords = [Fraction(c) for c in point]
-        total = Fraction(0)
+        # Integral coordinates stay ints: one Fraction product per monomial.
+        coords = [
+            c if isinstance(c, int)
+            else c.numerator if isinstance(c, Fraction) and c.denominator == 1
+            else Fraction(c)
+            for c in point
+        ]
+        total = 0
         for exps, coeff in self.terms.items():
-            value = coeff
+            value = 1
             for c, e in zip(coords, exps):
                 if e:
                     value *= c ** e
-            total += value
-        return total
+            total += coeff * value
+        return Fraction(total)
 
     # ----- printing --------------------------------------------------------
 

@@ -395,4 +395,6 @@ def run_suite(name: str, seed: int = 0, instances: Optional[int] = None) -> Suit
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     count = DEFAULT_INSTANCES[name] if instances is None else instances
+    if count < 0:
+        raise ValueError(f"need instances >= 0, got {count}")
     return SUITES[name](seed=seed, instances=count)

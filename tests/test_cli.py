@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from kolmosphere.cli import main
-from kolmosphere.suites import run_suite
+from kolmosphere.suites import SUITES, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
@@ -271,6 +271,12 @@ def test_certify_determinant_suite(capsys):
     # Zero instances run nothing and say so, as in the other suites.
     empty = run_suite("cor44", instances=0)
     assert (empty.instances, empty.lines) == (0, [])
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_run_suite_refuses_a_negative_instance_count(suite):
+    with pytest.raises(ValueError, match="instances >= 0"):
+        run_suite(suite, instances=-3)
 
 
 def test_certify_constraint_suite_reports_the_planar_family(capsys):

@@ -18,6 +18,8 @@ from kolmosphere import (
     parameter_count,
     parse,
 )
+from kolmosphere.field_forms import skew_matrix
+from kolmosphere.hamiltonian import _constraint_columns
 
 from conftest import rand_poly, rand_skew_constant
 
@@ -126,6 +128,38 @@ def test_off_family_constant_forms_are_never_hamiltonian():
             continue
         assert not is_hamiltonian(vf).is_hamiltonian
         checked += 1
+
+
+def unit_parameter_defect_entries(n):
+    """Nonzero (pair slot, monomial, parameter) coefficients, built by
+    assembling the full field of every unit parameter and taking all of
+    its Jacobian defects."""
+    d = 2 * n
+    entries = {}
+    for p in range(parameter_count(n)):
+        values = [Fraction(int(q == p)) for q in range(parameter_count(n))]
+        above = iter(values[d:])
+        atilde = skew_matrix(d, lambda i, j: next(above), Fraction(0))
+        vf = assemble_cubic(CubicKolmogorovForm.from_values(values[:d], atilde))
+        g = []
+        for i in range(0, d, 2):
+            g += [vf.components[i + 1], -vf.components[i]]
+        pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+        for slot, (j, k) in enumerate(pairs):
+            defect = g[j].differentiate(k + 1) - g[k].differentiate(j + 1)
+            for exps, coeff in defect:
+                entries[(slot, exps, p)] = coeff
+    return entries
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_constraint_columns_match_the_assembled_unit_fields(n):
+    direct = {
+        (slot, exps, p): coeff
+        for p, column in enumerate(_constraint_columns(n))
+        for (slot, exps), coeff in column.items()
+    }
+    assert direct == unit_parameter_defect_entries(n)
 
 
 def test_constraint_space_rejects_nonpositive_n():
