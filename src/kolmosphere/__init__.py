@@ -90,7 +90,6 @@ from .hamiltonian import (
     OddDimensionError,
     hamiltonian_constraint_space,
     is_hamiltonian,
-    parameter_count,
 )
 from .numeric_validate import (
     DEFAULT_DOMAIN_FLOOR,

@@ -8,6 +8,8 @@ hyperplane x_i = 0 and the last row lists g's structured cofactor.  A
 product of powers of the invariant surfaces is a first integral exactly
 when its exponent vector kills B from the left, which the code certifies
 afterwards through the bit-exact identity sum_i b_i K_i = 0 on cofactors.
+The rank test of complete integrability (rank B <= 2) reads the rank off
+that certified basis, since B is square: rank B = d + 1 - (basis size).
 """
 
 from __future__ import annotations
@@ -181,27 +183,20 @@ def _certified_integrals(
     return integrals
 
 
-def _exponent_problem(form: CubicKolmogorovForm, g: Hypersurface):
-    """The assembled field, g's cofactor K_g, and the matrix B whose rows
-    belong to the surfaces (x_1, ..., x_d, g)."""
+def find_darboux(
+    form: CubicKolmogorovForm, g: Hypersurface
+) -> List[DarbouxIntegral]:
+    """All first integrals g^(b_{d+1}) prod x_i^(b_i), as a basis of
+    exponent vectors over the surfaces (x_1, ..., x_d, g); empty when the
+    matrix B has full rank."""
     vf = assemble_cubic(form)
     extra = cofactor(vf, g)
     if extra is None:
         raise NotInvariantError(
             f"surface {g.defining} is not invariant for the assembled field"
         )
-    return vf, extra.poly, build_matrix_B(form, extra)
-
-
-def find_darboux(
-    form: CubicKolmogorovForm, g: Hypersurface
-) -> List[DarbouxIntegral]:
-    """All first integrals g^(b_{d+1}) prod x_i^(b_i), as a basis of
-    exponent vectors; empty when the matrix B has full rank."""
-    vf, k_g, matrix_b = _exponent_problem(form, g)
-    return _certified_integrals(
-        vf, nullspace(matrix_b, side="left"), [(g, k_g)]
-    )
+    basis = nullspace(build_matrix_B(form, extra), side="left")
+    return _certified_integrals(vf, basis, [(g, extra.poly)])
 
 
 def syzygy_first_integral(
@@ -468,7 +463,9 @@ def complete_integrability_check(
     samples: Optional[Sequence[Sequence[SamplePoint]]] = None,
 ) -> CompleteIntegrabilityCertificate:
     """Decide complete integrability from rank(B) <= 2, after checking the
-    independence hypothesis at the sample grid.
+    independence hypothesis at the sample grid.  The rank comes from the
+    certified basis of ``find_darboux``, and the first n of its vectors are
+    emitted when the test passes.
 
     ``samples[i-1][j-1]`` is the j-th evaluation point for the family that
     omits coordinate i; the default grid reuses the standard points for
@@ -509,14 +506,11 @@ def complete_integrability_check(
             )
         determinants.append(det)
 
-    vf, k_g, matrix_b = _exponent_problem(form, g)
-    rank_b = rank(matrix_b)
+    basis = find_darboux(form, g)
+    rank_b = d + 1 - len(basis)  # B is square of order d + 1
 
-    integrals: List[DarbouxIntegral] = []
-    if rank_b <= 2:
-        integrals = _certified_integrals(
-            vf, nullspace(matrix_b, side="left")[:n], [(g, k_g)]
-        )
+    integrals = basis[:n] if rank_b <= 2 else []
+    if integrals:
         stacked = RationalMatrix.from_rows([i.exponents for i in integrals])
         if rank(stacked) != n:
             raise RuntimeError(

@@ -179,7 +179,7 @@ def coordinate_cofactors(form: KolmogorovForm) -> Tuple[Poly, ...]:
     """Q_i = (1 - sum x^2) ftilde_i + sum_j atilde_ij x_j^2 for i = 1..d:
     the cofactor of the hyperplane x_i = 0 in the assembled field."""
     d = form.dim
-    one_minus_r2 = Poly.const(d, 1) - sum_of_squares(d)
+    one_minus_r2 = -sphere_polynomial(d)
     squares = [Poly.var(d, j) ** 2 for j in range(1, d + 1)]
     return tuple(
         Poly.sum(
@@ -387,6 +387,10 @@ def _form_entry(value, what: str) -> Fraction:
         raise ValueError(f"{what} has a zero denominator") from None
     except OverflowError:
         raise ValueError(f"{what} is not finite") from None
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{what} is {json.dumps(value)}, expected a rational"
+        ) from None
 
 
 def cubic_form_from_dict(data: dict) -> CubicKolmogorovForm:

@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 
 from .exactla import RationalMatrix, nullspace
 from .polyring import Poly
-from .field_forms import PolyVectorField, sum_of_squares
+from .field_forms import PolyVectorField, sphere_polynomial
 
 
 class OddDimensionError(ValueError):
@@ -62,11 +62,6 @@ def is_hamiltonian(vf: PolyVectorField) -> HamiltonianReport:
     )
 
 
-def parameter_count(n: int) -> int:
-    d = 2 * n
-    return d + d * (d - 1) // 2
-
-
 def _constraint_columns(n: int) -> List[Dict[tuple, Fraction]]:
     """Per parameter, {(pair slot, monomial): coefficient} of the Jacobian
     defects of its unit value.  alpha_i puts x_i(1 - |x|^2) into P_i and
@@ -74,7 +69,7 @@ def _constraint_columns(n: int) -> List[Dict[tuple, Fraction]]:
     pairs that touch those components of G can have a defect."""
     d = 2 * n
     xs = [Poly.var(d, i) for i in range(1, d + 1)]
-    one_minus_r2 = Poly.const(d, 1) - sum_of_squares(d)
+    one_minus_r2 = -sphere_polynomial(d)
     pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
     touched = [{i: xs[i] * one_minus_r2} for i in range(d)] + [
         {i: xs[i] * xs[j] ** 2, j: -xs[j] * xs[i] ** 2} for i, j in pairs

@@ -293,7 +293,8 @@ def cone_invariance(
     cone = linear * linear - Fraction(d) ** 2 * sum_of_squares(vf.dim)
     if cone.is_zero():
         raise ValueError("degenerate cone: the defining polynomial vanishes")
-    quotient = divide_exact(lie_derivative(vf, cone), cone)
+    cof = cofactor(vf, Hypersurface(cone))
+    quotient = cof.poly if cof is not None else None
     return ConeReport(
         invariant=quotient is not None, cone=cone, cofactor=quotient
     )
@@ -323,8 +324,8 @@ def second_sphere_check(
     if r in (0, 1, -1):
         raise BadRadiusError("radius must differ from 0, 1, and -1")
     vf = assemble_cubic(form)
-    g = sum_of_squares(form.dim) - r * r
-    quotient = divide_exact(lie_derivative(vf, g), g)
+    cof = cofactor(vf, Hypersurface(sum_of_squares(form.dim) - r * r))
+    quotient = cof.poly if cof is not None else None
     alpha_zero = all(a == 0 for a in form.alpha)
     if quotient is not None:
         if not alpha_zero or not quotient.is_zero():

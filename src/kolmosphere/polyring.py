@@ -65,14 +65,13 @@ class Poly:
     """Immutable sparse polynomial with Fraction coefficients.
 
     Construct through :meth:`zero`, :meth:`const`, :meth:`var`,
-    :meth:`from_terms`, :func:`parse` or ``Poly(dim, terms)``: these take
-    input from outside the ring, so they check every exponent tuple, wrap
-    every coefficient in ``Fraction`` and drop zeros.  The ring's own
-    results (:meth:`sum`, ``+ - *``, ``**``, :meth:`differentiate`,
-    :func:`divide_exact`) are built by :meth:`_trusted`, which only drops
-    zeros.  The insertion order of ``terms`` is the float evaluation order
-    of ``numeric_validate.compile_polys``, so every operation keeps it
-    fixed.
+    :func:`parse` or ``Poly(dim, terms)``: these take input from outside
+    the ring, so they check every exponent tuple, wrap every coefficient in
+    ``Fraction`` and drop zeros.  The ring's own results (:meth:`sum`,
+    ``+ - *``, ``**``, :meth:`differentiate`, :func:`divide_exact`) are
+    built by :meth:`_trusted`, which only drops zeros.  The insertion order
+    of ``terms`` is the float evaluation order of
+    ``numeric_validate.compile_polys``, so every operation keeps it fixed.
     """
 
     __slots__ = ("dim", "terms")
@@ -127,16 +126,6 @@ class Poly:
         exps[index - 1] = 1
         return cls(dim, {tuple(exps): Fraction(1)})
 
-    @classmethod
-    def from_terms(
-        cls, dim: int, terms: Iterable[Tuple[Monomial, Scalar]]
-    ) -> "Poly":
-        acc: Dict[Monomial, Fraction] = {}
-        for exps, coeff in terms:
-            key = tuple(exps)
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
-        return cls(dim, acc)
-
     # ----- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -152,12 +141,6 @@ class Poly:
         """True when all monomials share one total degree (zero counts)."""
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
-
-    def coefficient(self, exponents: Monomial) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.dim, Fraction(0))
 
     def leading(self) -> Tuple[Monomial, Fraction]:
         """Leading (monomial, coefficient) in graded lex order."""
@@ -418,6 +401,9 @@ def divide_exact(dividend: Poly, divisor: Poly):
 # "2x1" is a syntax error.
 
 _OPS = set("+-*/^()")
+# ASCII digits only: str.isdigit() also accepts other scripts' digits and
+# superscripts, some of which int() then rejects without a position.
+_DIGITS = set("0123456789")
 
 
 class _Token:
@@ -451,16 +437,16 @@ def _tokenize(text: str) -> list:
             tokens.append(_Token(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", int(text[i:j]), i))
             i = j
             continue
         if ch == "x":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j == i + 1:
                 raise ParseError(i, "a variable index after 'x'", f"'{ch}'")

@@ -42,7 +42,7 @@ def rand_poly(rng: random.Random, dim: int, max_degree: int, terms: int = 4) -> 
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(dim)] += 1
         acc[tuple(exps)] = acc.get(tuple(exps), Fraction(0)) + rand_fraction(rng)
-    return Poly.from_terms(dim, acc.items())
+    return Poly(dim, acc)
 
 
 def rand_nonzero_poly(rng: random.Random, dim: int, max_degree: int) -> Poly:

@@ -20,6 +20,7 @@ demanded numbers are not what exact computation yields:
 The details live in each failure message.
 """
 
+import functools
 import json
 import random
 import time
@@ -268,19 +269,18 @@ def test_criterion_08_negative_suites():
     )
 
 
-def drift_pair(field, x0, integral):
-    """Max relative drift at h = 1e-3 over T = 10, and at h = 5e-4."""
-    coarse = conservation_report(
-        integrate_rk4(field, x0, 1e-3, 10_000), integral
-    )
-    fine = conservation_report(
-        integrate_rk4(field, x0, 5e-4, 20_000), integral
-    )
+def drift_pair(integrate, field, x0, integral):
+    """Max relative drift at h = 1e-3 over T = 10, and at h = 5e-4, on the
+    trajectories that ``integrate`` (integrate_rk4 or a cache of it) gives."""
+    coarse = conservation_report(integrate(field, x0, 1e-3, 10_000), integral)
+    fine = conservation_report(integrate(field, x0, 5e-4, 20_000), integral)
     return coarse, fine
 
 
 def test_criterion_09_numeric_drift_budget():
     violations = []
+    # One integration per (field, x0, h), shared by all of its integrals.
+    integrate = functools.lru_cache(maxsize=None)(integrate_rk4)
 
     # integrals certified in criterion 1
     vf = fixture_field()
@@ -290,10 +290,10 @@ def test_criterion_09_numeric_drift_budget():
     for integral in integrals:
         label = "fixture integral " + "/".join(str(e) for e in integral.exponents)
         try:
-            coarse, fine = drift_pair(vf, x0, integral)
+            coarse, fine = drift_pair(integrate, vf, x0, integral)
         except DomainViolationError:
             noisy = conservation_report(
-                integrate_rk4(vf, x0, 1e-3, 10_000), integral, floor=1e-300
+                integrate(vf, x0, 1e-3, 10_000), integral, floor=1e-300
             )
             violations.append(
                 f"{label}: surfaces decay below the 1e-12 evaluation floor "
@@ -315,7 +315,7 @@ def test_criterion_09_numeric_drift_budget():
         x0 = tuple(0.3 + 0.6 * i / max(1, d - 1) for i in range(d))
         for integral in cert.integrals:
             label = f"integrable n={n} m={m} {integral.surfaces[0].defining}"
-            coarse, fine = drift_pair(field, x0, integral)
+            coarse, fine = drift_pair(integrate, field, x0, integral)
             if coarse >= 1e-6:
                 violations.append(f"{label}: drift {coarse:.3e} at h=1e-3")
             if not fine <= coarse / 8.0:

@@ -370,6 +370,12 @@ def test_construct_complete_rejects_wrong_degree(capsys):
          "STRING_ROW_FORM: atilde row 1 must be an array"),
         (["syzygy-fi", "--form", "BOOLEAN_ALPHA_FORM"],
          "BOOLEAN_ALPHA_FORM: alpha entry 2 is a boolean, expected a rational"),
+        (["syzygy-fi", "--form", "NULL_ALPHA_FORM"],
+         "NULL_ALPHA_FORM: alpha entry 1 is null, expected a rational"),
+        (["syzygy-fi", "--form", "ARRAY_ALPHA_FORM"],
+         "ARRAY_ALPHA_FORM: alpha entry 1 is [1], expected a rational"),
+        (["syzygy-fi", "--form", "NAN_TEXT_FORM"],
+         'NAN_TEXT_FORM: atilde entry (1, 2) is "nan", expected a rational'),
         (["syzygy-fi", "--form", "FLOAT_DIM_FORM"],
          "FLOAT_DIM_FORM: dim must be a positive integer"),
         (["check", "--field", "FLOAT_DIM_FIELD"],
@@ -405,7 +411,8 @@ def test_construct_complete_rejects_wrong_degree(capsys):
          "negative-instances", "3000-nested-parentheses",
          "unstructured-cofactor", "x0-nan", "x0-inf", "seed-of-numbers",
          "seed-not-skew", "negative-n", "form-alpha-string",
-         "form-atilde-row-string", "form-alpha-boolean", "form-dim-float",
+         "form-atilde-row-string", "form-alpha-boolean", "form-alpha-null",
+         "form-alpha-array", "form-atilde-nan-text", "form-dim-float",
          "field-dim-float", "field-dim-boolean", "field-components-string",
          "field-component-number", "field-top-level-array", "form-no-dim",
          "seed-rows-strings", "seed-entries-string",
@@ -443,6 +450,18 @@ def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv, message):
         "BOOLEAN_ALPHA_FORM": {
             "dim": 2, "alpha": ["1", True],
             "atilde": [["0", "1"], ["-1", "0"]],
+        },
+        "NULL_ALPHA_FORM": {
+            "dim": 2, "alpha": [None, "2"],
+            "atilde": [["0", "1"], ["-1", "0"]],
+        },
+        "ARRAY_ALPHA_FORM": {
+            "dim": 2, "alpha": [[1], "2"],
+            "atilde": [["0", "1"], ["-1", "0"]],
+        },
+        "NAN_TEXT_FORM": {
+            "dim": 2, "alpha": ["1", "2"],
+            "atilde": [["0", "nan"], ["-1", "0"]],
         },
         "FLOAT_DIM_FORM": {
             "dim": 2.0, "alpha": ["1", "1"],

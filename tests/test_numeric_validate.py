@@ -357,7 +357,7 @@ def random_component(rng, dim, kind):
         exps = [0] * dim
         for _ in range(rng.randint(0, 3)):
             exps[rng.randrange(dim)] += 1
-        return Poly.from_terms(dim, [(tuple(exps), rand_fraction(rng, False))])
+        return Poly(dim, {tuple(exps): rand_fraction(rng, False)})
     while True:
         p = rand_poly(rng, dim, 3, terms=5)
         if len(p.terms) >= 2:

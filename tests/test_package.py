@@ -1,8 +1,20 @@
 """The package namespace: what ``from kolmosphere import *`` binds."""
 
+import importlib
+import inspect
+import json
+from pathlib import Path
 from types import ModuleType
 
 import kolmosphere
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+# Traced names that are ``Poly`` itself or one of its operators, with the
+# method that stands for each.
+POLY_MEMBERS = {
+    "Poly": "__init__", "add": "__add__", "mul": "__mul__", "str": "__str__",
+}
 
 SUBMODULES = {
     "darboux", "exactla", "field_forms", "hamiltonian", "invariance",
@@ -24,3 +36,26 @@ def test_star_import_binds_the_api_and_no_submodule():
     assert all(
         isinstance(getattr(kolmosphere, name), ModuleType) for name in SUBMODULES
     )
+
+
+def test_every_traced_name_is_a_public_function_of_its_layer():
+    """The benchmark's per-layer ``<layer>.<name>.calls`` metrics count the
+    calls of a function wrapped by name; a renamed or deleted function
+    would leave its metric with nothing to count."""
+    metrics = json.loads(BENCHMARK.read_text())["per_layer"]
+    traced = [
+        metric["name"].split(".")[:-1]
+        for metric in metrics
+        if metric["name"].endswith(".calls")
+    ]
+    assert traced
+    for layer, name in traced:
+        module = importlib.import_module(f"kolmosphere.{layer}")
+        if layer == "polyring" and name in POLY_MEMBERS:
+            method = getattr(module.Poly, POLY_MEMBERS[name])
+            assert inspect.isfunction(method), f"{layer}.{name}"
+            continue
+        fn = getattr(module, name, None)
+        assert not name.startswith("_"), f"{layer}.{name}"
+        assert inspect.isfunction(fn), f"{layer}.{name}"
+        assert fn.__module__ == module.__name__, f"{layer}.{name}"

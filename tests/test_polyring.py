@@ -41,7 +41,7 @@ def test_zero_polynomial_has_no_terms_and_minus_infinite_degree():
 def test_constant_and_variable_constructors():
     c = Poly.const(2, Fraction(3, 4))
     assert c.degree() == 0
-    assert c.constant_term() == Fraction(3, 4)
+    assert c.terms == {(0, 0): Fraction(3, 4)}
     x2 = Poly.var(2, 2)
     assert str(x2) == "x2"
     assert x2.degree() == 1
@@ -52,7 +52,7 @@ def test_constant_and_variable_constructors():
 
 
 def test_zero_coefficients_are_dropped():
-    p = Poly.from_terms(1, [((1,), Fraction(0)), ((0,), Fraction(2))])
+    p = Poly(1, {(1,): Fraction(0), (0,): Fraction(2)})
     assert p == Poly.const(1, 2)
     assert (Poly.var(1, 1) - Poly.var(1, 1)).is_zero()
 
@@ -63,9 +63,9 @@ def test_leading_term_uses_graded_lexicographic_order():
     assert p.degree() == 3
     assert p.degree() == 3
     assert not p.is_homogeneous()
-    assert p.coefficient((2, 1)) == 2
-    assert p.coefficient((9, 9)) == 0
-    assert p.constant_term() == 5
+    assert p.terms[(2, 1)] == 2
+    assert (9, 9) not in p.terms
+    assert p.terms[(0, 0)] == 5
 
 
 def test_homogeneity_detection():
@@ -83,7 +83,7 @@ def test_scalar_coercion_in_arithmetic():
     x = Poly.var(1, 1)
     assert str(2 * x + 1) == "2*x1 + 1"
     assert str(1 - x) == "-x1 + 1"
-    assert (x * Fraction(1, 2)).coefficient((1,)) == Fraction(1, 2)
+    assert (x * Fraction(1, 2)).terms == {(1,): Fraction(1, 2)}
 
 
 def test_power_matches_repeated_multiplication():
@@ -133,7 +133,7 @@ def polys(draw, dim=2, max_degree=3):
             for _ in range(dim)
         )
         terms[exps] = draw(coeffs)
-    return Poly.from_terms(dim, terms.items())
+    return Poly(dim, terms)
 
 
 @given(polys(), polys(), polys())
@@ -291,8 +291,8 @@ def test_a_3000_term_sum_round_trips_through_text():
     )
     p = parse(text, 2)
     assert len(p) == 3000
-    assert p.coefficient((3000, 0)) == Fraction(3000, 7)
-    assert p.coefficient((2999, 4)) == Fraction(-2999, 7)
+    assert p.terms[(3000, 0)] == Fraction(3000, 7)
+    assert p.terms[(2999, 4)] == Fraction(-2999, 7)
     assert parse(str(p), 2) == p
 
 
@@ -307,6 +307,9 @@ def test_a_3000_term_sum_round_trips_through_text():
         ("", 0, "a rational, a variable, or '('"),
         ("x1^2^3", 4, "'+', '-', '*', '^', or end of input"),
         ("2x1", 1, "'+', '-', '*', '^', or end of input"),
+        ("x\u0661", 0, "a variable index after 'x'"),
+        ("x1^\u0662", 3, "a term"),
+        ("x1^\u00b2", 3, "a term"),
     ],
 )
 def test_parse_errors_carry_position_and_expectation(text, position, expected_hint):
@@ -359,7 +362,7 @@ def agrees(sympy, p, theirs):
 
 
 monomials = st.builds(
-    lambda exps, c: Poly.from_terms(3, [(exps, c)]),
+    lambda exps, c: Poly(3, {exps: c}),
     st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
     coeffs.filter(lambda c: c != 0),
 )
