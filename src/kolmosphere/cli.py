@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
 
 from .polyring import ParseError, Poly, parse
@@ -28,6 +27,7 @@ from .field_forms import (
     field_from_dict,
     field_to_dict,
     is_kolmogorov_on_sphere,
+    read_rational,
     seed_from_dict,
 )
 from .invariance import (
@@ -106,14 +106,18 @@ def _hyperplane_arg(a0: str, a: str, dim: Optional[int] = None) -> HyperplaneSpe
     """``--a0``/``--a`` as a hyperplane; ``dim``, when given, is the
     dimension the form lives in."""
     try:
-        coeffs = [Fraction(piece.strip()) for piece in a.split(",")]
-    except (ValueError, ZeroDivisionError) as err:
-        raise InputError(f"--a: {err}") from err
+        constant = read_rational(a0, "--a0")
+        coeffs = [
+            read_rational(piece.strip(), f"--a entry {k}")
+            for k, piece in enumerate(a.split(","), start=1)
+        ]
+    except ValueError as err:
+        raise InputError(str(err)) from err
     if dim is not None and len(coeffs) != dim:
         raise InputError(f"--a has {len(coeffs)} entries, form lives on R^{dim}")
     try:
-        return HyperplaneSpec.from_values(a0, coeffs)
-    except (ValueError, ZeroDivisionError) as err:
+        return HyperplaneSpec.from_values(constant, coeffs)
+    except ValueError as err:
         raise InputError(f"hyperplane spec: {err}") from err
 
 

@@ -19,7 +19,13 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .exactla import RationalMatrix, determinant, nullspace, rank
-from .polyring import DimensionMismatchError, Poly, divide_exact
+from .polyring import (
+    DimensionMismatchError,
+    Poly,
+    Scalar,
+    _canonical,
+    divide_exact,
+)
 from .field_forms import (
     CubicKolmogorovForm,
     KolmogorovForm,
@@ -88,9 +94,11 @@ class DarbouxIntegral:
 
 @dataclass(frozen=True)
 class SamplePoint:
-    """A rational point with every coordinate nonzero."""
+    """A rational point with every coordinate nonzero.  ``of`` stores
+    integral coordinates as ints, so ``Poly.evaluate`` uses them as they
+    are instead of converting them at every evaluation."""
 
-    coords: Tuple[Fraction, ...]
+    coords: Tuple[Scalar, ...]
 
     def __post_init__(self):
         if any(c == 0 for c in self.coords):
@@ -98,7 +106,7 @@ class SamplePoint:
 
     @classmethod
     def of(cls, values: Sequence) -> "SamplePoint":
-        return cls(tuple(Fraction(v) for v in values))
+        return cls(tuple(_canonical(v) for v in values))
 
 
 def build_matrix_B(

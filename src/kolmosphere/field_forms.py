@@ -378,9 +378,17 @@ def cubic_form_to_dict(form: CubicKolmogorovForm) -> dict:
     }
 
 
-def _form_entry(value, what: str) -> Fraction:
+def read_rational(value, what: str) -> Fraction:
+    """A rational from a JSON number or from text such as ``"-3"``,
+    ``"1/2"`` or ``"0.5"``; a ``ValueError`` that names ``what`` otherwise.
+
+    Text must be ASCII: ``Fraction`` also reads other scripts' digits, so
+    an Arabic-Indic one would otherwise pass for 1.
+    """
     if isinstance(value, bool):
         raise ValueError(f"{what} is a boolean, expected a rational")
+    if isinstance(value, str) and not value.isascii():
+        raise ValueError(f"{what} is {json.dumps(value)}, expected a rational")
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -396,11 +404,11 @@ def _form_entry(value, what: str) -> Fraction:
 def cubic_form_from_dict(data: dict) -> CubicKolmogorovForm:
     dim = _json_dim(data)
     alpha = [
-        _form_entry(s, f"alpha entry {i}")
+        read_rational(s, f"alpha entry {i}")
         for i, s in enumerate(_json_array(data["alpha"], "alpha"), start=1)
     ]
     atilde = [
-        [_form_entry(s, f"atilde entry ({i}, {j})")
+        [read_rational(s, f"atilde entry ({i}, {j})")
          for j, s in enumerate(_json_array(row, f"atilde row {i}"), start=1)]
         for i, row in enumerate(_json_array(data["atilde"], "atilde"), start=1)
     ]

@@ -1,9 +1,17 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in ``dim`` variables x1..x<dim> is stored as a dict mapping an
-exponent tuple (one natural number per variable) to a nonzero ``Fraction``
-coefficient.  The zero polynomial is the empty dict.  All arithmetic is exact;
-no floating point enters this module.
+exponent tuple (one natural number per variable) to a nonzero coefficient:
+an ``int`` when the coefficient is integral and a ``Fraction`` otherwise.
+Integral coefficients, the common case, thus multiply and add as Python
+ints, without a ``Fraction`` per operation.  ``Fraction(3) == 3`` and the
+two hash alike, so equality, hashing and printing do not depend on the
+representation.  The zero polynomial is the empty dict.  All arithmetic is
+exact; no floating point enters this module.
+
+``parse`` folds the rational and variable factors of each term into one
+monomial, builds that monomial as one ``Poly``, and multiplies the term's
+parenthesised factors into it from left to right.
 
 Monomial order everywhere is graded lexicographic with x1 > x2 > ... :
 compare total degree first, then the exponent tuples lexicographically.
@@ -61,25 +69,37 @@ def _grlex_key(exponents: Monomial) -> tuple:
     return (sum(exponents), exponents)
 
 
-class Poly:
-    """Immutable sparse polynomial with Fraction coefficients.
+def _canonical(value) -> Scalar:
+    """``value`` as a coefficient: an ``int`` when it is integral, else a
+    ``Fraction``.  Every coefficient of every ``Poly`` passes through here."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
-    Construct through :meth:`zero`, :meth:`const`, :meth:`var`,
-    :func:`parse` or ``Poly(dim, terms)``: these take input from outside
-    the ring, so they check every exponent tuple, wrap every coefficient in
-    ``Fraction`` and drop zeros.  The ring's own results (:meth:`sum`,
-    ``+ - *``, ``**``, :meth:`differentiate`, :func:`divide_exact`) are
-    built by :meth:`_trusted`, which only drops zeros.  The insertion order
+
+class Poly:
+    """Immutable sparse polynomial with exact rational coefficients.
+
+    Every coefficient is a nonzero ``int`` when it is integral and a
+    ``Fraction`` otherwise; ``_canonical`` enforces this for every
+    constructor.  ``Poly(dim, terms)`` and :func:`parse` (one ``Poly`` per
+    term) take input from outside the ring, so they check every exponent
+    tuple.  :meth:`zero`, :meth:`const` and :meth:`var` check their own
+    arguments.  The ring's own results (:meth:`sum`, ``+ - *``, ``**``,
+    :meth:`differentiate`, :func:`divide_exact`) are built by
+    :meth:`_trusted`, which checks no exponent tuple.  The insertion order
     of ``terms`` is the float evaluation order of
     ``numeric_validate.compile_polys``, so every operation keeps it fixed.
     """
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: int, terms: Mapping[Monomial, Fraction]):
+    def __init__(self, dim: int, terms: Mapping[Monomial, Scalar]):
         if dim < 0:
             raise ValueError("dim must be a natural number")
-        clean: Dict[Monomial, Fraction] = {}
+        clean: Dict[Monomial, Scalar] = {}
         for exps, coeff in terms.items():
             if len(exps) != dim:
                 raise DimensionMismatchError(
@@ -87,19 +107,22 @@ class Poly:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in monomial {exps}")
-            c = Fraction(coeff)
-            if c != 0:
+            c = _canonical(coeff)
+            if c:
                 clean[tuple(exps)] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _trusted(cls, dim: int, terms: Mapping[Monomial, Fraction]) -> "Poly":
-        """A Poly from exponent tuples of length ``dim`` and ``Fraction``
-        coefficients built by this module; only zeros are dropped."""
+    def _trusted(cls, dim: int, terms: Mapping[Monomial, Scalar]) -> "Poly":
+        """A Poly from exponent tuples of length ``dim`` and ``int`` or
+        ``Fraction`` coefficients built by this module; zeros are dropped
+        and integral ``Fraction``s become ``int``s."""
         p = object.__new__(cls)
         object.__setattr__(p, "dim", dim)
-        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(
+            p, "terms", {e: _canonical(c) for e, c in terms.items() if c}
+        )
         return p
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -113,7 +136,9 @@ class Poly:
 
     @classmethod
     def const(cls, dim: int, value: Scalar) -> "Poly":
-        return cls(dim, {(0,) * dim: Fraction(value)})
+        if dim < 0:
+            raise ValueError("dim must be a natural number")
+        return cls._trusted(dim, {(0,) * dim: _canonical(value)})
 
     @classmethod
     def var(cls, dim: int, index: int) -> "Poly":
@@ -124,7 +149,7 @@ class Poly:
             )
         exps = [0] * dim
         exps[index - 1] = 1
-        return cls(dim, {tuple(exps): Fraction(1)})
+        return cls._trusted(dim, {tuple(exps): 1})
 
     # ----- basic queries -------------------------------------------------
 
@@ -142,14 +167,14 @@ class Poly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def leading(self) -> Tuple[Monomial, Fraction]:
+    def leading(self) -> Tuple[Monomial, Scalar]:
         """Leading (monomial, coefficient) in graded lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exps = max(self.terms, key=_grlex_key)
         return exps, self.terms[exps]
 
-    def __iter__(self) -> Iterator[Tuple[Monomial, Fraction]]:
+    def __iter__(self) -> Iterator[Tuple[Monomial, Scalar]]:
         return iter(self.terms.items())
 
     def __len__(self) -> int:
@@ -225,7 +250,7 @@ class Poly:
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        acc: Dict[Monomial, Fraction] = {}
+        acc: Dict[Monomial, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in rhs.terms.items():
                 key = tuple(map(add, e1, e2))
@@ -271,7 +296,7 @@ class Poly:
         if not 1 <= var <= self.dim:
             raise VariableIndexError(f"variable index {var} outside 1..{self.dim}")
         i = var - 1
-        acc: Dict[Monomial, Fraction] = {}
+        acc: Dict[Monomial, Scalar] = {}
         for exps, coeff in self.terms.items():
             e = exps[i]
             if e == 0:
@@ -285,13 +310,8 @@ class Poly:
             raise DimensionMismatchError(
                 f"point has {len(point)} coordinates, expected {self.dim}"
             )
-        # Integral coordinates stay ints: one Fraction product per monomial.
-        coords = [
-            c if isinstance(c, int)
-            else c.numerator if isinstance(c, Fraction) and c.denominator == 1
-            else Fraction(c)
-            for c in point
-        ]
+        # Integral coordinates become ints: one Fraction product per monomial.
+        coords = [c if type(c) is int else _canonical(c) for c in point]
         total = 0
         for exps, coeff in self.terms.items():
             value = 1
@@ -321,7 +341,7 @@ class Poly:
         return f"Poly({str(self)!r}, dim={self.dim})"
 
 
-def _term_text(exps: Monomial, coeff: Fraction) -> str:
+def _term_text(exps: Monomial, coeff: Scalar) -> str:
     vars_part = "*".join(
         f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
         for i, e in enumerate(exps)
@@ -365,7 +385,7 @@ def divide_exact(dividend: Poly, divisor: Poly):
     remainder = dict(dividend.terms)
     heap = [(_heap_key(e), e) for e in remainder]
     heapq.heapify(heap)
-    quotient: Dict[Monomial, Fraction] = {}
+    quotient: Dict[Monomial, Scalar] = {}
     while heap:
         r_exps = heapq.heappop(heap)[1]
         r_coeff = remainder.pop(r_exps)
@@ -374,7 +394,13 @@ def divide_exact(dividend: Poly, divisor: Poly):
         step = tuple(map(sub, r_exps, lead_exps))
         if min(step, default=0) < 0:
             return None
-        c = r_coeff / lead_coeff
+        # Exact quotient: ``/`` on two ints would round to a float.
+        if type(r_coeff) is int and type(lead_coeff) is int:
+            c, rem = divmod(r_coeff, lead_coeff)
+            if rem:
+                c = Fraction(r_coeff, lead_coeff)
+        else:
+            c = _canonical(r_coeff / lead_coeff)
         quotient[step] = c
         minus_c = -c
         for d_exps, d_coeff in tail:
@@ -486,30 +512,48 @@ class _Parser:
         negate = self.peek().kind == "-"
         if negate:
             self.advance()
-        term = self.parse_term()
-        terms = [-term if negate else term]
+        terms = [self.parse_term(-1 if negate else 1)]
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            term = self.parse_term()
-            terms.append(term if op.kind == "+" else -term)
+            terms.append(self.parse_term(1 if op.kind == "+" else -1))
         return Poly.sum(self.dim, terms)
 
-    def parse_term(self) -> Poly:
-        result = self.parse_factor()
-        while self.peek().kind == "*":
+    def parse_term(self, sign: int) -> Poly:
+        """``sign`` times the product of the term's factors.
+
+        Rationals and variables fold into one monomial, built as one
+        ``Poly``; the parenthesised factors then multiply into it from left
+        to right.  A monomial factor only shifts the exponents of the terms
+        it meets, so this keeps the term order of the left-to-right
+        product.
+        """
+        coeff = sign
+        exps = [0] * self.dim
+        parenthesised = []
+        while True:
+            kind = self.peek().kind
+            base = self.parse_base()
+            power = 1
+            if self.peek().kind == "^":
+                self.advance()
+                power = self.expect("int", "a natural exponent").value
+            if kind == "var":
+                exps[base - 1] += power
+            elif kind == "(":
+                parenthesised.append(base if power == 1 else base ** power)
+            else:
+                coeff *= base ** power
+            if self.peek().kind != "*":
+                break
             self.advance()
-            result = result * self.parse_factor()
+        result = Poly(self.dim, {tuple(exps): coeff})
+        for factor in parenthesised:
+            result = result * factor
         return result
 
-    def parse_factor(self) -> Poly:
-        base = self.parse_base()
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.expect("int", "a natural exponent")
-            return base ** tok.value
-        return base
-
-    def parse_base(self) -> Poly:
+    def parse_base(self):
+        """A rational (``int`` or ``Fraction``), a variable's index, or a
+        parenthesised ``Poly``, by the kind of the next token."""
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
@@ -521,8 +565,8 @@ class _Parser:
                     raise ZeroDenominatorError(
                         f"at position {den_tok.position}: denominator is zero"
                     )
-                return Poly.const(self.dim, Fraction(numerator, den_tok.value))
-            return Poly.const(self.dim, numerator)
+                return Fraction(numerator, den_tok.value)
+            return numerator
         if tok.kind == "var":
             self.advance()
             if tok.value > self.dim:
@@ -530,7 +574,7 @@ class _Parser:
                     f"at position {tok.position}: variable x{tok.value} "
                     f"outside 1..{self.dim}"
                 )
-            return Poly.var(self.dim, tok.value)
+            return tok.value
         if tok.kind == "(":
             if self.depth == MAX_PAREN_DEPTH:
                 raise ParseError(

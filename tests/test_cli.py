@@ -405,6 +405,14 @@ def test_construct_complete_rejects_wrong_degree(capsys):
         (["hamiltonian", "--field", FIELD],
          "error: Hamiltonian structure needs an even number of coordinates, "
          "field on R^3"),
+        (["syzygy-fi", "--form", "ARABIC_DIGIT_FORM"],
+         'ARABIC_DIGIT_FORM: alpha entry 1 is "\\u0661", expected a rational'),
+        (["classify-hyperplane", "--form", FORM, "--a0", "1",
+          "--a", "\u0661,0,1"],
+         'error: --a entry 1 is "\\u0661", expected a rational'),
+        (["classify-hyperplane", "--form", FORM, "--a0", "\u0661",
+          "--a", "1,0,1"],
+         'error: --a0 is "\\u0661", expected a rational'),
     ],
     ids=["steps-0", "h-nan", "constraint-n-0", "form-1-over-0",
          "form-atilde-1-over-0", "form-infinity",
@@ -417,7 +425,8 @@ def test_construct_complete_rejects_wrong_degree(capsys):
          "field-component-number", "field-top-level-array", "form-no-dim",
          "seed-rows-strings", "seed-entries-string",
          "field-variable-out-of-range", "hamiltonian-field-and-space",
-         "hamiltonian-field-and-n", "hamiltonian-odd-dimension"],
+         "hamiltonian-field-and-n", "hamiltonian-odd-dimension",
+         "form-arabic-digit", "a-arabic-digit", "a0-arabic-digit"],
 )
 def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv, message):
     inputs = {
@@ -478,6 +487,11 @@ def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv, message):
         "STRING_ROWS_SEED": {"entries": ["01", "10"]},
         "STRING_ENTRIES_SEED": {"entries": "ab"},
         "OUT_OF_RANGE_FIELD": {"dim": 3, "components": ["x5", "x2", "x3"]},
+        # Fraction reads the Arabic-Indic one as 1: alpha = (1, 1).
+        "ARABIC_DIGIT_FORM": {
+            "dim": 2, "alpha": ["\u0661", "1"],
+            "atilde": [["0", "1"], ["-1", "0"]],
+        },
     }
     for name, data in inputs.items():
         (tmp_path / name).write_text(json.dumps(data))

@@ -349,6 +349,18 @@ def test_sample_points_have_nonzero_coordinates():
         SamplePoint.of([1, 0, 1])
 
 
+def test_sample_points_store_integral_coordinates_as_ints():
+    """Poly.evaluate then uses the coordinates as they are; the matrix
+    entries and the determinants stay Fractions."""
+    pt = SamplePoint.of([1, Fraction(4, 2), Fraction(1, 2), 0.25])
+    assert [type(c) for c in pt.coords] == [int, int, Fraction, Fraction]
+    assert pt.coords == (1, 2, Fraction(1, 2), Fraction(1, 4))
+    m = hypothesis_matrix(sphere_polynomial(3), 3, standard_sample_points(3))
+    assert all(type(x) is Fraction for row in m.entries for x in row)
+    cert = complete_integrability_check(fixture_form(), sphere_surface(3))
+    assert all(type(v) is Fraction for v in cert.hypothesis_determinants)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_hypothesis_determinant_formula(n):
     d = n + 1

@@ -249,6 +249,16 @@ def test_cubic_form_dict_round_trip_preserves_rationals():
     assert back.atilde == form.atilde
 
 
+def test_form_entries_read_ascii_rational_text_and_json_numbers():
+    form = cubic_form_from_dict({
+        "dim": 3, "alpha": ["1/2", "-3", "0.5"],
+        "atilde": [[0, 2, "-1/4"], [-2, 0, 0.25], ["1/4", "-0.25", "0"]],
+    })
+    assert form.alpha == (Fraction(1, 2), Fraction(-3), Fraction(1, 2))
+    assert form.atilde[1] == (Fraction(-2), Fraction(0), Fraction(1, 4))
+    assert form.atilde[2] == (Fraction(1, 4), Fraction(-1, 4), Fraction(0))
+
+
 def test_skew_matrix_asks_for_the_upper_triangle_in_row_major_order():
     calls = []
 

@@ -207,6 +207,114 @@ def test_derivative_satisfies_leibniz_rule(p, q):
         assert lhs == rhs
 
 
+# ----- coefficient representation ---------------------------------------------
+#
+# A coefficient is an int when it is integral and a Fraction otherwise.  The
+# references below hold every coefficient as a Fraction and compute with
+# plain dict arithmetic, sharing no code with the ring's operations.
+
+
+def fraction_poly(dim, terms):
+    """A Poly that holds every coefficient, integral ones included, as a
+    Fraction."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "dim", dim)
+    object.__setattr__(
+        p, "terms", {e: Fraction(c) for e, c in terms.items() if c}
+    )
+    return p
+
+
+def ref_add(p, q):
+    acc = dict(p.terms)
+    for e, c in q.terms.items():
+        acc[e] = acc.get(e, Fraction(0)) + c
+    return fraction_poly(p.dim, acc)
+
+
+def ref_scale(p, c):
+    return fraction_poly(p.dim, {e: c * v for e, v in p.terms.items()})
+
+
+def ref_mul(p, q):
+    acc = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+    return fraction_poly(p.dim, acc)
+
+
+def ref_pow(p, k):
+    result = fraction_poly(p.dim, {(0,) * p.dim: 1})
+    for _ in range(k):
+        result = ref_mul(result, p)
+    return result
+
+
+def ref_differentiate(p, var):
+    acc = {}
+    for e, c in p.terms.items():
+        if e[var - 1]:
+            lowered = e[:var - 1] + (e[var - 1] - 1,) + e[var:]
+            acc[lowered] = c * e[var - 1]
+    return fraction_poly(p.dim, acc)
+
+
+def assert_canonical_and_like(result, reference):
+    for c in result.terms.values():
+        assert type(c) in (int, Fraction), repr(c)
+        assert (type(c) is int) == (Fraction(c).denominator == 1), repr(c)
+        assert c != 0
+    assert result == reference and reference == result
+    assert hash(result) == hash(reference)
+    assert str(result) == str(reference)
+
+
+@given(polys(), polys(), polys(), coeffs, st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=2))
+@settings(max_examples=100, deadline=None)
+def test_coefficients_are_ints_exactly_when_integral(p, q, r, c, k, var):
+    P, Q, R = (fraction_poly(2, x.terms) for x in (p, q, r))
+    cases = [
+        (p + q, ref_add(P, Q)),
+        (p - q, ref_add(P, ref_scale(Q, -1))),
+        (-p, ref_scale(P, -1)),
+        (p + c, ref_add(P, fraction_poly(2, {(0, 0): c}))),
+        (p * q, ref_mul(P, Q)),
+        (c * p, ref_scale(P, c)),
+        (p ** k, ref_pow(P, k)),
+        (p.differentiate(var), ref_differentiate(P, var)),
+        (Poly.sum(2, [p, q, r]), ref_add(ref_add(P, Q), R)),
+        (parse(str(p), 2), P),
+        (Poly(2, {(1, 0): c, (0, 0): Fraction(2)}),
+         fraction_poly(2, {(1, 0): c, (0, 0): 2})),
+        (Poly.const(2, c), fraction_poly(2, {(0, 0): c})),
+        (Poly.var(2, var), fraction_poly(2, {(2 - var, var - 1): 1})),
+    ]
+    if not q.is_zero():
+        cases.append((divide_exact(p * q, q), P))
+        if not r.is_zero():
+            quotient = divide_exact(r, q)
+            if quotient is not None:
+                assert ref_mul(fraction_poly(2, quotient.terms), Q) == R
+                cases.append((quotient, fraction_poly(2, quotient.terms)))
+    for result, reference in cases:
+        assert_canonical_and_like(result, reference)
+
+
+@pytest.mark.parametrize(
+    "divisor,quotient",
+    [("2*x1 + 2", Fraction(1, 2)), ("3*x1 + 3", Fraction(1, 3))],
+)
+def test_divide_exact_takes_an_exact_quotient_of_integer_coefficients(
+    divisor, quotient
+):
+    q = divide_exact(parse("x1 + 1", 1), parse(divisor, 1))
+    assert q.terms == {(0,): quotient}
+    assert type(q.terms[(0,)]) is Fraction
+
+
 # ----- exact division ---------------------------------------------------------
 
 
@@ -275,6 +383,34 @@ def test_divide_exact_inverts_multiplication_on_random_pairs():
 )
 def test_parse_and_canonical_print(text, dim, printed):
     assert str(parse(text, dim)) == printed
+
+
+@pytest.mark.parametrize(
+    "text,dim,factors",
+    [
+        ("x1*(x2 + x3)*x4", 4, ["x1", "x2 + x3", "x4"]),
+        ("(x1 + x2)*3*(x1 - x2)", 2, ["x1 + x2", "3", "x1 - x2"]),
+        ("2^3*x1^0", 1, ["8", "1"]),
+        ("0*x1", 1, ["0", "x1"]),
+        ("1/2*x1*2", 1, ["1/2", "x1", "2"]),
+        ("(x1 + x2)*x3*(x3 + x2)^2*x1", 3,
+         ["x1 + x2", "x3", "x3^2 + 2*x3*x2 + x2^2", "x1"]),
+        ("-2*(x2 - x1)*x1^2", 2, ["-2", "x2 - x1", "x1^2"]),
+    ],
+)
+def test_a_parsed_term_is_the_left_to_right_product_of_its_factors(
+    text, dim, factors
+):
+    """A term's rationals and variables fold into one monomial; the
+    result keeps the value, the term order and the coefficient types of
+    the product taken factor by factor."""
+    product = functools.reduce(
+        operator.mul, (parse(f, dim) for f in factors), Poly.const(dim, 1)
+    )
+    parsed = parse(text, dim)
+    assert [(e, c, type(c)) for e, c in parsed] == [
+        (e, c, type(c)) for e, c in product
+    ]
 
 
 def test_print_then_parse_is_identity_on_random_polynomials():
