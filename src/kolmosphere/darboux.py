@@ -3,8 +3,8 @@ assembled from constant data (alpha, atilde) on R^d, d = n+1.
 
 The exponent vectors come from the left nullspace of a (d+1) x (d+1)
 rational matrix B built from the assembly data and the cofactor of one
-extra invariant surface g: row i lists the cofactor data of the coordinate
-hyperplane x_i = 0 and the last row lists g's structured cofactor.  A
+extra invariant surface g: row i is ``form.coordinate_view(i)``, the view
+(k0, k) of the cofactor of x_i = 0, and the last row is g's view.  A
 product of powers of the invariant surfaces is a first integral exactly
 when its exponent vector kills B from the left, which the code certifies
 afterwards through the bit-exact identity sum_i b_i K_i = 0 on cofactors.
@@ -112,9 +112,8 @@ class SamplePoint:
 def build_matrix_B(
     form: CubicKolmogorovForm, extra: Cofactor
 ) -> RationalMatrix:
-    """Rows 1..d: (alpha_i, atilde_i1 - alpha_i, ..., atilde_id - alpha_i);
-    last row: the structured cofactor (k0, k_1, ..., k_d) of the extra
-    surface."""
+    """Rows 1..d: the coordinate views (k0, k_1, ..., k_d) of the form; last
+    row: the structured cofactor of the extra surface in the same view."""
     if extra.structured is None:
         raise UnstructuredCofactorError(
             f"cofactor {extra.poly} is not of the shape k0 + sum k_i x_i^2"
@@ -124,14 +123,8 @@ def build_matrix_B(
         raise DimensionMismatchError(
             f"cofactor over {len(extra.structured.k)} variables, form on R^{d}"
         )
-    rows = []
-    for i in range(d):
-        rows.append(
-            [form.alpha[i]]
-            + [form.atilde[i][j] - form.alpha[i] for j in range(d)]
-        )
-    rows.append([extra.structured.k0] + list(extra.structured.k))
-    return RationalMatrix.from_rows(rows)
+    views = [form.coordinate_view(i) for i in range(d)] + [extra.structured]
+    return RationalMatrix.from_rows([[v.k0, *v.k] for v in views])
 
 
 def _coordinate_surfaces(d: int) -> Tuple[Hypersurface, ...]:

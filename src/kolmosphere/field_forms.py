@@ -15,6 +15,7 @@ and a constant skew matrix atilde.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
@@ -114,6 +115,22 @@ class KolmogorovForm:
 
 
 @dataclass(frozen=True)
+class StructuredView:
+    """Cofactor decomposition K = k0 + sum_i k_i x_i^2."""
+
+    k0: Fraction
+    k: Tuple[Fraction, ...]
+
+    def poly(self) -> Poly:
+        """K in len(k) variables: k0, then x1^2..xd^2, zeros dropped."""
+        d = len(self.k)
+        terms = {(0,) * d: self.k0}
+        for i, c in enumerate(self.k):
+            terms[(0,) * i + (2,) + (0,) * (d - 1 - i)] = c
+        return Poly(d, terms)
+
+
+@dataclass(frozen=True)
 class CubicKolmogorovForm:
     """Constant assembly data: the degree-three case."""
 
@@ -136,31 +153,21 @@ class CubicKolmogorovForm:
         m = tuple(tuple(Fraction(x) for x in row) for row in atilde)
         return cls(len(a), a, m)
 
-    def to_polynomial_form(self) -> KolmogorovForm:
-        d = self.dim
-        return KolmogorovForm(
-            d,
-            tuple(Poly.const(d, a) for a in self.alpha),
-            tuple(
-                tuple(Poly.const(d, self.atilde[i][j]) for j in range(d))
-                for i in range(d)
-            ),
-        )
+    def coordinate_view(self, i: int) -> StructuredView:
+        """The cofactor alpha_i + sum_j (atilde_ij - alpha_i) x_j^2 of the
+        hyperplane x_i = 0 (0-based i) in the assembled field."""
+        a = self.alpha[i]
+        return StructuredView(a, tuple(x - a for x in self.atilde[i]))
 
 
 def sum_of_squares(dim: int) -> Poly:
     """x1^2 + ... + xd^2."""
-    terms = {}
-    for i in range(dim):
-        exps = [0] * dim
-        exps[i] = 2
-        terms[tuple(exps)] = Fraction(1)
-    return Poly(dim, terms)
+    return StructuredView(0, (1,) * dim).poly()
 
 
 def sphere_polynomial(dim: int) -> Poly:
     """x1^2 + ... + xd^2 - 1."""
-    return Poly.const(dim, -1) + sum_of_squares(dim)
+    return StructuredView(-1, (1,) * dim).poly()
 
 
 def lie_derivative(vf: PolyVectorField, f: Poly) -> Poly:
@@ -201,7 +208,11 @@ def construct_from_form(form: KolmogorovForm) -> PolyVectorField:
 
 
 def assemble_cubic(form: CubicKolmogorovForm) -> PolyVectorField:
-    return construct_from_form(form.to_polynomial_form())
+    """P_i = x_i * K_i, K_i the polynomial of the i-th coordinate view."""
+    d = form.dim
+    return PolyVectorField(d, tuple(
+        Poly.var(d, i + 1) * form.coordinate_view(i).poly() for i in range(d)
+    ))
 
 
 @dataclass(frozen=True)
@@ -242,14 +253,6 @@ def is_kolmogorov_on_sphere(vf: PolyVectorField) -> SphereKolmogorovReport:
     )
 
 
-@dataclass(frozen=True)
-class StructuredView:
-    """Cofactor decomposition K = k0 + sum_i k_i x_i^2."""
-
-    k0: Fraction
-    k: Tuple[Fraction, ...]
-
-
 def pure_square_profile(q: Poly) -> Optional[StructuredView]:
     """The view q = k0 + sum_j k_j x_j^2, None if q has any other monomial;
     the zero polynomial gives all zeros."""
@@ -267,16 +270,11 @@ def pure_square_profile(q: Poly) -> Optional[StructuredView]:
 
 
 def recover_cubic_form(vf: PolyVectorField) -> Optional[CubicKolmogorovForm]:
-    """Constant assembly data reproducing the field exactly, if any.
-
-    Each component must divide by its coordinate, the quotient may contain
-    only a constant and pure squares, the x_i^2 coefficient of quotient i
-    must be the negative of its constant term, and the off-diagonal reads
-    must come out skew.  atilde_ij is the x_j^2 coefficient of quotient i
-    plus alpha_i, so the last two conditions are the skew check of the
-    form.  The recovered data round-trips through assemble_cubic by
-    construction.
-    """
+    """Constant assembly data reproducing the field exactly, if any: the
+    inverse of ``coordinate_view``.  Each quotient P_i / x_i must have a
+    view (k0, k), read as alpha_i = k0 and atilde_ij = k_j + k0, and the
+    atilde read must be skew (so k_i = -k0 on the diagonal); the data then
+    round-trips through assemble_cubic by construction."""
     quotients = coordinate_quotients(vf)
     if quotients is None:
         return None
@@ -382,11 +380,14 @@ def read_rational(value, what: str) -> Fraction:
     """A rational from a JSON number or from text such as ``"-3"``,
     ``"1/2"`` or ``"0.5"``; a ``ValueError`` that names ``what`` otherwise.
 
-    Text must be ASCII: ``Fraction`` also reads other scripts' digits, so
-    an Arabic-Indic one would otherwise pass for 1.
+    A finite float reads as its shortest decimal text, so 0.1 is 1/10.  Text
+    must be ASCII: ``Fraction`` also reads other scripts' digits, so an
+    Arabic-Indic one would otherwise pass for 1.
     """
     if isinstance(value, bool):
         raise ValueError(f"{what} is a boolean, expected a rational")
+    if isinstance(value, float) and math.isfinite(value):
+        value = repr(value)
     if isinstance(value, str) and not value.isascii():
         raise ValueError(f"{what} is {json.dumps(value)}, expected a rational")
     try:

@@ -122,32 +122,23 @@ class HyperplaneClassification:
 def _conditions_offset(
     form: CubicKolmogorovForm, support: Sequence[int]
 ) -> Optional[StructuredView]:
-    for i in support:
-        if form.alpha[i] != 0:
-            return None
-        if any(form.atilde[i][j] != 0 for j in range(form.dim)):
-            return None
-    return StructuredView(Fraction(0), (Fraction(0),) * form.dim)
+    """The zero view if every supported coordinate view is zero, else None."""
+    zero = StructuredView(Fraction(0), (Fraction(0),) * form.dim)
+    if any(form.coordinate_view(i) != zero for i in support):
+        return None
+    return zero
 
 
 def _conditions_through_origin(
     form: CubicKolmogorovForm, support: Sequence[int]
 ) -> Optional[StructuredView]:
-    first = support[0]
-    k0 = form.alpha[first]
-    for i in support[1:]:
-        if form.alpha[i] != k0:
-            return None
-    for i in support:
-        for j in support:
-            if i != j and form.atilde[i][j] != 0:
-                return None
-    template = form.atilde[first]
-    for i in support[1:]:
-        if any(form.atilde[i][j] != template[j] for j in range(form.dim)):
-            return None
-    k = tuple(template[j] - k0 for j in range(form.dim))
-    return StructuredView(k0, k)
+    """The supported coordinate views' common value, else None.  Equal
+    views have equal atilde rows, so atilde_ij = atilde_jj = 0 on support x
+    support: the theorem's last condition needs no check of its own."""
+    view = form.coordinate_view(support[0])
+    if any(form.coordinate_view(i) != view for i in support[1:]):
+        return None
+    return view
 
 
 def classify_hyperplane(

@@ -79,6 +79,15 @@ def _canonical(value) -> Scalar:
     return value.numerator if value.denominator == 1 else value
 
 
+def _exact(value) -> Scalar:
+    """``_canonical`` for outside input: a float is refused, not stored."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"coefficient {value!r} is a float, not exact")
+    return _canonical(value)
+
+
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients.
 
@@ -87,10 +96,11 @@ class Poly:
     constructor.  ``Poly(dim, terms)`` and :func:`parse` (one ``Poly`` per
     term) take input from outside the ring, so they check every exponent
     tuple.  :meth:`zero`, :meth:`const` and :meth:`var` check their own
-    arguments.  The ring's own results (:meth:`sum`, ``+ - *``, ``**``,
-    :meth:`differentiate`, :func:`divide_exact`) are built by
-    :meth:`_trusted`, which checks no exponent tuple.  The insertion order
-    of ``terms`` is the float evaluation order of
+    arguments; ``Poly(dim, terms)`` and :meth:`const` refuse a float
+    coefficient (``_exact``).  The ring's own results (:meth:`sum`,
+    ``+ - *``, ``**``, :meth:`differentiate`, :func:`divide_exact`) are
+    built by :meth:`_trusted`, which checks no exponent tuple.  The
+    insertion order of ``terms`` is the float evaluation order of
     ``numeric_validate.compile_polys``, so every operation keeps it fixed.
     """
 
@@ -107,7 +117,7 @@ class Poly:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in monomial {exps}")
-            c = _canonical(coeff)
+            c = _exact(coeff)
             if c:
                 clean[tuple(exps)] = c
         object.__setattr__(self, "dim", dim)
@@ -138,7 +148,7 @@ class Poly:
     def const(cls, dim: int, value: Scalar) -> "Poly":
         if dim < 0:
             raise ValueError("dim must be a natural number")
-        return cls._trusted(dim, {(0,) * dim: _canonical(value)})
+        return cls._trusted(dim, {(0,) * dim: _exact(value)})
 
     @classmethod
     def var(cls, dim: int, index: int) -> "Poly":

@@ -107,21 +107,23 @@ def roundtrip_suite(seed: int = 0, *, instances: int) -> SuiteReport:
             alpha = [_rand_fraction(rng) for _ in range(dim)]
             atilde_c = _rand_skew_const(rng, dim)
             form_c = CubicKolmogorovForm.from_values(alpha, atilde_c)
-            form = form_c.to_polynomial_form()
+            ftilde = [Poly.const(dim, a) for a in form_c.alpha]
+            vf = assemble_cubic(form_c)
         else:
             form = KolmogorovForm(
                 dim,
                 tuple(_rand_poly(rng, dim, m - 3) for _ in range(dim)),
                 _rand_skew_poly(rng, dim, m - 3),
             )
-        vf = construct_from_form(form)
+            ftilde = form.ftilde
+            vf = construct_from_form(form)
         rep = is_kolmogorov_on_sphere(vf)
         if not rep.passes:
             report.failures.append(f"instance {idx}: membership test failed")
             continue
         predicted = Poly.sum(
             dim,
-            (-(2 * form.ftilde[i] * Poly.var(dim, i + 1) ** 2) for i in range(dim)),
+            (-(2 * ftilde[i] * Poly.var(dim, i + 1) ** 2) for i in range(dim)),
         )
         if rep.sphere_cofactor != predicted:
             report.failures.append(

@@ -188,6 +188,20 @@ def test_construct_cubic_round_trip(capsys):
     ]
 
 
+def test_a_json_float_in_a_form_reads_as_its_decimal_text(capsys, tmp_path):
+    form = tmp_path / "form.json"
+    outputs = []
+    for alpha in ([0.1, 0], ["1/10", "0"]):
+        form.write_text(json.dumps(
+            {"dim": 2, "alpha": alpha, "atilde": [[0, 1], [-1, 0]]}
+        ))
+        outputs.append(run(capsys, "construct", "cubic", "--form", str(form)))
+    assert outputs[0] == outputs[1]
+    code, out, _ = outputs[0]
+    assert code == 0
+    assert "1/10*x1" in out
+
+
 def test_hamiltonian_field_verdicts(capsys, tmp_path):
     rot = tmp_path / "rot.json"
     rot.write_text(json.dumps({"dim": 2, "components": ["x2", "-x1"]}))

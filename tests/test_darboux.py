@@ -27,7 +27,6 @@ from kolmosphere import (
     construct_completely_integrable,
     construct_from_form,
     construct_linear_fi_field,
-    coordinate_cofactors,
     cofactor,
     cubic_form_from_dict,
     decompose_syzygy,
@@ -83,7 +82,8 @@ def test_matrix_rows_for_fixture_form():
 
 
 def test_coordinate_cofactors_of_fixture_form():
-    cofactors = coordinate_cofactors(fixture_form().to_polynomial_form())
+    form = fixture_form()
+    cofactors = [form.coordinate_view(i).poly() for i in range(3)]
     assert [str(q) for q in cofactors] == [
         "-2*x1^2 + x2^2 - 2*x3^2 + 2",
         "-3*x1^2 - 3*x3^2",
@@ -94,7 +94,7 @@ def test_coordinate_cofactors_of_fixture_form():
 def test_coordinate_cofactor_matches_division():
     form = fixture_form()
     vf = assemble_cubic(form)
-    cofactors = coordinate_cofactors(form.to_polynomial_form())
+    cofactors = [form.coordinate_view(i).poly() for i in range(3)]
     for i in (1, 2, 3):
         direct = cofactor(vf, Hypersurface(Poly.var(3, i)))
         assert cofactors[i - 1] == direct.poly

@@ -9,12 +9,14 @@ import pytest
 
 from kolmosphere import (
     CubicKolmogorovForm,
+    Hypersurface,
     KolmogorovForm,
     NotSkewError,
     Poly,
     PolyVectorField,
     assemble_cubic,
     classify_homogeneous,
+    cofactor,
     construct_from_form,
     cubic_form_from_dict,
     cubic_form_to_dict,
@@ -147,6 +149,62 @@ def test_cubic_assembly_matches_field_fixture():
     with open(FIXTURE) as fh:
         vf = field_from_dict(json.load(fh))
     assert assemble_cubic(form).components == vf.components
+
+
+def rand_cubic_form(rng):
+    """Small entries, so that alpha_i = 0 and atilde_ij = alpha_i (a zero
+    in the coordinate view) both occur."""
+    dim = rng.randint(1, 5)
+
+    def entry(*_):
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+
+    alpha = [entry() for _ in range(dim)]
+    return CubicKolmogorovForm.from_values(
+        alpha, skew_matrix(dim, entry, Fraction(0))
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cubic_assembly_matches_the_polynomial_form_term_for_term(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        form = rand_cubic_form(rng)
+        d = form.dim
+        general = construct_from_form(
+            KolmogorovForm(
+                d,
+                tuple(Poly.const(d, a) for a in form.alpha),
+                tuple(
+                    tuple(Poly.const(d, x) for x in row) for row in form.atilde
+                ),
+            )
+        )
+        cubic = assemble_cubic(form)
+        for p, q in zip(cubic.components, general.components):
+            assert p == q
+            assert list(p.terms) == list(q.terms)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coordinate_views_read_back_and_equal_the_division_cofactors(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        form = rand_cubic_form(rng)
+        d = form.dim
+        vf = assemble_cubic(form)
+        for i in range(d):
+            view = form.coordinate_view(i)
+            assert pure_square_profile(view.poly()) == view
+            division = cofactor(vf, Hypersurface(Poly.var(d, i + 1)))
+            assert view.poly() == division.poly
+
+
+def test_view_polynomial_has_the_constant_first_and_no_zero_terms():
+    view = StructuredView(Fraction(7), (Fraction(3), Fraction(0), Fraction(-1)))
+    assert list(view.poly().terms) == [(0, 0, 0), (2, 0, 0), (0, 0, 2)]
+    assert list(sphere_polynomial(2).terms) == [(0, 0), (2, 0), (0, 2)]
+    assert StructuredView(Fraction(0), (Fraction(0),) * 2).poly().is_zero()
 
 
 def test_pure_square_profile_reads_constant_and_square_coefficients():

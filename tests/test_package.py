@@ -1,5 +1,6 @@
 """The package namespace: what ``from kolmosphere import *`` binds."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -8,7 +9,8 @@ from types import ModuleType
 
 import kolmosphere
 
-BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 # Traced names that are ``Poly`` itself or one of its operators, with the
 # method that stands for each.
@@ -59,3 +61,27 @@ def test_every_traced_name_is_a_public_function_of_its_layer():
         assert not name.startswith("_"), f"{layer}.{name}"
         assert inspect.isfunction(fn), f"{layer}.{name}"
         assert fn.__module__ == module.__name__, f"{layer}.{name}"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module imports is read somewhere in it; ``__init__``
+    imports to re-export, and ``from __future__`` binds nothing."""
+    unused = []
+    for path in sorted((ROOT / "src" / "kolmosphere").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {
+                    (alias.asname or alias.name).split(".")[0]
+                    for alias in node.names
+                }
+        used = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+        }
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []

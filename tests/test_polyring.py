@@ -57,6 +57,17 @@ def test_zero_coefficients_are_dropped():
     assert (Poly.var(1, 1) - Poly.var(1, 1)).is_zero()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Poly.const(1, 0.1), lambda: Poly(1, {(0,): 0.1}),
+     lambda: Poly(2, {(1, 0): 1, (0, 1): 0.5})],
+    ids=["const", "terms", "second-term"],
+)
+def test_float_coefficients_are_refused(build):
+    with pytest.raises(TypeError, match="is a float"):
+        build()
+
+
 def test_leading_term_uses_graded_lexicographic_order():
     p = parse("2*x1^2*x2 + x2^3 + 5", 2)
     assert p.leading() == ((2, 1), Fraction(2))
