@@ -34,7 +34,6 @@ from .field_forms import (
     assemble_cubic,
     classify_homogeneous,
     construct_from_form,
-    coordinate_cofactors,
     cubic_form_from_dict,
     cubic_form_to_dict,
     field_from_dict,

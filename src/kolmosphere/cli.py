@@ -77,6 +77,8 @@ def _load(path: str, reader: Callable[[dict], T]) -> T:
         raise InputError(f"{path} is not UTF-8 text: {err}") from err
     except RecursionError as err:
         raise InputError(f"{path} is nested too deeply") from err
+    except ValueError as err:  # e.g. an integer past the digit limit
+        raise InputError(f"{path}: {err}") from err
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
     try:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exactla import RationalMatrix, determinant, nullspace, rank
 from .polyring import (
@@ -408,6 +408,22 @@ def standard_sample_points(dim: int) -> Tuple[SamplePoint, ...]:
     return tuple(points)
 
 
+def _hypothesis_table(g: Poly, points: Sequence[SamplePoint]) -> List[list]:
+    """One row per point: (x_1 dg/dx_1, ..., x_d dg/dx_d, -g) there."""
+    partials = [g.differentiate(l) for l in range(1, g.dim + 1)]
+    return [
+        [c * p.evaluate(pt.coords) for c, p in zip(pt.coords, partials)]
+        + [-g.evaluate(pt.coords)]
+        for pt in points
+    ]
+
+
+def _omit_column(table: Sequence[list], omit: int) -> RationalMatrix:
+    return RationalMatrix.from_rows(
+        [row[:omit - 1] + row[omit:] for row in table]
+    )
+
+
 def hypothesis_matrix(
     g: Poly, omit: int, points: Sequence[SamplePoint]
 ) -> RationalMatrix:
@@ -418,17 +434,7 @@ def hypothesis_matrix(
         raise ValueError(f"omitted coordinate {omit} outside 1..{d}")
     if len(points) != d:
         raise ValueError(f"need {d} sample points, got {len(points)}")
-    partials = [g.differentiate(l) for l in range(1, d + 1)]
-    rows = []
-    for pt in points:
-        row = [
-            pt.coords[l] * partials[l].evaluate(pt.coords)
-            for l in range(d)
-            if l != omit - 1
-        ]
-        row.append(-g.evaluate(pt.coords))
-        rows.append(row)
-    return RationalMatrix.from_rows(rows)
+    return _omit_column(_hypothesis_table(g, points), omit)
 
 
 @dataclass(frozen=True)
@@ -459,19 +465,19 @@ class CompleteIntegrabilityCertificate:
 
 
 def complete_integrability_check(
-    form: CubicKolmogorovForm,
-    g: Hypersurface,
-    samples: Optional[Sequence[Sequence[SamplePoint]]] = None,
+    form: CubicKolmogorovForm, g: Hypersurface
 ) -> CompleteIntegrabilityCertificate:
     """Decide complete integrability from rank(B) <= 2, after checking the
-    independence hypothesis at the sample grid.  The rank comes from the
-    certified basis of ``find_darboux``, and the first n of its vectors are
-    emitted when the test passes.
+    independence hypothesis at the standard sample points.  The rank comes
+    from the certified basis of ``find_darboux``, and the first n of its
+    vectors are emitted when the test passes.
 
-    ``samples[i-1][j-1]`` is the j-th evaluation point for the family that
-    omits coordinate i; the default grid reuses the standard points for
-    every i.  For each i the hypothesis needs g and dg/dx_i nonzero at each
-    point and an invertible evaluation matrix.
+    For each omitted coordinate i the hypothesis needs g and dg/dx_i
+    nonzero at each point and an invertible evaluation matrix.  All of it
+    is read off one table of (x_1 dg/dx_1, ..., x_d dg/dx_d, -g) at the
+    points: sample coordinates are nonzero, so dg/dx_i vanishes at a point
+    exactly when its x_i dg/dx_i entry does, and the matrix for i is the
+    table without column i.
     """
     d = form.dim
     n = d - 1
@@ -479,25 +485,22 @@ def complete_integrability_check(
         raise DimensionMismatchError(
             f"surface in {g.dim} variables, form on R^{d}"
         )
-    if samples is None:
-        row = standard_sample_points(d)
-        samples = [row] * d
-    if len(samples) != d or any(len(r) != d for r in samples):
-        raise ValueError(f"sample grid must be {d} x {d}")
+    points = standard_sample_points(d)
+    table = _hypothesis_table(g.defining, points)
 
     determinants = []
     for i in range(1, d + 1):
-        checked = (("g", g.defining), (f"dg/dx{i}", g.defining.differentiate(i)))
-        for pt in samples[i - 1]:
-            for name, poly in checked:
-                if poly.evaluate(pt.coords) == 0:
+        for pt, row in zip(points, table):
+            for name, col in (("g", d), (f"dg/dx{i}", i - 1)):
+                if row[col] == 0:
+                    poly = g.defining if col == d else g.defining.differentiate(i)
                     point = ", ".join(str(c) for c in pt.coords)
                     raise HypothesisFailedError(
                         i,
                         f"{name} = {poly} vanishes at the sample point "
                         f"({point}) for omitted coordinate {i}",
                     )
-        matrix = hypothesis_matrix(g.defining, i, samples[i - 1])
+        matrix = _omit_column(table, i)
         det = determinant(matrix)
         if det == 0:
             raise HypothesisFailedError(

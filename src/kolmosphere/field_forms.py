@@ -182,29 +182,21 @@ def lie_derivative(vf: PolyVectorField, f: Poly) -> Poly:
     )
 
 
-def coordinate_cofactors(form: KolmogorovForm) -> Tuple[Poly, ...]:
-    """Q_i = (1 - sum x^2) ftilde_i + sum_j atilde_ij x_j^2 for i = 1..d:
-    the cofactor of the hyperplane x_i = 0 in the assembled field."""
+def construct_from_form(form: KolmogorovForm) -> PolyVectorField:
+    """Assemble the field P_i = x_i * Q_i from the cofactors
+    Q_i = (1 - sum x^2) ftilde_i + sum_j atilde_ij x_j^2 of the hyperplanes
+    x_i = 0."""
     d = form.dim
     one_minus_r2 = -sphere_polynomial(d)
     squares = [Poly.var(d, j) ** 2 for j in range(1, d + 1)]
-    return tuple(
-        Poly.sum(
+    return PolyVectorField(d, tuple(
+        Poly.var(d, i + 1) * Poly.sum(
             d,
             [one_minus_r2 * form.ftilde[i]]
             + [form.atilde[i][j] * squares[j] for j in range(d)],
         )
         for i in range(d)
-    )
-
-
-def construct_from_form(form: KolmogorovForm) -> PolyVectorField:
-    """Assemble the field P_i = x_i * Q_i from the coordinate cofactors."""
-    d = form.dim
-    cofactors = coordinate_cofactors(form)
-    return PolyVectorField(
-        d, tuple(Poly.var(d, i + 1) * q for i, q in enumerate(cofactors))
-    )
+    ))
 
 
 def assemble_cubic(form: CubicKolmogorovForm) -> PolyVectorField:

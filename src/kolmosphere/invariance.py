@@ -119,26 +119,23 @@ class HyperplaneClassification:
     division_cofactor: Optional[Cofactor]
 
 
-def _conditions_offset(
-    form: CubicKolmogorovForm, support: Sequence[int]
+def _shared_view(
+    form: CubicKolmogorovForm, support: Sequence[int], offset: bool
 ) -> Optional[StructuredView]:
-    """The zero view if every supported coordinate view is zero, else None."""
-    zero = StructuredView(Fraction(0), (Fraction(0),) * form.dim)
-    if any(form.coordinate_view(i) != zero for i in support):
+    """The coordinate view shared by the supported coordinates, which must
+    be the zero view when ``offset``, else None.  Two views are equal
+    exactly when their rows (alpha_i, atilde_i) are, so those are compared,
+    up to the first differing entry.  Equal atilde rows of a skew matrix
+    give atilde_ij = atilde_jj = 0 on support x support: the theorem's last
+    condition needs no check of its own."""
+    first = support[0]
+    shared = (
+        (0, (0,) * form.dim) if offset
+        else (form.alpha[first], form.atilde[first])
+    )
+    if any((form.alpha[i], form.atilde[i]) != shared for i in support):
         return None
-    return zero
-
-
-def _conditions_through_origin(
-    form: CubicKolmogorovForm, support: Sequence[int]
-) -> Optional[StructuredView]:
-    """The supported coordinate views' common value, else None.  Equal
-    views have equal atilde rows, so atilde_ij = atilde_jj = 0 on support x
-    support: the theorem's last condition needs no check of its own."""
-    view = form.coordinate_view(support[0])
-    if any(form.coordinate_view(i) != view for i in support[1:]):
-        return None
-    return view
+    return form.coordinate_view(first)
 
 
 def classify_hyperplane(
@@ -161,12 +158,8 @@ def classify_hyperplane(
             "need at least two nonzero coefficients among a0, a1, ..."
         )
 
-    if hp.a0 != 0:
-        case = "nonzero_offset"
-        predicted = _conditions_offset(form, support)
-    else:
-        case = "through_origin"
-        predicted = _conditions_through_origin(form, support)
+    case = "nonzero_offset" if hp.a0 != 0 else "through_origin"
+    predicted = _shared_view(form, support, hp.a0 != 0)
 
     vf = assemble_cubic(form)
     division = cofactor(vf, Hypersurface(hp.defining_poly()))

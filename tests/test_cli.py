@@ -575,3 +575,16 @@ def test_cli_imports_no_private_name_from_a_sibling_module():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_an_overlong_json_integer_exits_two_naming_the_file(capsys, tmp_path):
+    form = tmp_path / "form.json"
+    form.write_text(
+        '{"dim": 2, "alpha": [' + "1" * 5000 + ', 0], '
+        '"atilde": [[0, 1], [-1, 0]]}'
+    )
+    code, out, err = run(capsys, "construct", "cubic", "--form", str(form))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {form}: Exceeds the limit (4300 digits)")
+    assert "Traceback" not in err

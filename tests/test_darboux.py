@@ -4,6 +4,7 @@ constructive families."""
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -404,37 +405,65 @@ def test_complete_integrability_negative_verdict():
     assert cert.integrals == ()
 
 
-def test_complete_integrability_rejects_degenerate_sample_grids():
-    # Using the same point for every evaluation kills the determinant.
-    pt = SamplePoint.of([1, 1, 1])
-    grid = [[pt, pt, pt] for _ in range(3)]
+def test_complete_integrability_rejects_a_singular_hypothesis_matrix():
+    # Every point's row is (2, 2, 2, -2) for g = x1*x2*x3.
+    g = Hypersurface(parse("x1*x2*x3", 3))
     with pytest.raises(HypothesisFailedError) as exc:
-        complete_integrability_check(fixture_form(), sphere_surface(3), grid)
+        complete_integrability_check(fixture_form(), g)
     assert exc.value.index == 1
+    assert str(exc.value) == (
+        "hypothesis matrix for omitted coordinate 1 has rank 1, need 3"
+    )
 
 
 @pytest.mark.parametrize(
-    "g_text, point, message",
+    "g_text, message",
     [
-        ("x1^2 + x2^2 + x3^2 - 1", (Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)),
-         "g = x1^2 + x2^2 + x3^2 - 1 vanishes at the sample point "
-         "(2/3, 2/3, 1/3) for omitted coordinate 1"),
-        ("x1^2 - 2*x1*x2", (1, 1, 1),
-         "dg/dx1 = 2*x1 - 2*x2 vanishes at the sample point (1, 1, 1) "
+        ("x1^2 + x2^2 + x3^2 - 6",
+         "g = x1^2 + x2^2 + x3^2 - 6 vanishes at the sample point "
+         "(2, 1, 1) for omitted coordinate 1"),
+        ("x1^2 - 2*x1*x2 + 5",
+         "dg/dx1 = 2*x1 - 2*x2 vanishes at the sample point (1, 1, 2) "
          "for omitted coordinate 1"),
     ],
     ids=["g", "dg"],
 )
 def test_complete_integrability_names_the_point_where_a_polynomial_vanishes(
-    g_text, point, message
+    g_text, message
 ):
-    pt = SamplePoint.of(point)
-    grid = [[pt, pt, pt] for _ in range(3)]
     g = Hypersurface(parse(g_text, 3))
     with pytest.raises(HypothesisFailedError) as exc:
-        complete_integrability_check(fixture_form(), g, grid)
+        complete_integrability_check(fixture_form(), g)
     assert exc.value.index == 1
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("d", range(3, 7))
+def test_the_hypothesis_check_reads_one_table(monkeypatch, d):
+    """g is differentiated d times and evaluated at d points, once for itself
+    and once per partial; the rank test's own work is not counted."""
+    calls = Counter()
+    for name in ("differentiate", "evaluate"):
+        real = getattr(Poly, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(Poly, name, counted)
+    real_find = darboux.find_darboux
+
+    def uncounted_find(*args):
+        before = Counter(calls)
+        basis = real_find(*args)
+        calls.clear()
+        calls.update(before)
+        return basis
+
+    monkeypatch.setattr(darboux, "find_darboux", uncounted_find)
+    form = CubicKolmogorovForm.from_values([1] * d, [[0] * d] * d)
+    complete_integrability_check(form, sphere_surface(d))
+    assert calls == Counter(differentiate=d, evaluate=d * (d + 1))
 
 
 # ----- pinned outputs on seeded forms ---------------------------------------------
@@ -484,3 +513,15 @@ def test_darboux_outputs_on_seeded_forms_match_their_pinned_digest():
     text = json.dumps(records, sort_keys=True)
     assert '"exponents"' in text and "NotInvariantError" in text
     assert hashlib.sha256(text.encode()).hexdigest() == DARBOUX_DIGEST
+
+
+def test_hypothesis_determinants_are_those_of_the_hypothesis_matrices():
+    for form in seeded_forms(1234, 45):
+        d = form.dim
+        g = sphere_surface(d)
+        cert = complete_integrability_check(form, g)
+        points = standard_sample_points(d)
+        assert cert.hypothesis_determinants == tuple(
+            determinant(hypothesis_matrix(g.defining, i, points))
+            for i in range(1, d + 1)
+        )

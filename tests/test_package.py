@@ -4,6 +4,8 @@ import ast
 import importlib
 import inspect
 import json
+import re
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
@@ -11,6 +13,7 @@ import kolmosphere
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = ROOT / "BENCHMARK.json"
+README = ROOT / "README.md"
 
 # Traced names that are ``Poly`` itself or one of its operators, with the
 # method that stands for each.
@@ -85,3 +88,25 @@ def test_no_module_imports_a_name_it_never_uses():
         }
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_the_readme_quick_start_runs_and_prints_what_it_states(capsys):
+    """The ``Library quick start`` block, run as it stands: its basis is the
+    exponent vectors the ``# ->`` comment names, and it prints the drift
+    its ``print`` line's comment gives."""
+    text = README.read_text()
+    section = text[text.index("## Library quick start"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    stated = re.search(r"# -> exponent vectors (.*) over", block).group(1)
+    vectors = [
+        tuple(Fraction(x) for x in group.split(", "))
+        for group in re.findall(r"\(([^)]*)\)", stated)
+    ]
+    printed = re.search(r"^print\(.*\)  # (.*)$", block, re.M).group(1)
+    assert vectors == [(1, 0, -1, 0), (0, 1, 0, Fraction(-3, 4))]
+    assert printed == "0.0"
+
+    namespace: dict = {}
+    exec(block, namespace)
+    assert [i.exponents for i in namespace["integrals"]] == vectors
+    assert capsys.readouterr().out == f"{printed}\n"
