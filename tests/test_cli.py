@@ -263,6 +263,27 @@ def test_integrate_dump_writes_csv(capsys, tmp_path):
     assert payload["watch"][0]["poly"] == "x1^2 + x2^2 + x3^2 - 1"
 
 
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+def test_integrate_golden(capsys, tmp_path, fmt, ext):
+    dump = tmp_path / "traj.csv"
+    code, out, err = run(
+        capsys,
+        "integrate",
+        "--field", FIELD,
+        "--x0", "0.5,0.4,0.3",
+        "--h", "0.001",
+        "--steps", "100",
+        "--watch", "x1^2 + x2^2 + x3^2 - 1",
+        "--watch", "x1*x2*x3",
+        "--dump", str(dump),
+        "--format", fmt,
+    )
+    assert code == 0
+    assert err == ""
+    assert out == golden(f"integrate_demo3d.{ext}")
+    assert dump.read_text() == golden("integrate_demo3d.csv")
+
+
 def test_certify_roundtrip_suite(capsys):
     code, out, _ = run(
         capsys,
