@@ -77,8 +77,10 @@ def _load(path: str, reader: Callable[[dict], T]) -> T:
         raise InputError(f"{path} is not UTF-8 text: {err}") from err
     except RecursionError as err:
         raise InputError(f"{path} is nested too deeply") from err
-    except ValueError as err:  # e.g. an integer past the digit limit
-        raise InputError(f"{path}: {err}") from err
+    except ValueError as err:  # an integer past the interpreter's digit limit
+        # The message ends with advice to call sys.set_int_max_str_digits(),
+        # which is no use to someone running the command; keep the limit.
+        raise InputError(f"{path}: {str(err).partition(';')[0]}") from err
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
     try:
@@ -337,7 +339,7 @@ def _cmd_integrate(args) -> Outcome:
         _write_text(args.dump, trajectory_to_csv(traj))
     payload = {
         "t_final": float(traj.times[-1]),
-        "x_final": [float(v) for v in traj.states[-1]],
+        "x_final": list(traj.rows[-1]),
         "watch": watch_payload,
     }
     lines = [

@@ -6,22 +6,26 @@ space, L(t) = sum_i b_i log|f_i(x(t))|, which keeps exponents linear and
 tolerates negative surface values; the largest relative deviation of L from
 its initial value is the drift.
 
-Each call generates one Python function from the polynomials and runs it:
-``integrate_rk4`` the whole stepping loop, with the four stages unrolled,
-and ``conservation_report`` and ``max_abs_drift`` one sweep over the state
-rows with its checks.  Every value lives in a local variable, so the loop
-pays no call or tuple per point.  ``_poly_source`` writes each polynomial
-as one float expression in its own term order with ``**`` for powers, the
-same text ``compile_polys`` evaluates, so every float operation and its
-order is that of a point-by-point evaluation: results match it bit for
-bit, errors and their step indices included.
+Each call runs one generated Python function: ``integrate_rk4`` the
+whole stepping loop, with the four stages unrolled, and
+``conservation_report`` and ``max_abs_drift`` one sweep over the state rows
+with its checks.  The source text is written from the polynomials alone;
+step size, start point, exponents and floor are arguments.  Each distinct
+source is compiled once and the function kept in a bounded cache, so a
+field run from many start points and step sizes is compiled once, and so
+is each integral's sweep.  Every value lives in a local variable, so the
+loop pays no call or tuple per point.  ``_poly_source`` writes each
+polynomial as one float expression in its own term order with ``**`` for
+powers, the same text ``compile_polys`` evaluates, so every float operation
+and its order is that of a point-by-point evaluation: results match it bit
+for bit, errors and their step indices included.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +34,11 @@ from .field_forms import PolyVectorField
 from .darboux import DarbouxIntegral
 
 DEFAULT_DOMAIN_FLOOR = 1e-12
+
+# Distinct generated functions kept compiled.  One field's stepper and its
+# integrals' sweeps take a few entries; a full sweep of the criteria 7/9
+# family and the fixture takes about thirty.
+_COMPILED_FUNCTIONS = 128
 
 
 class NonFiniteError(RuntimeError):
@@ -45,16 +54,36 @@ class DomainViolationError(RuntimeError):
     """A surface value came too close to zero for a stable logarithm."""
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution: times[k] = k*h, states[k] is the state row."""
+    """Sampled solution: times[k] = k*h, and rows[k] is the state at
+    times[k] as a tuple of floats.
 
-    times: np.ndarray
-    states: np.ndarray
+    The rows are stored as the stepping loop made them, and the sweeps read
+    them directly.  ``states`` is derived: the rows as a float64 ndarray of
+    shape (steps + 1, dim), built the first time it is read.  A trajectory
+    given as ``states`` converts them to rows once."""
+
+    def __init__(
+        self,
+        times: np.ndarray,
+        states: Optional[np.ndarray] = None,
+        *,
+        rows: Optional[List[Tuple[float, ...]]] = None,
+    ):
+        if (states is None) == (rows is None):
+            raise TypeError("a Trajectory takes either states or rows")
+        if rows is None:
+            rows = [tuple(row) for row in np.asarray(states, np.float64).tolist()]
+        self.times = times
+        self.rows = rows
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        return np.array(self.rows, dtype=np.float64)
 
     @property
     def dim(self) -> int:
-        return int(self.states.shape[1])
+        return len(self.rows[0])
 
 
 def compile_polys(
@@ -91,9 +120,15 @@ def _poly_source(p: Poly, names: Sequence[str]) -> str:
 
 def _compile(args: Sequence[str], body: Sequence[str]) -> Callable:
     """The function ``def _fn(*args)`` with the generated ``body`` lines."""
-    source = f"def _fn({', '.join(args)}):\n" + "".join(
+    return _define(f"def _fn({', '.join(args)}):\n" + "".join(
         f"    {line}\n" for line in body
-    )
+    ))
+
+
+@functools.lru_cache(maxsize=_COMPILED_FUNCTIONS)
+def _define(source: str) -> Callable:
+    """The function ``source`` defines, compiled once per distinct text:
+    the text is all a generated function depends on."""
     scope = {
         "isfinite": math.isfinite,
         "log": math.log,
@@ -154,9 +189,8 @@ def integrate_rk4(
         f"    rows.append({row})",
         "return rows",
     ])
-    rows = stepper(h, steps, *state)
     times = h * np.arange(steps + 1, dtype=np.float64)
-    return Trajectory(times=times, states=np.array(rows, dtype=np.float64))
+    return Trajectory(times, rows=stepper(h, steps, *state))
 
 
 def _row_sweep(
@@ -172,15 +206,16 @@ def _row_sweep(
     v = _names("v", len(polys))
     values = [f"{vj} = {_poly_source(p, x)}" for vj, p in zip(v, polys)]
     return _compile(["rows", "what", *args], [
-        "first = None",
         f"for step, ({', '.join(x)},) in enumerate(rows):",
         *(f"    {line}" for line in _guarded(values, v, "NonFiniteError(step, what)")),
         *(f"    {line}" for line in level),
-        "    if first is None:",
+        "    if step:",
+        "        gap = abs(level - first)",
+        "        if gap > worst:",
+        "            worst = gap",
+        "            at = step",
+        "    else:",
         "        first = level",
-        "        worst = abs(level - first)",
-        "        at = step",
-        "    elif abs(level - first) > worst:",
         "        worst = abs(level - first)",
         "        at = step",
         "return first, worst, at",
@@ -198,16 +233,17 @@ def conservation_report(
     kept = [(b, s.defining) for b, s in zip(betas, integral.surfaces) if b != 0.0]
     b = _names("b", len(kept))
     level = ["level = 0.0"]
-    for bj, vj in zip(b, _names("v", len(kept))):
+    for aj, bj, vj in zip(_names("a", len(kept)), b, _names("v", len(kept))):
         level += [
-            f"if abs({vj}) < floor:",
+            f"{aj} = abs({vj})",
+            f"if {aj} < floor:",
             f"    raise DomainViolationError("
             f"f'surface value {{{vj}!r}} within {{floor}} of zero')",
-            f"level += {bj} * log(abs({vj}))",
+            f"level += {bj} * log({aj})",
         ]
     sweep = _row_sweep(traj.dim, [s for _, s in kept], level, ["floor", *b])
     first, worst, _ = sweep(
-        traj.states.tolist(), "surface value", floor, *(beta for beta, _ in kept)
+        traj.rows, "surface value", floor, *(beta for beta, _ in kept)
     )
     return worst / max(1.0, abs(first))
 
@@ -216,7 +252,7 @@ def max_abs_drift(traj: Trajectory, poly: Poly, what: str) -> float:
     """max_t |p(x(t)) - p(x(0))|; a value or drift that overflows raises
     ``NonFiniteError(step, what)`` at the first step where it does."""
     sweep = _row_sweep(traj.dim, [poly], ["level = v1"], [])
-    _, worst, at = sweep(traj.states.tolist(), what)
+    _, worst, at = sweep(traj.rows, what)
     # Values are checked at every row first; a drift of two finite values
     # is never NaN, so the first infinite one is where the max became inf.
     if not math.isfinite(worst):
@@ -228,6 +264,6 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     """Header t,x1,...,xd; every value with 17 significant digits."""
     header = "t," + ",".join(f"x{i + 1}" for i in range(traj.dim))
     lines = [header]
-    for t, row in zip(traj.times, traj.states):
+    for t, row in zip(traj.times, traj.rows):
         lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
     return "\n".join(lines) + "\n"

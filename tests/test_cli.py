@@ -609,3 +609,10 @@ def test_an_overlong_json_integer_exits_two_naming_the_file(capsys, tmp_path):
     assert out == ""
     assert err.startswith(f"error: {form}: Exceeds the limit (4300 digits)")
     assert "Traceback" not in err
+    # Python's advice to call sys.set_int_max_str_digits() is no use to
+    # someone running the command.
+    assert "set_int_max_str_digits" not in err
+    assert err == (
+        f"error: {form}: Exceeds the limit (4300 digits) for integer string "
+        "conversion: value has 5000 digits\n"
+    )

@@ -34,6 +34,7 @@ from kolmosphere import (
     find_darboux,
     integrate_rk4,
     max_abs_drift,
+    numeric_validate,
     parse,
     recover_cubic_form,
     sphere_polynomial,
@@ -459,6 +460,73 @@ def test_an_overflowing_power_reports_the_same_step_as_the_scalar_loop():
     assert outcome(max_abs_drift, traj, watched, "watched x1^10") == outcome(
         reference_max_abs_drift, traj, watched, "watched x1^10"
     )
+
+
+def test_one_field_compiles_one_stepper_and_one_sweep_per_integral():
+    """Start point, step size, exponents and floor are arguments of the
+    generated functions, so only the polynomials choose their source."""
+    vf = fixture_field()
+    integrals = fixture_integrals()
+    numeric_validate._define.cache_clear()
+    for x0 in ((0.5, 0.4, 0.3), (0.6, 0.5, 0.4), (0.7, 0.3, 0.5)):
+        for h in (1e-3, 5e-4):
+            traj = integrate_rk4(vf, x0, h, 20)
+            for integral in integrals:
+                conservation_report(traj, integral)
+    info = numeric_validate._define.cache_info()
+    assert (info.misses, info.hits) == (3, 6 * 3 - 3)
+
+
+def test_integrating_and_sweeping_build_no_ndarray(monkeypatch):
+    vf = fixture_field()
+    integrals = fixture_integrals()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ndarray was built")
+
+    monkeypatch.setattr(numeric_validate.np, "array", refuse)
+    traj = integrate_rk4(vf, (0.5, 0.4, 0.3), 1e-3, 50)
+    for integral in integrals:
+        conservation_report(traj, integral)
+    max_abs_drift(traj, sphere_polynomial(3), "sphere residual")
+    trajectory_to_csv(traj)
+    # The states are built from the rows only when read.
+    with pytest.raises(AssertionError, match="an ndarray was built"):
+        traj.states
+
+
+def test_a_trajectory_given_as_states_sweeps_as_the_one_given_as_rows():
+    rotation = integrate_rk4(
+        PolyVectorField(2, (parse("-x2", 2), parse("x1", 2))), (1.0, 0.0), 1e-2, 200
+    )
+    by_hand = Trajectory(
+        np.arange(3.0), rows=[(1.0, 1.0), (1e-13, 1.0), (1e200, 1e200)]
+    )
+    integrals = [
+        DarbouxIntegral((Fraction(1),), (Hypersurface(parse(text, 2)),))
+        for text in ("x1^2", "x1^2 + x2^2", "10^300*x2")
+    ]
+    watched = [parse(text, 2) for text in ("x1", "10^308*x1 - 10^308*x2")]
+    seen = set()
+    for traj in (rotation, by_hand):
+        copy = Trajectory(traj.times, traj.states)
+        assert copy.rows == traj.rows
+        assert {type(v) for row in copy.rows for v in row} == {float}
+        assert copy.dim == traj.dim
+        assert copy.states.tobytes() == traj.states.tobytes()
+        for integral in integrals:
+            result = outcome(conservation_report, copy, integral)
+            assert result == outcome(conservation_report, traj, integral)
+            seen.add(result[0])
+        for poly in watched:
+            result = outcome(max_abs_drift, copy, poly, "watched v")
+            assert result == outcome(max_abs_drift, traj, poly, "watched v")
+            seen.add(result[0])
+    assert seen == {"ok", "DomainViolationError", "NonFiniteError"}
+    with pytest.raises(TypeError):
+        Trajectory(rotation.times)
+    with pytest.raises(TypeError):
+        Trajectory(rotation.times, rotation.states, rows=rotation.rows)
 
 
 def test_csv_dump_round_trips_at_full_precision():
