@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+import sys
+from dataclasses import dataclass
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,30 +56,20 @@ class DomainViolationError(RuntimeError):
     """A surface value came too close to zero for a stable logarithm."""
 
 
+@dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution: times[k] = k*h, and rows[k] is the state at
-    times[k] as a tuple of floats.
+    """Fixed-step solution: ``rows[k]`` is the state after k steps of size
+    ``h``, the tuple of floats the stepping loop made.  ``times`` (k*h),
+    ``states`` (a float64 ndarray) and ``dim`` are derived on every read."""
 
-    The rows are stored as the stepping loop made them, and the sweeps read
-    them directly.  ``states`` is derived: the rows as a float64 ndarray of
-    shape (steps + 1, dim), built the first time it is read.  A trajectory
-    given as ``states`` converts them to rows once."""
+    h: float
+    rows: List[Tuple[float, ...]]
 
-    def __init__(
-        self,
-        times: np.ndarray,
-        states: Optional[np.ndarray] = None,
-        *,
-        rows: Optional[List[Tuple[float, ...]]] = None,
-    ):
-        if (states is None) == (rows is None):
-            raise TypeError("a Trajectory takes either states or rows")
-        if rows is None:
-            rows = [tuple(row) for row in np.asarray(states, np.float64).tolist()]
-        self.times = times
-        self.rows = rows
+    @property
+    def times(self) -> np.ndarray:
+        return self.h * np.arange(len(self.rows), dtype=np.float64)
 
-    @functools.cached_property
+    @property
     def states(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.float64)
 
@@ -108,7 +100,7 @@ def _poly_source(p: Poly, names: Sequence[str]) -> str:
         return "0.0"
     pieces = []
     for exps, coeff in p:
-        factors = [repr(float(coeff))]
+        factors = [repr(_double(coeff, "the coefficient", p))]
         for name, e in zip(names, exps):
             if e == 1:
                 factors.append(name)
@@ -116,6 +108,14 @@ def _poly_source(p: Poly, names: Sequence[str]) -> str:
                 factors.append(f"{name}**{e}")
         pieces.append("*".join(factors))
     return " + ".join(pieces)
+
+
+def _double(value, what: str, owner: object) -> float:
+    """``value``, the ``what`` of ``owner``, as a float or a ValueError."""
+    try:
+        return float(value)
+    except OverflowError as err:
+        raise ValueError(f"{what} {value} of {owner} is past the double range") from err
 
 
 def _compile(args: Sequence[str], body: Sequence[str]) -> Callable:
@@ -162,6 +162,8 @@ def integrate_rk4(
         raise ValueError(f"x0 has {len(x0)} coordinates, field on R^{vf.dim}")
     if not (math.isfinite(h) and h > 0) or steps < 1:
         raise ValueError("need a finite h > 0 and steps >= 1")
+    if steps > sys.float_info.max or not math.isfinite(h * steps):
+        raise ValueError(f"need a finite final time h * steps, got {h!r} * {steps}")
     state = tuple(float(v) for v in x0)
     if not all(math.isfinite(v) for v in state):
         raise ValueError(f"x0 must be finite, got {state}")
@@ -189,8 +191,7 @@ def integrate_rk4(
         f"    rows.append({row})",
         "return rows",
     ])
-    times = h * np.arange(steps + 1, dtype=np.float64)
-    return Trajectory(times, rows=stepper(h, steps, *state))
+    return Trajectory(h, stepper(h, steps, *state))
 
 
 def _row_sweep(
@@ -229,8 +230,8 @@ def conservation_report(
 ) -> float:
     """Max relative drift of L(t) = sum_i b_i log|f_i(x(t))| over the
     trajectory: max_t |L(t) - L(0)| / max(1, |L(0)|)."""
-    betas = [float(b) for b in integral.exponents]
-    kept = [(b, s.defining) for b, s in zip(betas, integral.surfaces) if b != 0.0]
+    kept = [(beta, s.defining) for b, s in zip(integral.exponents, integral.surfaces)
+            if (beta := _double(b, "the exponent", s.defining)) != 0.0]
     b = _names("b", len(kept))
     level = ["level = 0.0"]
     for aj, bj, vj in zip(_names("a", len(kept)), b, _names("v", len(kept))):
@@ -242,9 +243,8 @@ def conservation_report(
             f"level += {bj} * log({aj})",
         ]
     sweep = _row_sweep(traj.dim, [s for _, s in kept], level, ["floor", *b])
-    first, worst, _ = sweep(
-        traj.rows, "surface value", floor, *(beta for beta, _ in kept)
-    )
+    betas = (beta for beta, _ in kept)
+    first, worst, _ = sweep(traj.rows, "surface value", floor, *betas)
     return worst / max(1.0, abs(first))
 
 
@@ -262,8 +262,7 @@ def max_abs_drift(traj: Trajectory, poly: Poly, what: str) -> float:
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Header t,x1,...,xd; every value with 17 significant digits."""
-    header = "t," + ",".join(f"x{i + 1}" for i in range(traj.dim))
-    lines = [header]
+    lines = [",".join(["t", *_names("x", traj.dim)])]
     for t, row in zip(traj.times, traj.rows):
         lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
     return "\n".join(lines) + "\n"

@@ -616,3 +616,34 @@ def test_an_overlong_json_integer_exits_two_naming_the_file(capsys, tmp_path):
         f"error: {form}: Exceeds the limit (4300 digits) for integer string "
         "conversion: value has 5000 digits\n"
     )
+
+
+BIG = str(10**400)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "component, argv, message",
+    [
+        ("10^400*x1", ["--h", "0.1", "--steps", "3"],
+         f"the coefficient {BIG} of {BIG}*x1 is past the double range"),
+        ("0", ["--h", "0.1", "--steps", "3", "--watch", "10^400*x1"],
+         f"the coefficient {BIG} of {BIG}*x1 is past the double range"),
+        ("0", ["--h", "1e308", "--steps", "3"],
+         "need a finite final time h * steps, got 1e+308 * 3"),
+        ("0", ["--h", "0.1", "--steps", BIG],
+         f"need a finite final time h * steps, got 0.1 * {BIG}"),
+    ],
+    ids=["field-coefficient", "watch-coefficient", "final-time", "step-count"],
+)
+def test_integrate_refuses_numbers_past_the_double_range(
+    capsys, recwarn, tmp_path, fmt, component, argv, message
+):
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"dim": 1, "components": [component]}))
+    code, out, err = run(
+        capsys, "integrate", "--field", str(field), "--x0", "1", *argv,
+        "--format", fmt,
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert [str(w.message) for w in recwarn] == []

@@ -78,6 +78,10 @@ def test_zero_field_gives_a_constant_trajectory():
     assert traj.states.shape == (101, 2)
     assert np.all(traj.states == traj.states[0])
     assert traj.times[0] == 0.0
+    for h, steps in ((0.01, 100), (0.1, 37)):
+        assert integrate_rk4(vf, (0.3, -1.5), h, steps).times.tobytes() == (
+            h * np.arange(steps + 1, dtype=np.float64)
+        ).tobytes()
     assert math.isclose(traj.times[-1], 1.0)
 
 
@@ -111,6 +115,32 @@ def test_integrator_input_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="x0 must be finite"):
             integrate_rk4(vf, (bad,), 0.1, 10)
+    for h, steps in ((1e308, 3), (0.1, 10**400)):
+        with pytest.raises(ValueError, match=r"need a finite final time h \* steps"):
+            integrate_rk4(vf, (1.0,), h, steps)
+
+
+def test_a_number_past_the_double_range_is_refused_naming_its_polynomial():
+    big = 10**400
+    huge = Poly(1, {(1,): -big, (0,): 1})
+    message = f"the coefficient {-big} of {huge} is past the double range"
+    zero = PolyVectorField(1, (Poly.zero(1),))
+    traj = integrate_rk4(zero, (1.0,), 0.1, 3)
+    for call in (
+        lambda: compile_polys(1, [huge]),
+        lambda: integrate_rk4(PolyVectorField(1, (huge,)), (1.0,), 0.1, 3),
+        lambda: max_abs_drift(traj, huge, "watched v"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    integral = DarbouxIntegral(
+        (Fraction(1), Fraction(big, 3)),
+        (Hypersurface(parse("x1 + 2", 1)), Hypersurface(parse("x1", 1))),
+    )
+    with pytest.raises(ValueError) as exc:
+        conservation_report(traj, integral)
+    assert str(exc.value) == f"the exponent {big}/3 of x1 is past the double range"
 
 
 def test_blowup_is_reported_with_the_step_index():
@@ -413,13 +443,13 @@ def test_generated_loops_match_the_scalar_reference_bit_for_bit():
 
 
 def test_a_row_under_the_floor_before_an_overflowing_row_is_a_domain_exit():
-    states = np.array([[1.0, 1.0], [1e-13, 1.0], [1e200, 1e200]])
-    traj = Trajectory(times=np.arange(3.0), states=states)
+    rows = [(1.0, 1.0), (1e-13, 1.0), (1e200, 1e200)]
+    traj = Trajectory(1.0, rows)
     square = DarbouxIntegral((Fraction(1),), (Hypersurface(parse("x1^2", 2)),))
     with pytest.raises(DomainViolationError, match="within 1e-12 of zero"):
         conservation_report(traj, square)
     # With the rows swapped, the overflow comes first.
-    swapped = Trajectory(times=traj.times, states=states[[0, 2, 1]])
+    swapped = Trajectory(1.0, [rows[0], rows[2], rows[1]])
     with pytest.raises(NonFiniteError) as exc:
         conservation_report(swapped, square)
     assert str(exc.value) == "surface value became non-finite at step 1"
@@ -429,9 +459,7 @@ def test_a_row_under_the_floor_before_an_overflowing_row_is_a_domain_exit():
         (Fraction(1), Fraction(1)),
         (Hypersurface(parse("x1", 2)), Hypersurface(parse("10^300*x2", 2))),
     )
-    mixed = Trajectory(times=traj.times, states=np.array(
-        [[1.0, 1.0], [1e-13, 1e10], [1.0, 1.0]]
-    ))
+    mixed = Trajectory(1.0, [(1.0, 1.0), (1e-13, 1e10), (1.0, 1.0)])
     with pytest.raises(NonFiniteError) as exc:
         conservation_report(mixed, both)
     assert exc.value.step_index == 1
@@ -495,13 +523,11 @@ def test_integrating_and_sweeping_build_no_ndarray(monkeypatch):
         traj.states
 
 
-def test_a_trajectory_given_as_states_sweeps_as_the_one_given_as_rows():
+def test_a_trajectory_built_from_rows_sweeps_as_the_scalar_reference():
     rotation = integrate_rk4(
         PolyVectorField(2, (parse("-x2", 2), parse("x1", 2))), (1.0, 0.0), 1e-2, 200
     )
-    by_hand = Trajectory(
-        np.arange(3.0), rows=[(1.0, 1.0), (1e-13, 1.0), (1e200, 1e200)]
-    )
+    by_hand = Trajectory(1.0, [(1.0, 1.0), (1e-13, 1.0), (1e200, 1e200)])
     integrals = [
         DarbouxIntegral((Fraction(1),), (Hypersurface(parse(text, 2)),))
         for text in ("x1^2", "x1^2 + x2^2", "10^300*x2")
@@ -509,24 +535,18 @@ def test_a_trajectory_given_as_states_sweeps_as_the_one_given_as_rows():
     watched = [parse(text, 2) for text in ("x1", "10^308*x1 - 10^308*x2")]
     seen = set()
     for traj in (rotation, by_hand):
-        copy = Trajectory(traj.times, traj.states)
-        assert copy.rows == traj.rows
-        assert {type(v) for row in copy.rows for v in row} == {float}
-        assert copy.dim == traj.dim
-        assert copy.states.tobytes() == traj.states.tobytes()
+        assert {type(v) for row in traj.rows for v in row} == {float}
+        assert traj.dim == 2
+        assert traj.states.tolist() == [list(row) for row in traj.rows]
         for integral in integrals:
-            result = outcome(conservation_report, copy, integral)
-            assert result == outcome(conservation_report, traj, integral)
+            result = outcome(conservation_report, traj, integral)
+            assert result == outcome(reference_report, traj, integral)
             seen.add(result[0])
         for poly in watched:
-            result = outcome(max_abs_drift, copy, poly, "watched v")
-            assert result == outcome(max_abs_drift, traj, poly, "watched v")
+            result = outcome(max_abs_drift, traj, poly, "watched v")
+            assert result == outcome(reference_max_abs_drift, traj, poly, "watched v")
             seen.add(result[0])
     assert seen == {"ok", "DomainViolationError", "NonFiniteError"}
-    with pytest.raises(TypeError):
-        Trajectory(rotation.times)
-    with pytest.raises(TypeError):
-        Trajectory(rotation.times, rotation.states, rows=rotation.rows)
 
 
 def test_csv_dump_round_trips_at_full_precision():
