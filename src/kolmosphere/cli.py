@@ -19,7 +19,7 @@ import json
 import sys
 from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
 
-from .polyring import ParseError, Poly, parse
+from .polyring import NEG_INF, ParseError, Poly, parse
 from .field_forms import (
     assemble_cubic,
     construct_from_form,
@@ -157,7 +157,7 @@ def _cmd_check(args) -> Outcome:
     degree = vf.degree()
     payload = {
         "dim": vf.dim,
-        "degree": None if degree == float("-inf") else int(degree),
+        "degree": None if degree == NEG_INF else int(degree),
         "kolmogorov": report.kolmogorov,
         "sphere_invariant": report.sphere_invariant,
         "sphere_cofactor": (
@@ -247,8 +247,7 @@ def _cmd_construct_linear_fi(args) -> Outcome:
     )
     field = construct_from_form(form)
     payload = {
-        "dim": field.dim,
-        "components": [str(p) for p in field.components],
+        **field_to_dict(field),
         "atilde": [[str(p) for p in row] for row in form.atilde],
         "first_integral": str(hp.defining_poly()),
         "verified": True,
@@ -264,8 +263,7 @@ def _cmd_construct_complete(args) -> Outcome:
     atilde = _parse_poly_arg(args.atilde, args.n + 1, "--atilde")
     field, cert = construct_completely_integrable(args.n, args.m, atilde)
     payload = {
-        "dim": field.dim,
-        "components": [str(p) for p in field.components],
+        **field_to_dict(field),
         "integrals": [i.to_dict() for i in cert.integrals],
         "sample_point": [str(c) for c in cert.sample_point.coords],
         "jacobian_rank": cert.jacobian_rank,

@@ -234,14 +234,14 @@ def coordinate_quotients(vf: PolyVectorField) -> Optional[Tuple[Poly, ...]]:
 
 def is_kolmogorov_on_sphere(vf: PolyVectorField) -> SphereKolmogorovReport:
     """Does every component factor through its coordinate, and is the unit
-    sphere invariant?  The witness cofactor K satisfies
-    lie_derivative(vf, sphere) = K * sphere when the sphere is invariant."""
-    sphere = sphere_polynomial(vf.dim)
-    cof = divide_exact(lie_derivative(vf, sphere), sphere)
+    sphere invariant?  The witness is the sphere's ``invariance.cofactor``,
+    imported at call time because ``invariance`` imports this module."""
+    from .invariance import Hypersurface, cofactor
+    cof = cofactor(vf, Hypersurface(sphere_polynomial(vf.dim)))
     return SphereKolmogorovReport(
         kolmogorov=coordinate_quotients(vf) is not None,
         sphere_invariant=cof is not None,
-        sphere_cofactor=cof,
+        sphere_cofactor=None if cof is None else cof.poly,
     )
 
 

@@ -37,6 +37,9 @@ from .darboux import DarbouxIntegral
 
 DEFAULT_DOMAIN_FLOOR = 1e-12
 
+# Most steps one integration takes: its rows (~150 B each) stay near 300 MB.
+MAX_STEPS = 2_000_000
+
 # Distinct generated functions kept compiled.  One field's stepper and its
 # integrals' sweeps take a few entries; a full sweep of the criteria 7/9
 # family and the fixture takes about thirty.
@@ -100,7 +103,7 @@ def _poly_source(p: Poly, names: Sequence[str]) -> str:
         return "0.0"
     pieces = []
     for exps, coeff in p:
-        factors = [repr(_double(coeff, "the coefficient", p))]
+        factors = [repr(_double(coeff, "the coefficient", p, exps))]
         for name, e in zip(names, exps):
             if e == 1:
                 factors.append(name)
@@ -110,12 +113,18 @@ def _poly_source(p: Poly, names: Sequence[str]) -> str:
     return " + ".join(pieces)
 
 
-def _double(value, what: str, owner: object) -> float:
-    """``value``, the ``what`` of ``owner``, as a float or a ValueError."""
+def _double(value, what: str, owner: Poly, term: Tuple[int, ...] = ()) -> float:
+    """``value``, the ``what`` of ``owner``, as a float or a ValueError; one
+    too long to print is named by ``term``, its monomial in ``owner``."""
     try:
         return float(value)
     except OverflowError as err:
-        raise ValueError(f"{what} {value} of {owner} is past the double range") from err
+        try:
+            named = f"{what} {value} of {owner}"
+        except ValueError:  # past sys.get_int_max_str_digits()
+            named = f"{what} of {Poly(owner.dim, {term: 1})}" if term else what
+            named += ", too long to print,"
+        raise ValueError(f"{named} is past the double range") from err
 
 
 def _compile(args: Sequence[str], body: Sequence[str]) -> Callable:
@@ -164,6 +173,8 @@ def integrate_rk4(
         raise ValueError("need a finite h > 0 and steps >= 1")
     if steps > sys.float_info.max or not math.isfinite(h * steps):
         raise ValueError(f"need a finite final time h * steps, got {h!r} * {steps}")
+    if steps > MAX_STEPS:
+        raise ValueError(f"need steps <= {MAX_STEPS}, got {steps}")
     state = tuple(float(v) for v in x0)
     if not all(math.isfinite(v) for v in state):
         raise ValueError(f"x0 must be finite, got {state}")

@@ -59,22 +59,15 @@ def _rand_fraction(rng: random.Random, allow_zero: bool = True) -> Fraction:
     return Fraction(num, rng.randint(1, 2))
 
 
-def _rand_poly(rng: random.Random, dim: int, max_degree: int) -> Poly:
+def _rand_poly(
+    rng: random.Random, dim: int, max_degree: int, homogeneous: bool = False
+) -> Poly:
+    """Up to three terms of degree at most ``max_degree``, or, when
+    ``homogeneous``, one or two of degree exactly ``max_degree``."""
     terms = {}
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(rng.randint(1, 2) if homogeneous else rng.randint(0, 3)):
         exps = [0] * dim
-        budget = rng.randint(0, max_degree)
-        for _ in range(budget):
-            exps[rng.randrange(dim)] += 1
-        terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + _rand_fraction(rng)
-    return Poly(dim, terms)
-
-
-def _rand_homogeneous_poly(rng: random.Random, dim: int, degree: int) -> Poly:
-    terms = {}
-    for _ in range(rng.randint(1, 2)):
-        exps = [0] * dim
-        for _ in range(degree):
+        for _ in range(max_degree if homogeneous else rng.randint(0, max_degree)):
             exps[rng.randrange(dim)] += 1
         terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + _rand_fraction(rng)
     return Poly(dim, terms)
@@ -193,13 +186,9 @@ def _perturb(form: CubicKolmogorovForm, rng: random.Random,
              support: List[int], outside: List[int]) -> CubicKolmogorovForm:
     alpha = list(form.alpha)
     atilde = [list(row) for row in form.atilde]
-    moves = []
     if len(support) >= 2:
-        moves.append("alpha")
-        moves.append("pair")
-    if outside and len(support) >= 2:
-        moves.append("row")
-    if not moves:
+        moves = ["alpha", "pair"] + (["row"] if outside else [])
+    else:
         moves = ["row_offset"]
     move = rng.choice(moves)
     i = support[0]
@@ -327,7 +316,7 @@ def _rand_strict_homogeneous_field(
             dim,
             lambda i, j: (
                 zero if rng.random() < 0.3
-                else _rand_homogeneous_poly(rng, dim, m - 3)
+                else _rand_poly(rng, dim, m - 3, homogeneous=True)
             ),
             zero,
         )

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from kolmosphere import numeric_validate
 from kolmosphere.cli import main
 from kolmosphere.suites import SUITES, run_suite
 
@@ -633,8 +634,17 @@ BIG = str(10**400)
          "need a finite final time h * steps, got 1e+308 * 3"),
         ("0", ["--h", "0.1", "--steps", BIG],
          f"need a finite final time h * steps, got 0.1 * {BIG}"),
+        # Past the interpreter's digit limit: named by its monomial, with
+        # no advice to call sys.set_int_max_str_digits().
+        ("10^5000*x1", ["--h", "0.1", "--steps", "3"],
+         "the coefficient of x1, too long to print, is past the double range"),
+        ("0", ["--h", "0.1", "--steps", "3", "--watch", "10^5000*x1"],
+         "the coefficient of x1, too long to print, is past the double range"),
     ],
-    ids=["field-coefficient", "watch-coefficient", "final-time", "step-count"],
+    ids=[
+        "field-coefficient", "watch-coefficient", "final-time", "step-count",
+        "field-coefficient-too-long", "watch-coefficient-too-long",
+    ],
 )
 def test_integrate_refuses_numbers_past_the_double_range(
     capsys, recwarn, tmp_path, fmt, component, argv, message
@@ -647,3 +657,14 @@ def test_integrate_refuses_numbers_past_the_double_range(
     )
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_integrate_refuses_a_step_count_past_the_budget(capsys, monkeypatch, fmt):
+    """The budget is made small: a count past the real one would fill
+    memory with kept rows before this check existed."""
+    monkeypatch.setattr(numeric_validate, "MAX_STEPS", 5)
+    argv = ["integrate", "--field", FIELD, "--x0", "0.5,0.5,0.5", "--h", "0.1"]
+    assert run(capsys, *argv, "--steps", "5", "--format", fmt)[0] == 0
+    code, out, err = run(capsys, *argv, "--steps", "6", "--format", fmt)
+    assert (code, out, err) == (2, "", "error: need steps <= 5, got 6\n")

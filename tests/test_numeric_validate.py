@@ -143,6 +143,51 @@ def test_a_number_past_the_double_range_is_refused_naming_its_polynomial():
     assert str(exc.value) == f"the exponent {big}/3 of x1 is past the double range"
 
 
+def test_a_number_too_long_to_print_is_refused_naming_its_monomial():
+    """Past the interpreter's digit limit ``str`` raises, so the message
+    names the coefficient by its monomial and prints no number."""
+    big = 10**5000
+    huge = Poly(2, {(1, 1): big, (0, 0): 1})
+    message = "the coefficient of x1*x2, too long to print, is past the double range"
+    zero = PolyVectorField(2, (Poly.zero(2), Poly.zero(2)))
+    traj = integrate_rk4(zero, (1.0, 1.0), 0.1, 3)
+    for call in (
+        lambda: compile_polys(2, [huge]),
+        lambda: integrate_rk4(PolyVectorField(2, (huge, huge)), (1.0, 1.0), 0.1, 3),
+        lambda: max_abs_drift(traj, huge, "watched v"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    integral = DarbouxIntegral(
+        (Fraction(big, 3),), (Hypersurface(parse("x1", 2)),)
+    )
+    with pytest.raises(ValueError) as exc:
+        conservation_report(traj, integral)
+    assert str(exc.value) == "the exponent, too long to print, is past the double range"
+
+
+def test_a_step_count_past_the_budget_is_refused_before_any_step(monkeypatch):
+    """The kept rows grow with the step count, so a count past
+    ``MAX_STEPS`` is refused before the stepper is built.  The budget is
+    made small here: a count past the real one would fill memory."""
+    assert numeric_validate.MAX_STEPS >= 100 * 20_000  # criterion 9's longest run
+    vf = PolyVectorField(1, (Poly.var(1, 1),))
+    monkeypatch.setattr(numeric_validate, "MAX_STEPS", 5)
+    assert len(integrate_rk4(vf, (1.0,), 0.1, 5).rows) == 6
+
+    def no_stepper(*args):
+        raise AssertionError("a stepper was built")
+
+    monkeypatch.setattr(numeric_validate, "_compile", no_stepper)
+    with pytest.raises(ValueError) as exc:
+        integrate_rk4(vf, (1.0,), 0.1, 6)
+    assert str(exc.value) == "need steps <= 5, got 6"
+    # The final-time check comes first, so its message still names h * steps.
+    with pytest.raises(ValueError, match=r"need a finite final time h \* steps"):
+        integrate_rk4(vf, (1.0,), 0.1, 10**400)
+
+
 def test_blowup_is_reported_with_the_step_index():
     vf = PolyVectorField(1, (parse("x1^2 + 1", 1),))
     with pytest.raises(NonFiniteError) as exc:

@@ -21,6 +21,25 @@ POLY_MEMBERS = {
     "Poly": "__init__", "add": "__add__", "mul": "__mul__", "str": "__str__",
 }
 
+# Public functions that no module of the package, README.md or
+# bench/workloads.py reaches; only the tests call them.  Each stays for the
+# reason given.  A function that drops out of use elsewhere fails
+# ``test_every_public_function_is_reached_or_listed_with_its_reason`` until
+# it is listed here or deleted.
+UNREACHED = {
+    "compile_polys": (
+        "the numeric tests' float reference: the generated steppers and "
+        "sweeps must match its point-by-point values bit for bit"
+    ),
+    "decompose_syzygy": (
+        "the power-syzygy decomposition that acceptance criterion 6 checks"
+    ),
+    "great_sphere_conditions": (
+        "the README's conditions for planes through the origin of "
+        "homogeneous fields; whether a suite reaches it or it goes is open"
+    ),
+}
+
 SUBMODULES = {
     "darboux", "exactla", "field_forms", "hamiltonian", "invariance",
     "numeric_validate", "polyring", "suites",
@@ -110,3 +129,57 @@ def test_the_readme_quick_start_runs_and_prints_what_it_states(capsys):
     exec(block, namespace)
     assert [i.exponents for i in namespace["integrals"]] == vectors
     assert capsys.readouterr().out == f"{printed}\n"
+
+
+def _called_name(call: ast.Call) -> str:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def test_a_lie_derivative_is_divided_in_one_place():
+    """``invariance.cofactor`` is the one home of X(f) / f, so tracing has one
+    division span and a rechecker one function to keep away from.  The
+    other two ``divide_exact`` calls are other quotients: P_i / x_i, and the
+    row division of the linear-first-integral construction."""
+    callers, lie_divisions = set(), []
+    for path in sorted((ROOT / "src" / "kolmosphere").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call)
+                        and _called_name(node) == "divide_exact"):
+                    continue
+                where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                callers.add(where)
+                first = node.args[0] if node.args else None
+                if (isinstance(first, ast.Call)
+                        and _called_name(first) == "lie_derivative"):
+                    lie_divisions.append(where)
+    assert callers == {
+        "invariance.cofactor",
+        "field_forms.coordinate_quotients",
+        "darboux.construct_linear_fi_field",
+    }
+    assert lie_divisions == ["invariance.cofactor"]
+
+
+def test_every_public_function_is_reached_or_listed_with_its_reason():
+    """A public function is reached when code in a module of the package
+    other than ``__init__`` refers to it (a docstring or comment does not
+    count), or when README.md or bench/workloads.py names it."""
+    referenced = set()
+    for path in (ROOT / "src" / "kolmosphere").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    named = README.read_text() + (ROOT / "bench" / "workloads.py").read_text()
+    unreached = {
+        name for name in kolmosphere.__all__
+        if inspect.isfunction(getattr(kolmosphere, name))
+        and name not in referenced
+        and not re.search(rf"\b{name}\b", named)
+    }
+    assert unreached == set(UNREACHED)
