@@ -97,6 +97,7 @@ from .numeric_validate import (
     Trajectory,
     compile_polys,
     conservation_report,
+    drift_sweep,
     integrate_rk4,
     max_abs_drift,
     trajectory_to_csv,

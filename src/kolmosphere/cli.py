@@ -46,8 +46,8 @@ from .darboux import (
 from .hamiltonian import hamiltonian_constraint_space, is_hamiltonian
 from .numeric_validate import (
     NonFiniteError,
+    drift_sweep,
     integrate_rk4,
-    max_abs_drift,
     trajectory_to_csv,
 )
 from .suites import SUITES, run_suite
@@ -140,6 +140,27 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {err}") from err
 
 
+def _poly_text(poly: Poly, what: str) -> str:
+    """``str(poly)``, the ``what`` of a verdict.  A coefficient with more
+    digits than the interpreter converts to text is an ``InputError`` that
+    names ``what`` and the coefficient's monomial, without Python's advice
+    to raise the limit, which is no use to someone running the command."""
+    try:
+        return str(poly)
+    except ValueError as err:
+        for exps, coeff in poly:
+            try:
+                str(coeff)
+            except ValueError:
+                raise InputError(
+                    f"the {what} cannot be printed: its coefficient of "
+                    f"{Poly(poly.dim, {exps: 1})} exceeds the limit "
+                    f"({sys.get_int_max_str_digits()} digits) for integer "
+                    "string conversion"
+                ) from err
+        raise
+
+
 def _tuple_text(values: Iterable[str]) -> str:
     return f"({', '.join(values)})"
 
@@ -161,7 +182,8 @@ def _cmd_check(args) -> Outcome:
         "kolmogorov": report.kolmogorov,
         "sphere_invariant": report.sphere_invariant,
         "sphere_cofactor": (
-            None if report.sphere_cofactor is None else str(report.sphere_cofactor)
+            None if report.sphere_cofactor is None
+            else _poly_text(report.sphere_cofactor, "sphere cofactor")
         ),
     }
     lines = [
@@ -181,16 +203,14 @@ def _cmd_cofactor(args) -> Outcome:
     if outcome is None:
         payload = {"invariant": False, "cofactor": None, "structured": None}
         return 1, payload, ["not invariant"]
+    # k0 and k are coefficients of the cofactor: they print once it does.
+    text = _poly_text(outcome.poly, "cofactor")
     view = outcome.structured
     structured = (
         None if view is None
         else {"k0": str(view.k0), "k": [str(v) for v in view.k]}
     )
-    payload = {
-        "invariant": True,
-        "cofactor": str(outcome.poly),
-        "structured": structured,
-    }
+    payload = {"invariant": True, "cofactor": text, "structured": structured}
     lines = [f"invariant with cofactor: {payload['cofactor']}"]
     if structured is not None:
         lines.append(
@@ -307,7 +327,8 @@ def _cmd_hamiltonian(args) -> Outcome:
         "dim": vf.dim,
         "is_hamiltonian": report.is_hamiltonian,
         "defects": [
-            {"pair": list(pair), "poly": str(poly)}
+            {"pair": list(pair),
+             "poly": _poly_text(poly, f"defect of the pair {pair}")}
             for pair, poly in report.defects
         ],
     }
@@ -323,15 +344,18 @@ def _cmd_integrate(args) -> Outcome:
         raise InputError(f"--x0 has {len(x0)} coordinates, field on R^{vf.dim}")
     if not 0 < args.h < float("inf") or args.steps < 1:
         raise InputError("need a finite --h > 0 and --steps >= 1")
+    # Each watch's sweep is built before the stepping loop, so a watch
+    # coefficient past the double range is refused before any step runs.
     watches = [
-        (_parse_poly_arg(text, vf.dim, "--watch"), text)
+        (text, drift_sweep(
+            vf.dim, _parse_poly_arg(text, vf.dim, "--watch"),
+            f"watched value {text}",
+        ))
         for text in (args.watch or [])
     ]
     traj = integrate_rk4(vf, x0, args.h, args.steps)
     watch_payload = [
-        {"poly": text,
-         "max_abs_drift": max_abs_drift(traj, poly, f"watched value {text}")}
-        for poly, text in watches
+        {"poly": text, "max_abs_drift": drift(traj)} for text, drift in watches
     ]
     if args.dump:
         _write_text(args.dump, trajectory_to_csv(traj))

@@ -106,7 +106,8 @@ class SamplePoint:
 
     @classmethod
     def of(cls, values: Sequence) -> "SamplePoint":
-        return cls(tuple(_canonical(v) for v in values))
+        # From a list, as in ``RationalMatrix.from_rows``.
+        return cls(tuple([_canonical(v) for v in values]))
 
 
 def build_matrix_B(
@@ -409,13 +410,25 @@ def standard_sample_points(dim: int) -> Tuple[SamplePoint, ...]:
 
 
 def _hypothesis_table(g: Poly, points: Sequence[SamplePoint]) -> List[list]:
-    """One row per point: (x_1 dg/dx_1, ..., x_d dg/dx_d, -g) there."""
-    partials = [g.differentiate(l) for l in range(1, g.dim + 1)]
-    return [
-        [c * p.evaluate(pt.coords) for c, p in zip(pt.coords, partials)]
-        + [-g.evaluate(pt.coords)]
-        for pt in points
+    """One row per point: (x_1 dg/dx_1, ..., x_d dg/dx_d, -g) there, read
+    off one pass over g's terms: a term c x^e worth v at the point adds
+    e_l v to entry l and -v to the last entry."""
+    d = g.dim
+    terms = [
+        (c, [(l, e) for l, e in enumerate(exps) if e])
+        for exps, c in g.terms.items()
     ]
+    table = []
+    for pt in points:
+        row = [0] * (d + 1)
+        for value, support in terms:
+            for l, e in support:
+                value *= pt.coords[l] ** e
+            for l, e in support:
+                row[l] += e * value
+            row[d] -= value
+        table.append(row)
+    return table
 
 
 def _omit_column(table: Sequence[list], omit: int) -> RationalMatrix:

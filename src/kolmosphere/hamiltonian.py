@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .exactla import RationalMatrix, nullspace
-from .polyring import Poly
+from .polyring import Poly, Scalar
 from .field_forms import PolyVectorField, sphere_polynomial
 
 
@@ -62,7 +62,7 @@ def is_hamiltonian(vf: PolyVectorField) -> HamiltonianReport:
     )
 
 
-def _constraint_columns(n: int) -> List[Dict[tuple, Fraction]]:
+def _constraint_columns(n: int) -> List[Dict[tuple, Scalar]]:
     """Per parameter, {(pair slot, monomial): coefficient} of the Jacobian
     defects of its unit value.  alpha_i puts x_i(1 - |x|^2) into P_i and
     atilde_ij puts x_i x_j^2 into P_i and -x_j x_i^2 into P_j, so only the
@@ -77,13 +77,26 @@ def _constraint_columns(n: int) -> List[Dict[tuple, Fraction]]:
     columns = []
     for parts in touched:
         g = _rearranged([parts.get(i, Poly.zero(d)) for i in range(d)])
-        moved = {i ^ 1 for i in parts}  # P_i sits in G_(i xor 1), 0-based
-        columns.append({
-            (slot, exps): coeff
-            for slot, (j, k) in enumerate(pairs)
-            if j in moved or k in moved
-            for exps, coeff in _defect(g, j, k)
-        })
+        # P_i sits in G_(i xor 1), 0-based; only those components are
+        # nonzero, and each is differentiated once per other variable.
+        partials = {
+            i ^ 1: {v: g[i ^ 1].differentiate(v + 1)
+                    for v in range(d) if v != i ^ 1}
+            for i in parts
+        }
+        column = {}
+        for slot, (j, k) in enumerate(pairs):
+            if j in partials:
+                defect = partials[j][k]
+                if k in partials:
+                    defect = defect - partials[k][j]
+            elif k in partials:
+                defect = -partials[k][j]
+            else:
+                continue
+            for exps, coeff in defect:
+                column[slot, exps] = coeff
+        columns.append(column)
     return columns
 
 
@@ -104,10 +117,9 @@ def hamiltonian_constraint_space(
     if n < 1:
         raise ValueError("need n >= 1")
     columns = _constraint_columns(n)
-    zero = Fraction(0)
     row_keys = sorted({key for col in columns for key in col})
     matrix = RationalMatrix(len(row_keys), len(columns), tuple(
-        tuple(col.get(key, zero) for col in columns) for key in row_keys
+        tuple(col.get(key, 0) for col in columns) for key in row_keys
     ))
     basis = nullspace(matrix, side="right")
     return len(basis), basis

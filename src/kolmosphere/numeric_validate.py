@@ -259,16 +259,30 @@ def conservation_report(
     return worst / max(1.0, abs(first))
 
 
+def drift_sweep(
+    dim: int, poly: Poly, what: str
+) -> Callable[[Trajectory], float]:
+    """``max_abs_drift`` of ``poly`` over a trajectory on R^dim, built
+    before there is one: a coefficient past the double range is refused
+    here, not after the integration."""
+    sweep = _row_sweep(dim, [poly], ["level = v1"], [])
+
+    def drift(traj: Trajectory) -> float:
+        _, worst, at = sweep(traj.rows, what)
+        # Values are checked at every row first; a drift of two finite
+        # values is never NaN, so the first infinite one is where the max
+        # became inf.
+        if not math.isfinite(worst):
+            raise NonFiniteError(at, what)
+        return worst
+
+    return drift
+
+
 def max_abs_drift(traj: Trajectory, poly: Poly, what: str) -> float:
     """max_t |p(x(t)) - p(x(0))|; a value or drift that overflows raises
     ``NonFiniteError(step, what)`` at the first step where it does."""
-    sweep = _row_sweep(traj.dim, [poly], ["level = v1"], [])
-    _, worst, at = sweep(traj.rows, what)
-    # Values are checked at every row first; a drift of two finite values
-    # is never NaN, so the first infinite one is where the max became inf.
-    if not math.isfinite(worst):
-        raise NonFiniteError(at, what)
-    return worst
+    return drift_sweep(traj.dim, poly, what)(traj)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

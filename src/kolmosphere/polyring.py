@@ -71,7 +71,9 @@ def _grlex_key(exponents: Monomial) -> tuple:
 
 def _canonical(value) -> Scalar:
     """``value`` as a coefficient: an ``int`` when it is integral, else a
-    ``Fraction``.  Every coefficient of every ``Poly`` passes through here."""
+    ``Fraction``.  Every coefficient of every ``Poly`` takes this form;
+    ``Poly._trusted``, whose input is already ``int`` or ``Fraction``,
+    applies the rule inline."""
     if type(value) is int:
         return value
     if type(value) is not Fraction:
@@ -120,19 +122,22 @@ class Poly:
             c = _exact(coeff)
             if c:
                 clean[tuple(exps)] = c
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
+        _set_dim(self, dim)
+        _set_terms(self, clean)
 
     @classmethod
     def _trusted(cls, dim: int, terms: Mapping[Monomial, Scalar]) -> "Poly":
         """A Poly from exponent tuples of length ``dim`` and ``int`` or
         ``Fraction`` coefficients built by this module; zeros are dropped
-        and integral ``Fraction``s become ``int``s."""
+        and integral ``Fraction``s become ``int``s, as ``_canonical`` would
+        make them.  The slot descriptors set the slots past the immutability
+        guard."""
         p = object.__new__(cls)
-        object.__setattr__(p, "dim", dim)
-        object.__setattr__(
-            p, "terms", {e: _canonical(c) for e, c in terms.items() if c}
-        )
+        _set_dim(p, dim)
+        _set_terms(p, {
+            e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for e, c in terms.items() if c
+        })
         return p
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -349,6 +354,11 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({str(self)!r}, dim={self.dim})"
+
+
+# The slots' own setters; ``Poly.__setattr__`` refuses every assignment.
+_set_dim = Poly.dim.__set__
+_set_terms = Poly.terms.__set__
 
 
 def _term_text(exps: Monomial, coeff: Scalar) -> str:

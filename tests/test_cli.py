@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kolmosphere import numeric_validate
+from kolmosphere import cli, numeric_validate
 from kolmosphere.cli import main
 from kolmosphere.suites import SUITES, run_suite
 
@@ -668,3 +668,59 @@ def test_integrate_refuses_a_step_count_past_the_budget(capsys, monkeypatch, fmt
     assert run(capsys, *argv, "--steps", "5", "--format", fmt)[0] == 0
     code, out, err = run(capsys, *argv, "--steps", "6", "--format", fmt)
     assert (code, out, err) == (2, "", "error: need steps <= 5, got 6\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("watch", ["10^400*x1", "10^5000*x1"])
+def test_a_watch_past_the_double_range_is_refused_before_integrating(
+    capsys, monkeypatch, tmp_path, fmt, watch
+):
+    def no_integration(*args):
+        raise AssertionError("integrate_rk4 ran before the watch was checked")
+
+    monkeypatch.setattr(cli, "integrate_rk4", no_integration)
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"dim": 1, "components": ["0"]}))
+    code, out, err = run(
+        capsys, "integrate", "--field", str(field), "--x0", "1", "--h", "0.1",
+        "--steps", "3", "--watch", "x1", "--watch", watch, "--format", fmt,
+    )
+    coefficient = (
+        f"the coefficient {BIG} of {BIG}*x1" if watch == "10^400*x1"
+        else "the coefficient of x1, too long to print,"
+    )
+    assert (code, out, err) == (
+        2, "", f"error: {coefficient} is past the double range\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "command, components, message",
+    [
+        (["cofactor", "--surface", "x1"], ["10^5000*x1"],
+         "the cofactor cannot be printed: its coefficient of 1"),
+        (["check"], ["10^5000*x1 - 10^5000*x1^3"],
+         "the sphere cofactor cannot be printed: its coefficient of x1^2"),
+        (["hamiltonian"], ["10^5000*x1^2", "0"],
+         "the defect of the pair (1, 2) cannot be printed: its coefficient "
+         "of x1"),
+    ],
+    ids=["cofactor", "check", "hamiltonian"],
+)
+def test_a_result_too_long_to_print_exits_two_naming_it(
+    capsys, tmp_path, fmt, command, components, message
+):
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps(
+        {"dim": len(components), "components": components}
+    ))
+    code, out, err = run(
+        capsys, command[0], "--field", str(field), *command[1:],
+        "--format", fmt,
+    )
+    assert (code, out, err) == (
+        2, "",
+        f"error: {message} exceeds the limit (4300 digits) for integer "
+        "string conversion\n",
+    )

@@ -229,6 +229,56 @@ def test_elimination_matches_the_sympy_oracle(kind):
             assert basis == [lead_scaled(v) for v in expected]
 
 
+def test_mixed_int_and_fraction_rows_match_the_sympy_oracle():
+    """All-int rows enter the elimination unscaled and rows holding a
+    Fraction are scaled, so the determinant must undo exactly the scaling
+    of the second kind."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("oracle-mixed")
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.5:
+            n = m
+        rows = []
+        for _ in range(m):
+            if rng.random() < 0.5:
+                rows.append([rng.randint(-5, 5) for _ in range(n)])
+            else:
+                rows.append([
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    if rng.random() < 0.7 else rng.randint(-3, 3)
+                    for _ in range(n)
+                ])
+        theirs = sympy.Matrix(
+            m, n, [sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+                   for row in rows for x in row]
+        )
+        ours = RationalMatrix.from_rows(rows)
+        assert all(
+            (type(x) is int) == (Fraction(x).denominator == 1)
+            for row in ours.entries for x in row
+        )
+        # The same values with every integral entry a Fraction: the rows
+        # that hold one are scaled, by 1 where all of them are integral.
+        as_fractions = RationalMatrix(m, n, tuple(
+            tuple(Fraction(x) for x in row) for row in rows
+        ))
+        for matrix in (ours, as_fractions):
+            assert rank(matrix) == theirs.rank()
+            if m == n:
+                det = determinant(matrix)
+                assert type(det) is Fraction
+                assert det == Fraction(str(theirs.det()))
+            for side, oracle in (("right", theirs), ("left", theirs.T)):
+                basis = nullspace(matrix, side=side)
+                assert all(type(x) is Fraction for v in basis for x in v)
+                expected = [
+                    lead_scaled(tuple(Fraction(str(x)) for x in v))
+                    for v in oracle.nullspace()
+                ]
+                assert basis == expected
+
+
 def permutation_sign(perm):
     sign = 1
     for i in range(len(perm)):
