@@ -12,6 +12,7 @@ from .polyring import (
     Monomial,
     ParseError,
     Poly,
+    UnprintableError,
     VariableIndexError,
     ZeroDenominatorError,
     divide_exact,

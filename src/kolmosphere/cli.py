@@ -19,7 +19,7 @@ import json
 import sys
 from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
 
-from .polyring import NEG_INF, ParseError, Poly, parse
+from .polyring import NEG_INF, ParseError, Poly, UnprintableError, parse
 from .field_forms import (
     assemble_cubic,
     construct_from_form,
@@ -141,24 +141,12 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _poly_text(poly: Poly, what: str) -> str:
-    """``str(poly)``, the ``what`` of a verdict.  A coefficient with more
-    digits than the interpreter converts to text is an ``InputError`` that
-    names ``what`` and the coefficient's monomial, without Python's advice
-    to raise the limit, which is no use to someone running the command."""
+    """``str(poly)``, the ``what`` of a verdict; a coefficient too long to
+    print is named as one of the ``what``."""
     try:
         return str(poly)
-    except ValueError as err:
-        for exps, coeff in poly:
-            try:
-                str(coeff)
-            except ValueError:
-                raise InputError(
-                    f"the {what} cannot be printed: its coefficient of "
-                    f"{Poly(poly.dim, {exps: 1})} exceeds the limit "
-                    f"({sys.get_int_max_str_digits()} digits) for integer "
-                    "string conversion"
-                ) from err
-        raise
+    except UnprintableError as err:
+        raise UnprintableError(f"the {what}", err.part) from None
 
 
 def _tuple_text(values: Iterable[str]) -> str:
@@ -360,7 +348,7 @@ def _cmd_integrate(args) -> Outcome:
     if args.dump:
         _write_text(args.dump, trajectory_to_csv(traj))
     payload = {
-        "t_final": float(traj.times[-1]),
+        "t_final": traj.h * (len(traj.rows) - 1),
         "x_final": list(traj.rows[-1]),
         "watch": watch_payload,
     }

@@ -23,6 +23,7 @@ from .polyring import (
     DimensionMismatchError,
     Poly,
     Scalar,
+    UnprintableError,
     _canonical,
     divide_exact,
 )
@@ -86,8 +87,14 @@ class DarbouxIntegral:
             raise ValueError("exponents must not all vanish")
 
     def to_dict(self) -> dict:
+        exponents = []
+        for k, e in enumerate(self.exponents, start=1):
+            try:
+                exponents.append(str(e))
+            except ValueError:
+                raise UnprintableError(f"exponent {k}", "it") from None
         return {
-            "exponents": [str(e) for e in self.exponents],
+            "exponents": exponents,
             "surfaces": [str(s.defining) for s in self.surfaces],
         }
 

@@ -29,8 +29,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-import numpy as np
-
 from .polyring import Poly
 from .field_forms import PolyVectorField
 from .darboux import DarbouxIntegral
@@ -62,18 +60,24 @@ class DomainViolationError(RuntimeError):
 @dataclass(frozen=True)
 class Trajectory:
     """Fixed-step solution: ``rows[k]`` is the state after k steps of size
-    ``h``, the tuple of floats the stepping loop made.  ``times`` (k*h),
-    ``states`` (a float64 ndarray) and ``dim`` are derived on every read."""
+    ``h``, the tuple of floats the stepping loop made, at time ``h * k``.
+    ``times`` and ``states`` (float64 ndarrays) and ``dim`` are derived on
+    every read; the two arrays are the only use of numpy, which is imported
+    when one of them is first read."""
 
     h: float
     rows: List[Tuple[float, ...]]
 
     @property
-    def times(self) -> np.ndarray:
+    def times(self):
+        import numpy as np
+
         return self.h * np.arange(len(self.rows), dtype=np.float64)
 
     @property
-    def states(self) -> np.ndarray:
+    def states(self):
+        import numpy as np
+
         return np.array(self.rows, dtype=np.float64)
 
     @property
@@ -288,6 +292,6 @@ def max_abs_drift(traj: Trajectory, poly: Poly, what: str) -> float:
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Header t,x1,...,xd; every value with 17 significant digits."""
     lines = [",".join(["t", *_names("x", traj.dim)])]
-    for t, row in zip(traj.times, traj.rows):
-        lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
+    for k, row in enumerate(traj.rows):
+        lines.append(",".join(f"{v:.17g}" for v in (traj.h * k, *row)))
     return "\n".join(lines) + "\n"

@@ -22,6 +22,7 @@ The same order drives both ``divide_exact`` and canonical printing, so
 from __future__ import annotations
 
 import heapq
+import sys
 from fractions import Fraction
 from operator import add, neg, sub
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
@@ -43,6 +44,21 @@ class DimensionMismatchError(ValueError):
 
 class VariableIndexError(IndexError):
     """A variable index lies outside 1..dim."""
+
+
+class UnprintableError(ValueError):
+    """``what`` cannot be printed because ``part`` of it has more digits
+    than the interpreter converts to text (``sys.get_int_max_str_digits()``).
+    The message leaves out Python's advice to raise that limit, which is no
+    use to someone running a command."""
+
+    def __init__(self, what: str, part: str):
+        self.part = part
+        super().__init__(
+            f"{what} cannot be printed: {part} exceeds the limit "
+            f"({sys.get_int_max_str_digits()} digits) for integer string "
+            "conversion"
+        )
 
 
 class ParseError(ValueError):
@@ -345,7 +361,13 @@ class Poly:
         pieces = []
         for exps, first in zip(ordered, [True] + [False] * len(ordered)):
             coeff = self.terms[exps]
-            body = _term_text(exps, abs(coeff))
+            try:
+                body = _term_text(exps, abs(coeff))
+            except ValueError:
+                raise UnprintableError(
+                    "the polynomial",
+                    f"its coefficient of {Poly(self.dim, {exps: 1})}",
+                ) from None
             if first:
                 pieces.append(("-" if coeff < 0 else "") + body)
             else:

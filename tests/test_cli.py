@@ -2,11 +2,15 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from kolmosphere import cli, numeric_validate
+import kolmosphere
+from kolmosphere import cli, field_from_dict, integrate_rk4, numeric_validate
 from kolmosphere.cli import main
 from kolmosphere.suites import SUITES, run_suite
 
@@ -724,3 +728,98 @@ def test_a_result_too_long_to_print_exits_two_naming_it(
         f"error: {message} exceeds the limit (4300 digits) for integer "
         "string conversion\n",
     )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv, form, message",
+    [
+        (["darboux", "--g", "10^5000*(1 - x1^2 - x2^2 - x3^2)"], None,
+         "the polynomial cannot be printed: its coefficient of x1^2"),
+        (["syzygy-fi"], {"dim": 2, "alpha": ["1e5000", "1"],
+                         "atilde": [["0", "0"], ["0", "0"]]},
+         "exponent 2 cannot be printed: it"),
+        (["construct", "cubic"], {
+            "dim": 3, "alpha": ["2e5000", "0", "2e5000"],
+            "atilde": [["0", "3e5000", "0"], ["-3e5000", "0", "-3e5000"],
+                       ["0", "3e5000", "0"]],
+        }, "the polynomial cannot be printed: its coefficient of x1^3"),
+    ],
+    ids=["darboux", "syzygy-fi", "construct-cubic"],
+)
+def test_an_integral_or_field_too_long_to_print_exits_two_naming_it(
+    capsys, tmp_path, fmt, argv, form, message
+):
+    """Every printed polynomial and exponent names what cannot be printed,
+    without Python's advice to raise the digit limit."""
+    path = FORM
+    if form is not None:
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(form))
+    code, out, err = run(capsys, *argv, "--form", str(path), "--format", fmt)
+    assert (code, out, err) == (
+        2, "",
+        f"error: {message} exceeds the limit (4300 digits) for integer "
+        "string conversion\n",
+    )
+
+
+@pytest.mark.parametrize("h", [0.1, 1 / 3, 1e-3])
+def test_printed_times_are_the_bits_of_the_trajectory_times(capsys, tmp_path, h):
+    dump = tmp_path / "traj.csv"
+    steps = 37
+    code, out, _ = run(
+        capsys, "integrate", "--field", FIELD, "--x0", "0.5,0.4,0.3",
+        "--h", repr(h), "--steps", str(steps), "--dump", str(dump),
+        "--format", "json",
+    )
+    assert code == 0
+    times = integrate_rk4(
+        field_from_dict(json.loads(Path(FIELD).read_text())),
+        (0.5, 0.4, 0.3), h, steps,
+    ).times
+    assert json.loads(out)["t_final"].hex() == times[-1].hex()
+    cells = [line.split(",")[0] for line in dump.read_text().splitlines()[1:]]
+    assert [float(c).hex() for c in cells] == [t.hex() for t in times]
+
+
+NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+from kolmosphere import cli, field_from_dict, integrate_rk4
+
+FIELD, FORM, DUMP = sys.argv[1:]
+commands = [
+    ["check", "--field", FIELD],
+    ["cofactor", "--field", FIELD, "--surface", "x1^2 + x2^2 + x3^2 - 1"],
+    ["darboux", "--form", FORM, "--g", "1 - x1^2 - x2^2 - x3^2"],
+    ["certify", "--suite", "thm13"],
+    ["integrate", "--field", FIELD, "--x0", "0.5,0.4,0.3", "--h", "0.001",
+     "--steps", "100", "--watch", "x1^2 + x2^2 + x3^2 - 1",
+     "--dump", DUMP, "--format", "json"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in commands]
+before = "numpy" in sys.modules
+with open(FIELD) as handle:
+    traj = integrate_rk4(field_from_dict(json.load(handle)), (0.5, 0.4, 0.3), 0.001, 3)
+shape = traj.states.shape
+print(json.dumps({"codes": codes, "numpy_before": before,
+                  "numpy_after": "numpy" in sys.modules, "shape": shape}))
+"""
+
+
+def test_no_command_loads_numpy_until_a_trajectory_array_is_read(tmp_path):
+    """Start-up and every command run on the rows alone; numpy is imported
+    the first time a ``Trajectory``'s ``states`` or ``times`` is read."""
+    src = Path(kolmosphere.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, FIELD, FORM,
+         str(tmp_path / "traj.csv")],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    # thm13 exits 1: at n = 1 the constraint space is not {0} (criterion 3).
+    assert json.loads(result.stdout) == {
+        "codes": [0, 0, 0, 1, 0], "numpy_before": False,
+        "numpy_after": True, "shape": [4, 3],
+    }

@@ -557,7 +557,7 @@ def test_integrating_and_sweeping_build_no_ndarray(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an ndarray was built")
 
-    monkeypatch.setattr(numeric_validate.np, "array", refuse)
+    monkeypatch.setattr(np, "array", refuse)
     traj = integrate_rk4(vf, (0.5, 0.4, 0.3), 1e-3, 50)
     for integral in integrals:
         conservation_report(traj, integral)
