@@ -9,12 +9,15 @@ identical invocations produce identical bytes.
 
 Each ``_cmd_*`` returns ``(code, payload, lines)``: the exit code, the JSON
 payload, and the text lines built from that payload.  ``main`` is the one
-place that prints results and maps exceptions to exit codes.
+place that prints results and maps exceptions to exit codes.  It reuses one
+argparse tree per process (``build_parser`` is cached), so a script or test
+that calls ``main`` many times builds it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
@@ -384,7 +387,12 @@ def _cmd_certify(args) -> Outcome:
 # ----- parser wiring ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built once per process.
+    ``parse_args`` returns a fresh namespace on each call, and argparse
+    reads ``sys.stdout``, ``sys.stderr`` and the terminal width when it
+    prints, not when it is built, so ``main`` can reuse the one tree."""
     parser = argparse.ArgumentParser(
         prog="kolmosphere",
         description=(
@@ -465,10 +473,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_dropped_values(args: argparse.Namespace) -> None:
+    """The argparse of Python 3.11 reads ``--option=--`` as an empty list of
+    values, not as the text "--"; refuse it rather than pass the list on to
+    a reader that expects text or a number."""
+    for name, value in vars(args).items():
+        if value == [] or (isinstance(value, list) and [] in value):
+            option = "--" + name.replace("_", "-")
+            raise InputError(f"{option}: expected a value, got '--'")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         try:
+            _refuse_dropped_values(args)
             code, payload, lines = args.func(args)
         except (InputError, ValueError, IndexError, ZeroDivisionError) as err:
             print(f"error: {err}", file=sys.stderr)

@@ -9,9 +9,15 @@ two hash alike, so equality, hashing and printing do not depend on the
 representation.  The zero polynomial is the empty dict.  All arithmetic is
 exact; no floating point enters this module.
 
-``parse`` folds the rational and variable factors of each term into one
-monomial, builds that monomial as one ``Poly``, and multiplies the term's
-parenthesised factors into it from left to right.
+``parse`` tokenizes the text with one pass of one regular expression.  Its
+matches cover every character but trailing whitespace, so each token's
+position is the running sum of the matched lengths, and a literal longer
+than the interpreter's digit limit is refused there, at its position.  The
+parser reads the tokens by index.  It folds the rational and variable
+factors of each term into one monomial, multiplies the term's parenthesised
+factors into it from left to right, and folds the term straight into one
+dict of the sum, deleting a monomial the moment its coefficient cancels, as
+``Poly.sum`` does.
 
 Monomial order everywhere is graded lexicographic with x1 > x2 > ... :
 compare total degree first, then the exponent tuples lexicographically.
@@ -22,6 +28,7 @@ The same order drives both ``divide_exact`` and canonical printing, so
 from __future__ import annotations
 
 import heapq
+import re
 import sys
 from fractions import Fraction
 from operator import add, neg, sub
@@ -111,12 +118,13 @@ class Poly:
 
     Every coefficient is a nonzero ``int`` when it is integral and a
     ``Fraction`` otherwise; ``_canonical`` enforces this for every
-    constructor.  ``Poly(dim, terms)`` and :func:`parse` (one ``Poly`` per
-    term) take input from outside the ring, so they check every exponent
-    tuple.  :meth:`zero`, :meth:`const` and :meth:`var` check their own
-    arguments; ``Poly(dim, terms)`` and :meth:`const` refuse a float
-    coefficient (``_exact``).  The ring's own results (:meth:`sum`,
-    ``+ - *``, ``**``, :meth:`differentiate`, :func:`divide_exact`) are
+    constructor.  ``Poly(dim, terms)`` takes input from outside the ring,
+    so it checks every exponent tuple.  :meth:`zero`, :meth:`const` and
+    :meth:`var` check their own arguments; ``Poly(dim, terms)`` and
+    :meth:`const` refuse a float coefficient (``_exact``).  The ring's own
+    results (:meth:`sum`, ``+ - *``, ``**``, :meth:`differentiate`,
+    :func:`divide_exact`) and :func:`parse`, which builds each exponent
+    tuple from checked tokens (an index in 1..dim, a natural exponent), are
     built by :meth:`_trusted`, which checks no exponent tuple.  The
     insertion order of ``terms`` is the float evaluation order of
     ``numeric_validate.compile_polys``, so every operation keeps it fixed.
@@ -247,14 +255,8 @@ class Poly:
                 )
             if acc is None:
                 acc = dict(p.terms)
-                continue
-            for exps, coeff in p.terms.items():
-                old = acc.get(exps)
-                new = coeff if old is None else old + coeff
-                if new:
-                    acc[exps] = new
-                else:
-                    del acc[exps]
+            else:
+                _fold(acc, p.terms.items())
         return cls._trusted(dim, acc or {})
 
     def __add__(self, other) -> "Poly":
@@ -383,6 +385,21 @@ _set_dim = Poly.dim.__set__
 _set_terms = Poly.terms.__set__
 
 
+def _fold(
+    acc: Dict[Monomial, Scalar], terms: Iterable[Tuple[Monomial, Scalar]]
+) -> None:
+    """Add the nonzero ``terms`` into ``acc`` in place.  A monomial is
+    deleted the moment its coefficient cancels, which keeps the term order
+    of a left-to-right chain of ``+``."""
+    for exps, coeff in terms:
+        old = acc.get(exps)
+        new = coeff if old is None else old + coeff
+        if new:
+            acc[exps] = new
+        else:
+            del acc[exps]
+
+
 def _term_text(exps: Monomial, coeff: Scalar) -> str:
     vars_part = "*".join(
         f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
@@ -468,179 +485,190 @@ def divide_exact(dividend: Poly, divisor: Poly):
 # Whitespace is insignificant.  There is no implicit multiplication:
 # "2x1" is a syntax error.
 
-_OPS = set("+-*/^()")
-# ASCII digits only: str.isdigit() also accepts other scripts' digits and
-# superscripts, some of which int() then rejects without a position.
-_DIGITS = set("0123456789")
+# One match per token: the whitespace before it, then an integer, a
+# variable, an operator or a stray character.  Only trailing whitespace lies
+# outside every match, so a token's position is the running sum of the
+# matched lengths.  ``\s`` is ``str.isspace``; ``[0-9]`` takes ASCII digits
+# only, since ``str.isdigit`` also accepts other scripts' digits and
+# superscripts, some of which ``int`` then rejects without a position.
+_TOKEN = re.compile(r"(\s*)(?:([0-9]+)|(x[0-9]*)|([-+*/^()])|(\S))")
 
 
-class _Token:
-    __slots__ = ("kind", "value", "position")
+def _tokenize(text: str) -> Tuple[list, list, list]:
+    """The tokens of ``text`` as three parallel lists: kinds ("int", "var",
+    an operator character, and a last "end"), values (the integer, the
+    variable's index, or the operator) and character positions.
 
-    def __init__(self, kind: str, value, position: int):
-        self.kind = kind  # "int" | "var" | one of _OPS | "end"
-        self.value = value
-        self.position = position
-
-    def describe(self) -> str:
-        if self.kind == "int":
-            return f"integer {self.value}"
-        if self.kind == "var":
-            return f"variable x{self.value}"
-        if self.kind == "end":
-            return "end of input"
-        return f"'{self.kind}'"
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j == i + 1:
-                raise ParseError(i, "a variable index after 'x'", f"'{ch}'")
-            index = int(text[i + 1:j])
+    A literal longer than ``sys.get_int_max_str_digits()`` is refused at its
+    position, before ``int`` can refuse it with advice to raise the limit.
+    """
+    kinds = []
+    values = []
+    positions = []
+    limit = sys.get_int_max_str_digits() or len(text)  # 0 means no limit
+    position = 0
+    for space, digits, var, op, stray in _TOKEN.findall(text):
+        position += len(space)
+        if op:
+            kinds.append(op)
+            values.append(op)
+        elif digits:
+            if len(digits) > limit:
+                raise ParseError(position, f"at most {limit} digits",
+                                 f"{len(digits)} digits")
+            kinds.append("int")
+            values.append(int(digits))
+        elif var:
+            if var == "x":
+                raise ParseError(position, "a variable index after 'x'", "'x'")
+            if len(var) > limit + 1:
+                raise ParseError(position, f"at most {limit} digits",
+                                 f"{len(var) - 1} digits")
+            index = int(var[1:])
             if index == 0:
-                raise ParseError(i, "a positive variable index", text[i:j])
-            tokens.append(_Token("var", index, i))
-            i = j
-            continue
-        raise ParseError(i, "a term", f"'{ch}'")
-    tokens.append(_Token("end", None, n))
-    return tokens
+                raise ParseError(position, "a positive variable index", var)
+            kinds.append("var")
+            values.append(index)
+        else:
+            raise ParseError(position, "a term", f"'{stray}'")
+        positions.append(position)
+        position += len(op or digits or var)
+    kinds.append("end")
+    values.append(None)
+    positions.append(len(text))
+    return kinds, values, positions
+
+
+def _describe(kind: str, value) -> str:
+    if kind == "int":
+        return f"integer {value}"
+    if kind == "var":
+        return f"variable x{value}"
+    if kind == "end":
+        return "end of input"
+    return f"'{kind}'"
 
 
 class _Parser:
-    def __init__(self, tokens: list, dim: int):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over the token lists of ``_tokenize``; ``i`` is the
+    index of the next token."""
+
+    def __init__(self, text: str, dim: int):
+        self.kinds, self.values, self.positions = _tokenize(text)
+        self.i = 0
         self.dim = dim
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, expected: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.position, expected, tok.describe())
-        return self.advance()
+    def fail(self, i: int, expected: str):
+        raise ParseError(self.positions[i], expected,
+                         _describe(self.kinds[i], self.values[i]))
 
     def parse_poly(self) -> Poly:
-        negate = self.peek().kind == "-"
-        if negate:
-            self.advance()
-        terms = [self.parse_term(-1 if negate else 1)]
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            terms.append(self.parse_term(1 if op.kind == "+" else -1))
-        return Poly.sum(self.dim, terms)
+        """The sum of the terms, each folded into one dict as ``Poly.sum``
+        folds its addends (``_fold``)."""
+        kinds = self.kinds
+        acc: Dict[Monomial, Scalar] = {}
+        sign = 1
+        if kinds[self.i] == "-":
+            self.i += 1
+            sign = -1
+        while True:
+            self.parse_term(acc, sign)
+            kind = kinds[self.i]
+            if kind == "+":
+                sign = 1
+            elif kind == "-":
+                sign = -1
+            else:
+                return Poly._trusted(self.dim, acc)
+            self.i += 1
 
-    def parse_term(self, sign: int) -> Poly:
-        """``sign`` times the product of the term's factors.
+    def parse_term(self, acc: Dict[Monomial, Scalar], sign: int) -> None:
+        """Fold ``sign`` times the product of the term's factors into
+        ``acc``.
 
-        Rationals and variables fold into one monomial, built as one
-        ``Poly``; the parenthesised factors then multiply into it from left
-        to right.  A monomial factor only shifts the exponents of the terms
-        it meets, so this keeps the term order of the left-to-right
-        product.
+        Rationals and variables fold into one monomial; the parenthesised
+        factors then multiply into it from left to right.  A monomial
+        factor only shifts the exponents of the terms it meets, so this
+        keeps the term order of the left-to-right product.
         """
+        kinds = self.kinds
+        values = self.values
+        i = self.i
         coeff = sign
         exps = [0] * self.dim
         parenthesised = []
         while True:
-            kind = self.peek().kind
-            base = self.parse_base()
+            kind = kinds[i]
+            if kind == "int":
+                base = values[i]
+                i += 1
+                if kinds[i] == "/":
+                    i += 1
+                    if kinds[i] != "int":
+                        self.fail(i, "a positive denominator")
+                    if values[i] == 0:
+                        raise ZeroDenominatorError(
+                            f"at position {self.positions[i]}: denominator is zero"
+                        )
+                    base = Fraction(base, values[i])
+                    i += 1
+            elif kind == "var":
+                base = values[i]
+                if base > self.dim:
+                    raise VariableIndexError(
+                        f"at position {self.positions[i]}: variable x{base} "
+                        f"outside 1..{self.dim}"
+                    )
+                i += 1
+            elif kind == "(":
+                if self.depth == MAX_PAREN_DEPTH:
+                    self.fail(i, f"at most {MAX_PAREN_DEPTH} nested parentheses")
+                self.i = i + 1
+                self.depth += 1
+                base = self.parse_poly()
+                i = self.i
+                if kinds[i] != ")":
+                    self.fail(i, "')'")
+                self.depth -= 1
+                i += 1
+            else:
+                self.fail(i, "a rational, a variable, or '('")
             power = 1
-            if self.peek().kind == "^":
-                self.advance()
-                power = self.expect("int", "a natural exponent").value
+            if kinds[i] == "^":
+                i += 1
+                if kinds[i] != "int":
+                    self.fail(i, "a natural exponent")
+                power = values[i]
+                i += 1
             if kind == "var":
                 exps[base - 1] += power
             elif kind == "(":
                 parenthesised.append(base if power == 1 else base ** power)
             else:
                 coeff *= base ** power
-            if self.peek().kind != "*":
+            if kinds[i] != "*":
                 break
-            self.advance()
-        result = Poly(self.dim, {tuple(exps): coeff})
-        for factor in parenthesised:
-            result = result * factor
-        return result
-
-    def parse_base(self):
-        """A rational (``int`` or ``Fraction``), a variable's index, or a
-        parenthesised ``Poly``, by the kind of the next token."""
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            numerator = tok.value
-            if self.peek().kind == "/":
-                self.advance()
-                den_tok = self.expect("int", "a positive denominator")
-                if den_tok.value == 0:
-                    raise ZeroDenominatorError(
-                        f"at position {den_tok.position}: denominator is zero"
-                    )
-                return Fraction(numerator, den_tok.value)
-            return numerator
-        if tok.kind == "var":
-            self.advance()
-            if tok.value > self.dim:
-                raise VariableIndexError(
-                    f"at position {tok.position}: variable x{tok.value} "
-                    f"outside 1..{self.dim}"
-                )
-            return tok.value
-        if tok.kind == "(":
-            if self.depth == MAX_PAREN_DEPTH:
-                raise ParseError(
-                    tok.position,
-                    f"at most {MAX_PAREN_DEPTH} nested parentheses",
-                    tok.describe(),
-                )
-            self.advance()
-            self.depth += 1
-            inner = self.parse_poly()
-            self.expect(")", "')'")
-            self.depth -= 1
-            return inner
-        raise ParseError(
-            tok.position, "a rational, a variable, or '('", tok.describe()
-        )
+            i += 1
+        self.i = i
+        if parenthesised:
+            product = Poly._trusted(self.dim, {tuple(exps): coeff})
+            for factor in parenthesised:
+                product = product * factor
+            terms = product.terms.items()
+        elif coeff:
+            terms = ((tuple(exps), coeff),)
+        else:
+            return
+        _fold(acc, terms)
 
 
 def parse(text: str, dim: int) -> Poly:
     """Parse polynomial text into a Poly in ``dim`` variables."""
-    parser = _Parser(_tokenize(text), dim)
+    if dim < 0:
+        raise ValueError("dim must be a natural number")
+    parser = _Parser(text, dim)
     result = parser.parse_poly()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(tail.position, "'+', '-', '*', '^', or end of input",
-                         tail.describe())
+    if parser.kinds[parser.i] != "end":
+        parser.fail(parser.i, "'+', '-', '*', '^', or end of input")
     return result

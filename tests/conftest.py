@@ -2,6 +2,7 @@
 random generators used by several modules."""
 
 import random
+import re
 from fractions import Fraction
 
 from kolmosphere import Poly
@@ -54,3 +55,10 @@ def rand_nonzero_poly(rng: random.Random, dim: int, max_degree: int) -> Poly:
 
 def rand_skew_constant(rng: random.Random, dim: int):
     return skew_matrix(dim, lambda i, j: rand_fraction(rng), Fraction(0))
+
+
+def capped_exponents(text: str) -> str:
+    """``text`` with every exponent literal cut to at most 6, so that no
+    power in drawn polynomial text expands hugely."""
+    return re.sub(r"(\^\s*)([0-9]+)",
+                  lambda m: m.group(1) + str(min(int(m.group(2)), 6)), text)

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, golden outputs, file formats."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,11 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import kolmosphere
 from kolmosphere import cli, field_from_dict, integrate_rk4, numeric_validate
 from kolmosphere.cli import main
 from kolmosphere.suites import SUITES, run_suite
+
+from conftest import capped_exponents
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
@@ -453,6 +458,15 @@ def test_construct_complete_rejects_wrong_degree(capsys):
         (["classify-hyperplane", "--form", FORM, "--a0", "\u0661",
           "--a", "1,0,1"],
          'error: --a0 is "\\u0661", expected a rational'),
+        # Python 3.11's argparse reads an option's value "--" as no value.
+        (["cofactor", "--field", FIELD, "--surface=--"],
+         "error: --surface: expected a value, got '--'"),
+        (["integrate", "--field", FIELD, "--x0", "1,1,1", "--h", "0.1",
+          "--steps", "3", "--watch", "x1", "--watch=--"],
+         "error: --watch: expected a value, got '--'"),
+        (["check", "--field=--"], "error: --field: expected a value, got '--'"),
+        (["construct", "complete", "--n=--", "--m", "4", "--atilde", "x1"],
+         "error: --n: expected a value, got '--'"),
     ],
     ids=["steps-0", "h-nan", "constraint-n-0", "form-1-over-0",
          "form-atilde-1-over-0", "form-infinity",
@@ -466,7 +480,8 @@ def test_construct_complete_rejects_wrong_degree(capsys):
          "seed-rows-strings", "seed-entries-string",
          "field-variable-out-of-range", "hamiltonian-field-and-space",
          "hamiltonian-field-and-n", "hamiltonian-odd-dimension",
-         "form-arabic-digit", "a-arabic-digit", "a0-arabic-digit"],
+         "form-arabic-digit", "a-arabic-digit", "a0-arabic-digit",
+         "surface-dashes", "watch-dashes", "field-dashes", "n-dashes"],
 )
 def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv, message):
     inputs = {
@@ -762,6 +777,131 @@ def test_an_integral_or_field_too_long_to_print_exits_two_naming_it(
         f"error: {message} exceeds the limit (4300 digits) for integer "
         "string conversion\n",
     )
+
+
+INTEGRATE = ["integrate", "--field", FIELD, "--x0", "0.5,0.5,0.5",
+             "--h", "0.1", "--steps", "3"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv, component, message",
+    [
+        (["cofactor", "--field", FIELD, "--surface", "1" + "0" * 5000 + "*x1"],
+         None, "--surface: at position 0: expected at most 4300 digits, "
+         "found 5001 digits"),
+        (INTEGRATE + ["--watch", "x1^" + "9" * 5000], None,
+         "--watch: at position 3: expected at most 4300 digits, "
+         "found 5000 digits"),
+        (["cofactor", "--field", FIELD, "--surface", "x2 - x" + "1" * 5000],
+         None, "--surface: at position 5: expected at most 4300 digits, "
+         "found 5000 digits"),
+        (["check"], "x1 + " + "1" * 5000, "FIELD: at position 5: expected "
+         "at most 4300 digits, found 5000 digits"),
+    ],
+    ids=["integer", "exponent", "variable-index", "field-file-integer"],
+)
+def test_a_literal_past_the_digit_limit_exits_two_at_its_position(
+    capsys, tmp_path, fmt, argv, component, message
+):
+    """A parse error with a position, not Python's advice to call
+    sys.set_int_max_str_digits()."""
+    if component is not None:
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"dim": 1, "components": [component]}))
+        argv = argv + ["--field", str(field)]
+        message = message.replace("FIELD", str(field))
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# Every command path, for the help of each subcommand.
+COMMANDS = [
+    [], ["check"], ["cofactor"], ["darboux"], ["syzygy-fi"],
+    ["classify-hyperplane"], ["construct"], ["construct", "linear-fi"],
+    ["construct", "complete"], ["construct", "cubic"], ["hamiltonian"],
+    ["integrate"], ["certify"],
+]
+
+
+def _exit_output(capsys, parse, argv):
+    """Exit code, stdout and stderr of an argparse exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code,) + tuple(capsys.readouterr())
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    """``main`` reuses one argparse tree per process: a call sees nothing
+    of the calls before it, and help and usage bytes are those of a fresh
+    tree, at the terminal width of the moment they are printed."""
+    argv = INTEGRATE + ["--format", "json"]
+    code, out, _ = run(capsys, *argv, "--watch", "x1", "--watch", "x2")
+    assert code == 0
+    assert [w["poly"] for w in json.loads(out)["watch"]] == ["x1", "x2"]
+    assert _exit_output(capsys, main, ["integrate", "--watch", "x3"])[0] == 2
+    code, out, _ = run(capsys, *argv, "--watch", "x3")
+    assert code == 0
+    assert [w["poly"] for w in json.loads(out)["watch"]] == ["x3"]
+
+    assert cli.build_parser() is cli.build_parser()
+
+    def fresh(argv):
+        return cli.build_parser.__wrapped__().parse_args(argv)
+
+    for width in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", width)
+        for command in COMMANDS:
+            for tail in (["--help"], ["--no-such-flag"]):
+                assert _exit_output(capsys, main, command + tail) == (
+                    _exit_output(capsys, fresh, command + tail)
+                )
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = _exit_output(capsys, main, ["integrate", "--help"])[1]
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = _exit_output(capsys, main, ["integrate", "--help"])[1]
+    assert narrow != wide
+    assert max(map(len, wide.splitlines())) > 40
+
+
+@contextlib.contextmanager
+def _captured():
+    """stdout and stderr in memory; unlike the capture buffers, StringIO
+    writes any str, as the process's stderr does with backslashreplace."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        yield out, err
+
+
+POLY_CHARS = list(" x0123456789+-*/^()") + [
+    "\u00a0", "\u2003", "\u0661", "\u00b2", "$", "\n", "\ud800",
+]
+
+
+@given(st.one_of(
+    st.text(alphabet=st.sampled_from(POLY_CHARS), max_size=60),
+    st.text(max_size=20),
+).map(capped_exponents))
+@example("(" * 3000 + "x1" + ")" * 3000)
+@example("--")
+@example("x\u0661")
+@example("x1^\u00b2")
+@example("10^5000*x1")
+@example("1" + "0" * 5000 + "*x1")
+@settings(max_examples=150, deadline=None)
+def test_polynomial_text_never_crashes_the_cli(text):
+    """Drawn text never powers a sum past an exponent of 6."""
+    for argv in (
+        ["cofactor", "--field", FIELD, f"--surface={text}"],
+        INTEGRATE + [f"--watch={text}"],
+    ):
+        with _captured() as (out, err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert len(err.getvalue().splitlines()) <= 1
+        for stream in (out.getvalue(), err.getvalue()):
+            assert "Traceback" not in stream
+            assert "set_int_max_str_digits" not in stream
 
 
 @pytest.mark.parametrize("h", [0.1, 1 / 3, 1e-3])

@@ -5,6 +5,7 @@ import hashlib
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from kolmosphere.polyring import (
     parse,
 )
 
-from conftest import rand_poly
+from conftest import capped_exponents, rand_poly
 
 
 # ----- construction and basic queries ----------------------------------------
@@ -480,6 +481,12 @@ def test_variable_index_beyond_dimension_is_reported():
         parse("x3", 2)
 
 
+def test_a_negative_dimension_is_refused_before_the_text_is_read():
+    for text in ("1", "x1", "$"):
+        with pytest.raises(ValueError, match="dim must be a natural number"):
+            parse(text, -1)
+
+
 def test_zero_denominator_is_reported():
     with pytest.raises(ZeroDenominatorError):
         parse("1/0", 2)
@@ -631,6 +638,268 @@ def test_lie_derivative_and_cofactor_match_sympy(sympy, vf, f, i, j):
             assert k is not None and agrees(sympy, k.poly, their_k)
         else:
             assert k is None
+
+
+# ----- the character-loop parser as a reference ---------------------------------
+#
+# ``parse`` tokenizes with one regular expression and folds each term into
+# one dict.  The parser it replaced read the text one character at a time
+# and summed one ``Poly`` per term; it is kept here, unchanged but for its
+# names, as the reference the rewrite must agree with.
+
+_REF_OPS = set("+-*/^()")
+_REF_DIGITS = set("0123456789")
+
+
+class _RefToken:
+    __slots__ = ("kind", "value", "position")
+
+    def __init__(self, kind: str, value, position: int):
+        self.kind = kind  # "int" | "var" | one of _REF_OPS | "end"
+        self.value = value
+        self.position = position
+
+    def describe(self) -> str:
+        if self.kind == "int":
+            return f"integer {self.value}"
+        if self.kind == "var":
+            return f"variable x{self.value}"
+        if self.kind == "end":
+            return "end of input"
+        return f"'{self.kind}'"
+
+
+def _ref_tokenize(text: str) -> list:
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _REF_OPS:
+            tokens.append(_RefToken(ch, ch, i))
+            i += 1
+            continue
+        if ch in _REF_DIGITS:
+            j = i
+            while j < n and text[j] in _REF_DIGITS:
+                j += 1
+            tokens.append(_RefToken("int", int(text[i:j]), i))
+            i = j
+            continue
+        if ch == "x":
+            j = i + 1
+            while j < n and text[j] in _REF_DIGITS:
+                j += 1
+            if j == i + 1:
+                raise ParseError(i, "a variable index after 'x'", f"'{ch}'")
+            index = int(text[i + 1:j])
+            if index == 0:
+                raise ParseError(i, "a positive variable index", text[i:j])
+            tokens.append(_RefToken("var", index, i))
+            i = j
+            continue
+        raise ParseError(i, "a term", f"'{ch}'")
+    tokens.append(_RefToken("end", None, n))
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, tokens: list, dim: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.dim = dim
+        self.depth = 0
+
+    def peek(self) -> _RefToken:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _RefToken:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, expected: str) -> _RefToken:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(tok.position, expected, tok.describe())
+        return self.advance()
+
+    def parse_poly(self) -> Poly:
+        negate = self.peek().kind == "-"
+        if negate:
+            self.advance()
+        terms = [self.parse_term(-1 if negate else 1)]
+        while self.peek().kind in ("+", "-"):
+            op = self.advance()
+            terms.append(self.parse_term(1 if op.kind == "+" else -1))
+        return Poly.sum(self.dim, terms)
+
+    def parse_term(self, sign: int) -> Poly:
+        coeff = sign
+        exps = [0] * self.dim
+        parenthesised = []
+        while True:
+            kind = self.peek().kind
+            base = self.parse_base()
+            power = 1
+            if self.peek().kind == "^":
+                self.advance()
+                power = self.expect("int", "a natural exponent").value
+            if kind == "var":
+                exps[base - 1] += power
+            elif kind == "(":
+                parenthesised.append(base if power == 1 else base ** power)
+            else:
+                coeff *= base ** power
+            if self.peek().kind != "*":
+                break
+            self.advance()
+        result = Poly(self.dim, {tuple(exps): coeff})
+        for factor in parenthesised:
+            result = result * factor
+        return result
+
+    def parse_base(self):
+        tok = self.peek()
+        if tok.kind == "int":
+            self.advance()
+            numerator = tok.value
+            if self.peek().kind == "/":
+                self.advance()
+                den_tok = self.expect("int", "a positive denominator")
+                if den_tok.value == 0:
+                    raise ZeroDenominatorError(
+                        f"at position {den_tok.position}: denominator is zero"
+                    )
+                return Fraction(numerator, den_tok.value)
+            return numerator
+        if tok.kind == "var":
+            self.advance()
+            if tok.value > self.dim:
+                raise VariableIndexError(
+                    f"at position {tok.position}: variable x{tok.value} "
+                    f"outside 1..{self.dim}"
+                )
+            return tok.value
+        if tok.kind == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ParseError(
+                    tok.position,
+                    f"at most {MAX_PAREN_DEPTH} nested parentheses",
+                    tok.describe(),
+                )
+            self.advance()
+            self.depth += 1
+            inner = self.parse_poly()
+            self.expect(")", "')'")
+            self.depth -= 1
+            return inner
+        raise ParseError(
+            tok.position, "a rational, a variable, or '('", tok.describe()
+        )
+
+
+def reference_parse(text: str, dim: int) -> Poly:
+    parser = _RefParser(_ref_tokenize(text), dim)
+    result = parser.parse_poly()
+    tail = parser.peek()
+    if tail.kind != "end":
+        raise ParseError(tail.position, "'+', '-', '*', '^', or end of input",
+                         tail.describe())
+    return result
+
+
+# Grammar pieces and what lies just outside the grammar: Unicode whitespace,
+# a digit of another script, a superscript, stray characters, a variable
+# past the dimension, a zero denominator and a zero index.
+PIECES = [
+    "x1", "x2", "x3", "x4", "x", "x0", "x01", "0", "1", "7", "12", "3/4",
+    "1/0", "+", "-", "*", "/", "^", "^2", "^6", "(", ")", " ", "\t", "\n",
+    "\u00a0", "\u2003", "\u001c", "\u0085", "\u0661", "\u00b2", "$", "X",
+    ".", "**",
+]
+
+
+# Few monomials, so that sums often cancel a monomial and bring it back.
+FEW_TERMS = ["x1", "2*x2", "x1*x2", "1", "1/2", "(x1 - x2)", "x1^2*(x2 + 1)"]
+
+
+@st.composite
+def near_grammar_texts(draw):
+    """Grammar text with pieces inserted, pieces alone, or a signed sum of
+    few terms, inside 0 to 101 pairs of parentheses."""
+    kind = draw(st.sampled_from(["grammar", "pieces", "sum"]))
+    if kind == "grammar":
+        text = draw(texts())
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            at = draw(st.integers(min_value=0, max_value=len(text)))
+            text = text[:at] + draw(st.sampled_from(PIECES)) + text[at:]
+    elif kind == "pieces":
+        text = "".join(draw(st.lists(st.sampled_from(PIECES), max_size=30)))
+    else:
+        text = "".join(
+            sign + term for sign, term in draw(st.lists(
+                st.tuples(st.sampled_from([" + ", " - "]),
+                          st.sampled_from(FEW_TERMS)),
+                min_size=1, max_size=8,
+            ))
+        )
+    depth = draw(st.sampled_from([0, 1, 3, MAX_PAREN_DEPTH - 1, MAX_PAREN_DEPTH,
+                                  MAX_PAREN_DEPTH + 1]))
+    return capped_exponents("(" * depth + text + ")" * depth)
+
+
+def _outcome(parser, text):
+    """The terms, in order and with their types, or what was raised."""
+    try:
+        p = parser(text, 3)
+    except Exception as err:
+        return (type(err), getattr(err, "position", None),
+                getattr(err, "expected", None), str(err))
+    return [(e, c, type(c)) for e, c in p.terms.items()]
+
+
+@given(near_grammar_texts())
+@settings(max_examples=400, deadline=None)
+def test_parse_agrees_with_the_character_loop_reference(text):
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+def test_the_regex_whitespace_class_is_str_isspace():
+    """The tokenizer skips ``\\s``; the reference skipped ``str.isspace``."""
+    everything = "".join(map(chr, range(0x110000)))
+    assert set(re.findall(r"\s", everything)) == {
+        c for c in everything if c.isspace()
+    }
+
+
+@pytest.mark.parametrize(
+    "text, position, digits",
+    [("1" + "0" * 5000 + "*x1", 0, 5001), ("x1^" + "9" * 5000, 3, 5000),
+     ("x1 + x" + "1" * 5000, 5, 5000)],
+    ids=["integer", "exponent", "variable-index"],
+)
+def test_a_literal_past_the_digit_limit_is_a_parse_error_at_its_position(
+    text, position, digits
+):
+    """Not ``int``'s ValueError, whose advice to call
+    sys.set_int_max_str_digits() no command-line user can follow."""
+    with pytest.raises(ParseError) as exc:
+        parse(text, 2)
+    assert (exc.value.position, exc.value.expected, exc.value.found) == (
+        position, "at most 4300 digits", f"{digits} digits"
+    )
+
+
+def test_literals_at_the_digit_limit_are_read():
+    limit = sys.get_int_max_str_digits()
+    one = "0" * (limit - 1) + "1"
+    assert parse("9" * limit + "*x" + one + "^" + one, 1) == Poly(
+        1, {(1,): 10**limit - 1}
+    )
 
 
 # ----- term insertion order -----------------------------------------------------
