@@ -876,10 +876,18 @@ def _captured():
 POLY_CHARS = list(" x0123456789+-*/^()") + [
     "\u00a0", "\u2003", "\u0661", "\u00b2", "$", "\n", "\ud800",
 ]
+# Operands joined by operators, so that drawn text often parses and
+# reaches a verdict; x4 lies outside the fixture's dimension.
+OPERANDS = ["x1", "x2", "x3", "x4", "1", "2/3", "(x1 - x2)", "(x3 + 1)^2"]
+OPERATORS = [" + ", " - ", "*", "^2*", "\u00a0-\u00a0"]
 
 
 @given(st.one_of(
     st.text(alphabet=st.sampled_from(POLY_CHARS), max_size=60),
+    st.lists(
+        st.tuples(st.sampled_from(OPERANDS), st.sampled_from(OPERATORS)),
+        max_size=6,
+    ).map(lambda pairs: "".join(a + op for a, op in pairs) + "x1"),
     st.text(max_size=20),
 ).map(capped_exponents))
 @example("(" * 3000 + "x1" + ")" * 3000)
