@@ -388,9 +388,8 @@ _set_terms = Poly.terms.__set__
 def _fold(
     acc: Dict[Monomial, Scalar], terms: Iterable[Tuple[Monomial, Scalar]]
 ) -> None:
-    """Add the nonzero ``terms`` into ``acc`` in place.  A monomial is
-    deleted the moment its coefficient cancels, which keeps the term order
-    of a left-to-right chain of ``+``."""
+    """Add the nonzero ``terms`` into ``acc`` in place, deleting a monomial
+    the moment its coefficient cancels (see :meth:`Poly.sum`)."""
     for exps, coeff in terms:
         old = acc.get(exps)
         new = coeff if old is None else old + coeff
