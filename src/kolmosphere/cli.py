@@ -152,6 +152,12 @@ def _poly_text(poly: Poly, what: str) -> str:
         raise UnprintableError(f"the {what}", err.part) from None
 
 
+def _one_line(text: str) -> str:
+    """``text`` on one line: each character that does not print, a line
+    break included, is written as its escape."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def _tuple_text(values: Iterable[str]) -> str:
     return f"({', '.join(values)})"
 
@@ -340,7 +346,7 @@ def _cmd_integrate(args) -> Outcome:
     watches = [
         (text, drift_sweep(
             vf.dim, _parse_poly_arg(text, vf.dim, "--watch"),
-            f"watched value {text}",
+            f"watched value {_one_line(text)}",
         ))
         for text in (args.watch or [])
     ]
@@ -359,7 +365,7 @@ def _cmd_integrate(args) -> Outcome:
         f"t = {payload['t_final']:.17g}",
         "x = " + _tuple_text(f"{v:.17g}" for v in payload["x_final"]),
     ] + [
-        f"watch {entry['poly']}: max drift {entry['max_abs_drift']:.3e}"
+        f"watch {_one_line(entry['poly'])}: max drift {entry['max_abs_drift']:.3e}"
         for entry in watch_payload
     ]
     return 0, payload, lines

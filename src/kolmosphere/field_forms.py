@@ -10,10 +10,16 @@ with atilde skew-symmetric.  Every field of this shape leaves each
 coordinate hyperplane and the unit sphere invariant; the sphere cofactor is
 -2 * sum_i ftilde_i * x_i^2.  The cubic case has constant ftilde_i = alpha_i
 and a constant skew matrix atilde.
+
+The field is linear in its data: P_i = U_i ftilde_i + sum_j W_ij atilde_ij,
+with the unit fields U_i = x_i(1 - |x|^2) and W_ij = x_i x_j^2.
+``_unit_fields`` builds U and W once per dimension, and ``_assemble`` is the
+one place that writes the sum, for constant and polynomial data alike.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -30,6 +36,9 @@ from .polyring import (
 
 
 T = TypeVar("T")
+
+# Dimensions whose unit fields stay cached; each holds d + d^2 small Polys.
+_UNIT_FIELD_DIMS = 32
 
 
 class NotSkewError(ValueError):
@@ -55,9 +64,7 @@ class PolyVectorField:
                 )
 
     def degree(self):
-        if all(p.is_zero() for p in self.components):
-            return NEG_INF
-        return max(p.degree() for p in self.components)
+        return max((p.degree() for p in self.components), default=NEG_INF)
 
 
 def check_skew(matrix: Sequence[Sequence], zero, label: str) -> None:
@@ -102,15 +109,12 @@ class KolmogorovForm:
             raise DimensionMismatchError(
                 f"{len(self.ftilde)} ftilde entries for dimension {self.dim}"
             )
-        for p in self.ftilde:
-            if p.dim != self.dim:
-                raise DimensionMismatchError("ftilde entry in the wrong ring")
+        if any(p.dim != self.dim for p in self.ftilde):
+            raise DimensionMismatchError("ftilde entry in the wrong ring")
         if len(self.atilde) != self.dim:
             raise DimensionMismatchError("atilde must be dim x dim")
-        for row in self.atilde:
-            for p in row:
-                if p.dim != self.dim:
-                    raise DimensionMismatchError("atilde entry in the wrong ring")
+        if any(p.dim != self.dim for row in self.atilde for p in row):
+            raise DimensionMismatchError("atilde entry in the wrong ring")
         check_skew(self.atilde, Poly.zero(self.dim), "atilde")
 
 
@@ -182,29 +186,39 @@ def lie_derivative(vf: PolyVectorField, f: Poly) -> Poly:
     )
 
 
-def construct_from_form(form: KolmogorovForm) -> PolyVectorField:
-    """Assemble the field P_i = x_i * Q_i from the cofactors
-    Q_i = (1 - sum x^2) ftilde_i + sum_j atilde_ij x_j^2 of the hyperplanes
-    x_i = 0."""
-    d = form.dim
+@functools.lru_cache(maxsize=_UNIT_FIELD_DIMS)
+def _unit_fields(d: int) -> Tuple[tuple, tuple]:
+    """(U, W) on R^d: U_i = x_i(1 - |x|^2) is the field of a unit ftilde_i,
+    W_ij = x_i * x_j^2 that of a unit atilde_ij (0-based i, j)."""
+    xs = [Poly.var(d, i) for i in range(1, d + 1)]
     one_minus_r2 = -sphere_polynomial(d)
-    squares = [Poly.var(d, j) ** 2 for j in range(1, d + 1)]
+    return (
+        tuple(x * one_minus_r2 for x in xs),
+        tuple(tuple(x * y ** 2 for y in xs) for x in xs),
+    )
+
+
+def _assemble(d: int, ftilde: Sequence, atilde: Sequence[Sequence]) -> PolyVectorField:
+    """P_i = U_i * ftilde_i + sum_j W_ij * atilde_ij, for rational or
+    polynomial entries alike; a zero atilde_ij adds nothing and is skipped."""
+    units, squares = _unit_fields(d)
     return PolyVectorField(d, tuple(
-        Poly.var(d, i + 1) * Poly.sum(
-            d,
-            [one_minus_r2 * form.ftilde[i]]
-            + [form.atilde[i][j] * squares[j] for j in range(d)],
-        )
-        for i in range(d)
+        Poly.sum(d, [u * f] + [w * a for w, a in zip(ws, row) if a])
+        for u, f, ws, row in zip(units, ftilde, squares, atilde)
     ))
+
+
+def construct_from_form(form: KolmogorovForm) -> PolyVectorField:
+    """The field P_i = U_i ftilde_i + sum_j W_ij atilde_ij of polynomial
+    data, U and W the unit fields: x_i times the cofactor
+    (1 - |x|^2) ftilde_i + sum_j atilde_ij x_j^2 of the hyperplane x_i = 0."""
+    return _assemble(form.dim, form.ftilde, form.atilde)
 
 
 def assemble_cubic(form: CubicKolmogorovForm) -> PolyVectorField:
-    """P_i = x_i * K_i, K_i the polynomial of the i-th coordinate view."""
-    d = form.dim
-    return PolyVectorField(d, tuple(
-        Poly.var(d, i + 1) * form.coordinate_view(i).poly() for i in range(d)
-    ))
+    """The same assembly of constant data, ftilde_i = alpha_i: P_i is x_i
+    times the polynomial of the i-th coordinate view."""
+    return _assemble(form.dim, form.alpha, form.atilde)
 
 
 @dataclass(frozen=True)
@@ -263,10 +277,10 @@ def pure_square_profile(q: Poly) -> Optional[StructuredView]:
 
 def recover_cubic_form(vf: PolyVectorField) -> Optional[CubicKolmogorovForm]:
     """Constant assembly data reproducing the field exactly, if any: the
-    inverse of ``coordinate_view``.  Each quotient P_i / x_i must have a
-    view (k0, k), read as alpha_i = k0 and atilde_ij = k_j + k0, and the
-    atilde read must be skew (so k_i = -k0 on the diagonal); the data then
-    round-trips through assemble_cubic by construction."""
+    inverse of ``assemble_cubic``.  Each P_i / x_i = (alpha_i U_i +
+    sum_j atilde_ij W_ij) / x_i must be a view (k0, k), read as alpha_i = k0
+    and atilde_ij = k_j + k0, and the atilde read must be skew (so
+    k_i = -k0 on the diagonal); the data then round-trip by construction."""
     quotients = coordinate_quotients(vf)
     if quotients is None:
         return None
@@ -298,17 +312,10 @@ class HomogeneousReport:
 
 
 def classify_homogeneous(vf: PolyVectorField) -> HomogeneousReport:
-    degrees = set()
-    homogeneous = True
-    for p in vf.components:
-        if p.is_zero():
-            continue
-        if not p.is_homogeneous():
-            homogeneous = False
-        degrees.add(p.degree())
-    if len(degrees) > 1:
-        homogeneous = False
-    degree = max(degrees) if degrees else NEG_INF
+    nonzero = [p for p in vf.components if p]
+    degrees = {p.degree() for p in nonzero}
+    homogeneous = len(degrees) <= 1 and all(p.is_homogeneous() for p in nonzero)
+    degree = max(degrees, default=NEG_INF)
     kolmogorov = coordinate_quotients(vf) is not None
     tangent = Poly.sum(
         vf.dim,

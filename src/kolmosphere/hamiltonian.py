@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 
 from .exactla import RationalMatrix, nullspace
 from .polyring import Poly, Scalar
-from .field_forms import PolyVectorField, sphere_polynomial
+from .field_forms import PolyVectorField, _unit_fields
 
 
 class OddDimensionError(ValueError):
@@ -28,18 +28,31 @@ class HamiltonianReport:
     defects: Tuple[Tuple[Tuple[int, int], Poly], ...]
 
 
-def _rearranged(components) -> List[Poly]:
-    """G = (P_2, -P_1, P_4, -P_3, ...)."""
-    g = []
-    for i in range(0, len(components), 2):
-        g.append(components[i + 1])
-        g.append(-components[i])
-    return g
-
-
-def _defect(g: List[Poly], j: int, k: int) -> Poly:
-    """dG_j/dx_k - dG_k/dx_j for 0-based j < k."""
-    return g[j].differentiate(k + 1) - g[k].differentiate(j + 1)
+def _defects(components) -> Dict[Tuple[int, int], Poly]:
+    """The nonzero defects dG_j/dx_k - dG_k/dx_j of the rearranged field
+    G = (P_2, -P_1, P_4, -P_3, ...), keyed by 0-based (j, k) with j < k in
+    row-major order.  Each nonzero component of G is differentiated once
+    per other variable."""
+    d = len(components)
+    g = [q for i in range(0, d, 2) for q in (components[i + 1], -components[i])]
+    partials = {
+        j: {v: g[j].differentiate(v + 1) for v in range(d) if v != j}
+        for j in range(d) if g[j]
+    }
+    defects = {}
+    for j in range(d):
+        for k in range(j + 1, d):
+            if j in partials:
+                defect = partials[j][k]
+                if k in partials:
+                    defect = defect - partials[k][j]
+            elif k in partials:
+                defect = -partials[k][j]
+            else:
+                continue
+            if defect:
+                defects[j, k] = defect
+    return defects
 
 
 def is_hamiltonian(vf: PolyVectorField) -> HamiltonianReport:
@@ -50,59 +63,39 @@ def is_hamiltonian(vf: PolyVectorField) -> HamiltonianReport:
             "Hamiltonian structure needs an even number of coordinates, "
             f"field on R^{vf.dim}"
         )
-    g = _rearranged(vf.components)
-    defects = []
-    for j in range(vf.dim):
-        for k in range(j + 1, vf.dim):
-            defect = _defect(g, j, k)
-            if not defect.is_zero():
-                defects.append(((j + 1, k + 1), defect))
-    return HamiltonianReport(
-        is_hamiltonian=not defects, defects=tuple(defects)
+    defects = tuple(
+        ((j + 1, k + 1), defect)
+        for (j, k), defect in _defects(vf.components).items()
     )
+    return HamiltonianReport(is_hamiltonian=not defects, defects=defects)
 
 
 def _constraint_columns(n: int) -> List[Dict[tuple, Scalar]]:
     """Per parameter, {(pair slot, monomial): coefficient} of the Jacobian
-    defects of its unit value.  alpha_i puts x_i(1 - |x|^2) into P_i and
-    atilde_ij puts x_i x_j^2 into P_i and -x_j x_i^2 into P_j, so only the
-    pairs that touch those components of G can have a defect."""
+    defects of its unit value, the slots numbering the pairs j < k in
+    row-major order.  The unit fields of ``field_forms._unit_fields`` give
+    that value: alpha_i puts U_i = x_i(1 - |x|^2) into P_i, and atilde_ij
+    (i < j) puts W_ij = x_i x_j^2 into P_i and -W_ji into P_j."""
     d = 2 * n
-    xs = [Poly.var(d, i) for i in range(1, d + 1)]
-    one_minus_r2 = -sphere_polynomial(d)
+    units, squares = _unit_fields(d)
+    zero = Poly.zero(d)
     pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
-    touched = [{i: xs[i] * one_minus_r2} for i in range(d)] + [
-        {i: xs[i] * xs[j] ** 2, j: -xs[j] * xs[i] ** 2} for i, j in pairs
+    slots = {pair: slot for slot, pair in enumerate(pairs)}
+    touched = [{i: units[i]} for i in range(d)] + [
+        {i: squares[i][j], j: -squares[j][i]} for i, j in pairs
     ]
     columns = []
     for parts in touched:
-        g = _rearranged([parts.get(i, Poly.zero(d)) for i in range(d)])
-        # P_i sits in G_(i xor 1), 0-based; only those components are
-        # nonzero, and each is differentiated once per other variable.
-        partials = {
-            i ^ 1: {v: g[i ^ 1].differentiate(v + 1)
-                    for v in range(d) if v != i ^ 1}
-            for i in parts
-        }
-        column = {}
-        for slot, (j, k) in enumerate(pairs):
-            if j in partials:
-                defect = partials[j][k]
-                if k in partials:
-                    defect = defect - partials[k][j]
-            elif k in partials:
-                defect = -partials[k][j]
-            else:
-                continue
-            for exps, coeff in defect:
-                column[slot, exps] = coeff
-        columns.append(column)
+        components = [parts.get(i, zero) for i in range(d)]
+        columns.append({
+            (slots[pair], exps): coeff
+            for pair, defect in _defects(components).items()
+            for exps, coeff in defect
+        })
     return columns
 
 
-def hamiltonian_constraint_space(
-    n: int,
-) -> Tuple[int, List[Tuple[Fraction, ...]]]:
+def hamiltonian_constraint_space(n: int) -> Tuple[int, List[Tuple[Fraction, ...]]]:
     """Exact solution space of "the assembled field is Hamiltonian" over
     the parameters (alpha, atilde) of constant-form fields on R^(2n).
 

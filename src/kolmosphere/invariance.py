@@ -163,9 +163,7 @@ def classify_hyperplane(
 
     vf = assemble_cubic(form)
     division = cofactor(vf, Hypersurface(hp.defining_poly()))
-    division_structured = (
-        division.structured if division is not None else None
-    )
+    division_structured = None if division is None else division.structured
 
     if (predicted is None) != (division_structured is None):
         raise RuntimeError(

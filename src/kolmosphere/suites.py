@@ -73,12 +73,6 @@ def _rand_poly(
     return Poly(dim, terms)
 
 
-def _rand_skew_poly(rng: random.Random, dim: int, max_degree: int):
-    return skew_matrix(
-        dim, lambda i, j: _rand_poly(rng, dim, max_degree), Poly.zero(dim)
-    )
-
-
 def _rand_skew_const(rng: random.Random, dim: int):
     return skew_matrix(dim, lambda i, j: _rand_fraction(rng), Fraction(0))
 
@@ -96,17 +90,18 @@ def roundtrip_suite(seed: int = 0, *, instances: int) -> SuiteReport:
         dim = rng.randint(2, 5)
         m = rng.randint(3, 6)
         cubic = m == 3 or rng.random() < 0.25
+        # ftilde holds rationals or polynomials alike, as the assembly does.
         if cubic:
             alpha = [_rand_fraction(rng) for _ in range(dim)]
-            atilde_c = _rand_skew_const(rng, dim)
-            form_c = CubicKolmogorovForm.from_values(alpha, atilde_c)
-            ftilde = [Poly.const(dim, a) for a in form_c.alpha]
+            form_c = CubicKolmogorovForm.from_values(alpha, _rand_skew_const(rng, dim))
+            ftilde = form_c.alpha
             vf = assemble_cubic(form_c)
         else:
             form = KolmogorovForm(
                 dim,
                 tuple(_rand_poly(rng, dim, m - 3) for _ in range(dim)),
-                _rand_skew_poly(rng, dim, m - 3),
+                skew_matrix(dim, lambda i, j: _rand_poly(rng, dim, m - 3),
+                            Poly.zero(dim)),
             )
             ftilde = form.ftilde
             vf = construct_from_form(form)

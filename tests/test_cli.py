@@ -604,6 +604,44 @@ def test_non_finite_watch_fails_the_integration(capsys, fmt):
     )
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_watch_label_that_breaks_a_line_fails_on_one_line(
+    capsys, tmp_path, fmt
+):
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"dim": 1, "components": ["0"]}))
+    code, out, err = run(
+        capsys, "integrate", "--field", str(field), "--x0", "1e200",
+        "--h", "0.1", "--steps", "3", "--watch", "x1^2\n+ 1", "--format", fmt,
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "integration failed: watched value x1^2\\n+ 1 became non-finite "
+        "at step 0\n"
+    )
+
+
+def test_a_watch_label_that_breaks_a_line_reports_on_one_line(
+    capsys, tmp_path
+):
+    """Line breaks, tabs and other characters that do not print are
+    escaped in the text report; the JSON report keeps the text as given."""
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"dim": 1, "components": ["0"]}))
+    argv = ["integrate", "--field", str(field), "--x0", "1", "--h", "0.1",
+            "--steps", "3", "--watch", "x1^2\n+\t1\u2028", "--watch", "x1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[2:] == [
+        "watch x1^2\\n+\\t1\\u2028: max drift 0.000e+00",
+        "watch x1: max drift 0.000e+00",
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert [w["poly"] for w in json.loads(out)["watch"]] == [
+        "x1^2\n+\t1\u2028", "x1"
+    ]
+
+
 def test_cli_imports_no_private_name_from_a_sibling_module():
     """File formats and numeric checks live in the library; the CLI only
     uses their public names."""

@@ -1,6 +1,7 @@
 """Assembly of sphere-preserving coordinate-factored fields, membership
 tests, and recovery of constant-coefficient cubic data."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -340,3 +341,35 @@ def test_seed_from_dict_parses_polynomial_rows_in_the_given_dimension():
         seed_from_dict({"entries": [["0", None]]}, 3)
     with pytest.raises(KeyError):
         seed_from_dict({"rows": []}, 3)
+
+
+# The assembled components' term insertion order is the float evaluation
+# order of ``numeric_validate.compile_polys``; these digests pin
+# ``list(p.terms)`` of every component for seeded polynomial and constant
+# forms, as ``test_term_insertion_order_is_pinned`` does for the ring.
+ASSEMBLY_TERM_ORDER_DIGESTS = {
+    "construct_from_form":
+        "15083ada4b5cfc37c85dcb3dbf50d00be96524c019684ad156f9d59aba34c317",
+    "assemble_cubic":
+        "fb06e4e2fa170852022c075b93b94f5b4b32852e8c731a49e83ddceaf0d23534",
+}
+
+
+def _assembly_term_orders(rng):
+    fields = {"construct_from_form": [], "assemble_cubic": []}
+    for _ in range(100):
+        form = rand_form(rng, rng.randint(1, 4), rng.randint(0, 2))
+        fields["construct_from_form"].append(construct_from_form(form))
+        fields["assemble_cubic"].append(assemble_cubic(rand_cubic_form(rng)))
+    return fields
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_TERM_ORDER_DIGESTS))
+def test_assembly_term_order_is_pinned(name):
+    fields = _assembly_term_orders(random.Random(20261019))[name]
+    text = "\n".join(
+        repr(list(p.terms)) for vf in fields for p in vf.components
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        ASSEMBLY_TERM_ORDER_DIGESTS[name]
+    )

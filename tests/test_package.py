@@ -162,6 +162,29 @@ def test_a_lie_derivative_is_divided_in_one_place():
     assert lie_divisions == ["invariance.cofactor"]
 
 
+def test_the_assembly_rule_is_written_in_one_place():
+    """The factor 1 - |x|^2 of P_i = x_i((1 - |x|^2) ftilde_i + ...) is built
+    only where the unit fields are: every assembly, constant or polynomial,
+    and the Hamiltonian constraint columns take it from there.  The two
+    public assemblies each make one call to ``_assemble``."""
+    builders, assemblers = [], []
+    for path in sorted((ROOT / "src" / "kolmosphere").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _called_name(node) == "_assemble":
+                    assemblers.append(where)
+                if (isinstance(node, ast.UnaryOp)
+                        and isinstance(node.op, ast.USub)
+                        and isinstance(node.operand, ast.Call)
+                        and _called_name(node.operand) == "sphere_polynomial"):
+                    builders.append(where)
+    assert builders == ["field_forms._unit_fields"]
+    assert assemblers == [
+        "field_forms.construct_from_form", "field_forms.assemble_cubic"
+    ]
+
+
 def test_every_public_function_is_reached_or_listed_with_its_reason():
     """A public function is reached when code in a module of the package
     other than ``__init__`` refers to it (a docstring or comment does not
