@@ -12,6 +12,7 @@ from .polyring import (
     Monomial,
     ParseError,
     Poly,
+    SelfCheckError,
     UnprintableError,
     VariableIndexError,
     ZeroDenominatorError,

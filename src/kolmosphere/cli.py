@@ -2,10 +2,11 @@
 
 Exit codes: 0 for a positive verdict (or successful construction), 1 for a
 negative mathematical verdict or a failed numerical integration, 2 for
-unusable input, 3 for an internal error (a failed self-check or any other
-unexpected exception), which is never a verdict.  Every subcommand accepts
-``--format json`` for machine-readable output; runs are deterministic, so
-identical invocations produce identical bytes.
+unusable input, 3 for an internal error (a failed self-check, which raises
+``SelfCheckError``, or any other unexpected exception), which is never a
+verdict.  Every subcommand accepts ``--format json`` for machine-readable
+output; runs are deterministic, so identical invocations produce identical
+bytes.
 
 Each ``_cmd_*`` returns ``(code, payload, lines)``: the exit code, the JSON
 payload, and the text lines built from that payload.  ``main`` is the one
@@ -25,7 +26,6 @@ from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
 from .polyring import NEG_INF, ParseError, Poly, UnprintableError, parse
 from .field_forms import (
     assemble_cubic,
-    construct_from_form,
     cubic_form_from_dict,
     field_from_dict,
     field_to_dict,
@@ -259,10 +259,9 @@ def _cmd_classify_hyperplane(args) -> Outcome:
 
 def _cmd_construct_linear_fi(args) -> Outcome:
     hp = _hyperplane_arg(args.a0, args.a)
-    form = construct_linear_fi_field(
+    field, form = construct_linear_fi_field(
         hp, _load(args.seed, lambda data: seed_from_dict(data, hp.dim))
     )
-    field = construct_from_form(form)
     payload = {
         **field_to_dict(field),
         "atilde": [[str(p) for p in row] for row in form.atilde],

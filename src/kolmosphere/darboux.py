@@ -10,6 +10,11 @@ when its exponent vector kills B from the left, which the code certifies
 afterwards through the bit-exact identity sum_i b_i K_i = 0 on cofactors.
 The rank test of complete integrability (rank B <= 2) reads the rank off
 that certified basis, since B is square: rank B = d + 1 - (basis size).
+
+A failed self-check raises ``SelfCheckError``.  ``_certify`` is the one
+certifier of first integrals, through ``verify_first_integral``, the one
+place that forms sum_i b_i K_i; a conserved surface f is the integral f^1,
+whose K = 0 is X(f) = 0.  ``_check_rank`` is the one independence check.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .polyring import (
     DimensionMismatchError,
     Poly,
     Scalar,
+    SelfCheckError,
     UnprintableError,
     _canonical,
     divide_exact,
@@ -35,7 +41,7 @@ from .field_forms import (
     check_skew,
     construct_from_form,
     coordinate_quotients,
-    lie_derivative,
+    skew_matrix,
     sphere_polynomial,
 )
 from .invariance import (
@@ -135,36 +141,43 @@ def build_matrix_B(
     return RationalMatrix.from_rows([[v.k0, *v.k] for v in views])
 
 
-def _coordinate_surfaces(d: int) -> Tuple[Hypersurface, ...]:
-    return tuple(Hypersurface(Poly.var(d, i)) for i in range(1, d + 1))
-
-
-def _cofactor_sums_vanish(
-    dim: int,
-    cofactors: Sequence[Poly],
-    vectors: Sequence[Sequence[Fraction]],
-) -> List[bool]:
-    """Whether sum_i b_i K_i = 0, for each exponent vector b."""
-    return [
-        Poly.sum(dim, (b * k for b, k in zip(vec, cofactors))).is_zero()
-        for vec in vectors
-    ]
-
-
 def verify_first_integral(
-    vf: PolyVectorField, integral: DarbouxIntegral
+    vf: PolyVectorField,
+    integral: DarbouxIntegral,
+    cofactors: Sequence[Poly] = (),
 ) -> bool:
     """Bit-exact certificate: the exponent-weighted cofactor sum vanishes.
-    The cofactor of each surface comes from exact division."""
-    cofactors = []
-    for surface in integral.surfaces:
+    ``cofactors`` are those of the first surfaces, when the caller has
+    them; the cofactor of each other surface comes from exact division."""
+    known = list(cofactors)
+    for surface in integral.surfaces[len(known):]:
         cof = cofactor(vf, surface)
         if cof is None:
             raise NotInvariantError(
                 f"surface {surface.defining} is not invariant for the field"
             )
-        cofactors.append(cof.poly)
-    return _cofactor_sums_vanish(vf.dim, cofactors, [integral.exponents])[0]
+        known.append(cof.poly)
+    return Poly.sum(
+        vf.dim, (b * k for b, k in zip(integral.exponents, known))
+    ).is_zero()
+
+
+def _certify(
+    vf: PolyVectorField,
+    integrals: Sequence[DarbouxIntegral],
+    cofactors: Sequence[Poly] = (),
+) -> List[DarbouxIntegral]:
+    """The integrals, each certified by ``verify_first_integral`` with the
+    ``cofactors`` of its first surfaces; an integral that fails, or a
+    surface that is not invariant, is a failed self-check."""
+    for integral in integrals:
+        try:
+            certified = verify_first_integral(vf, integral, cofactors)
+        except NotInvariantError as err:
+            raise SelfCheckError(str(err)) from err
+        if not certified:
+            raise SelfCheckError(f"{integral} fails the cofactor-sum check")
+    return list(integrals)
 
 
 def _certified_integrals(
@@ -172,24 +185,29 @@ def _certified_integrals(
     vectors: Sequence[Tuple[Fraction, ...]],
     extra: Sequence[Tuple[Hypersurface, Poly]] = (),
 ) -> List[DarbouxIntegral]:
-    """One integral per exponent vector over the surfaces (x_1, ..., x_d)
-    and then the ``extra`` surfaces, given with their cofactors.  The
-    coordinate cofactors are the quotients P_i / x_i, taken only when there
-    is a vector to certify; a vector that fails the cofactor-sum
-    certificate is an internal error."""
+    """One certified integral per exponent vector over the surfaces
+    (x_1, ..., x_d) and then the ``extra`` surfaces, given with their
+    cofactors.  The coordinate cofactors are the quotients P_i / x_i, taken
+    only when there is a vector to certify."""
     if not vectors:
         return []
-    surfaces = _coordinate_surfaces(vf.dim) + tuple(s for s, _ in extra)
-    cofactors = coordinate_quotients(vf) + tuple(k for _, k in extra)
-    integrals = [DarbouxIntegral(vec, surfaces) for vec in vectors]
-    verdicts = _cofactor_sums_vanish(vf.dim, cofactors, vectors)
-    for vec, certified in zip(vectors, verdicts):
-        if not certified:
-            raise RuntimeError(
-                f"internal error: exponent vector {vec} failed the "
-                "cofactor-sum certificate"
-            )
-    return integrals
+    surfaces = tuple(
+        Hypersurface(Poly.var(vf.dim, i)) for i in range(1, vf.dim + 1)
+    ) + tuple(s for s, _ in extra)
+    return _certify(
+        vf,
+        [DarbouxIntegral(vec, surfaces) for vec in vectors],
+        coordinate_quotients(vf) + tuple(k for _, k in extra),
+    )
+
+
+def _check_rank(rows: Sequence[Sequence], n: int, what: str) -> int:
+    """The rank n of ``rows``, built to be independent; any other rank is a
+    failed self-check."""
+    found = rank(RationalMatrix.from_rows(rows))
+    if found != n:
+        raise SelfCheckError(f"{what} have rank {found}, expected {n}")
+    return found
 
 
 def find_darboux(
@@ -264,9 +282,8 @@ def decompose_syzygy(
                     chosen = (j, shifted)
                     break
             if chosen is None:
-                raise RuntimeError(
-                    "internal error: no pairing column for monomial "
-                    f"{exps} in row {i + 1}"
+                raise SelfCheckError(
+                    f"no pairing column for monomial {exps} in row {i + 1}"
                 )
             j, shifted = chosen
             delta = Poly(d, {shifted: coeff})
@@ -275,20 +292,22 @@ def decompose_syzygy(
             residuals[i] = residuals[i] - delta * powers[j]
             residuals[j] = residuals[j] + delta * powers[i]
     if any(not r.is_zero() for r in residuals):
-        raise RuntimeError("internal error: nonzero residual after pairing")
+        raise SelfCheckError("nonzero residual after pairing")
     return tuple(tuple(row) for row in atilde)
 
 
 def construct_linear_fi_field(
     hp: HyperplaneSpec, seed_skew: Sequence[Sequence[Poly]]
-) -> KolmogorovForm:
-    """A field with the affine function a0 + sum a_i x_i as a first integral.
+) -> Tuple[PolyVectorField, KolmogorovForm]:
+    """A field with the affine function a0 + sum a_i x_i as a first integral,
+    and the form it is assembled from.
 
     Pick the least k with a_k != 0.  Embed x_k * seed (an n x n skew
     polynomial matrix) into the rows and columns away from k, then solve
     row k so that every column of atilde is killed by (a_1 x_1, ..., a_d x_d);
     the division involved is exact because each embedded entry carries the
-    factor x_k.  The result has ftilde = 0 and cofactor 0 for the plane.
+    factor x_k.  The result has ftilde = 0 and cofactor 0 for the plane,
+    which ``_certify`` checks on the assembled field.
     """
     d = hp.dim
     n = d - 1
@@ -321,9 +340,8 @@ def construct_linear_fi_field(
         )
         quotient = divide_exact(s, divisor)
         if quotient is None:
-            raise RuntimeError(
-                f"internal error: row-{k + 1} division is not exact in "
-                f"column {j + 1}"
+            raise SelfCheckError(
+                f"row-{k + 1} division is not exact in column {j + 1}"
             )
         atilde[k][j] = -quotient
         atilde[j][k] = quotient
@@ -334,11 +352,9 @@ def construct_linear_fi_field(
         tuple(tuple(row) for row in atilde),
     )
     field = construct_from_form(form)
-    if not lie_derivative(field, hp.defining_poly()).is_zero():
-        raise RuntimeError(
-            "internal error: constructed field does not conserve the plane"
-        )
-    return form
+    plane = Hypersurface(hp.defining_poly())
+    _certify(field, [DarbouxIntegral((Fraction(1),), (plane,))])
+    return field, form
 
 
 @dataclass(frozen=True)
@@ -356,7 +372,8 @@ def construct_completely_integrable(
     """The degree-m field (A x1 x2^2, -A x1^2 x2, 0, ..., 0) on R^(n+1)
     with A = atilde_poly of degree m - 3, together with its n functionally
     independent first integrals: the unit sphere and the last n-1
-    coordinates."""
+    coordinates.  The field is the assembly of ftilde = 0 and
+    atilde_12 = A."""
     if n < 1:
         raise ValueError("need n >= 1")
     if m < 3:
@@ -370,40 +387,23 @@ def construct_completely_integrable(
         raise DegreeMismatchError(
             f"interaction polynomial must be nonzero of degree {m - 3}"
         )
-    x1 = Poly.var(d, 1)
-    x2 = Poly.var(d, 2)
-    components = [atilde_poly * x1 * x2 * x2, -atilde_poly * x1 * x1 * x2]
-    components += [Poly.zero(d) for _ in range(d - 2)]
-    field = PolyVectorField(d, tuple(components))
+    zero = Poly.zero(d)
+    field = construct_from_form(KolmogorovForm(d, (zero,) * d, skew_matrix(
+        d, lambda i, j: atilde_poly if (i, j) == (0, 1) else zero, zero
+    )))
 
     surfaces = [Hypersurface(sphere_polynomial(d))]
     surfaces += [Hypersurface(Poly.var(d, j)) for j in range(3, d + 1)]
-    integrals = []
-    for surface in surfaces:
-        if not lie_derivative(field, surface.defining).is_zero():
-            raise RuntimeError(
-                f"internal error: {surface.defining} is not conserved"
-            )
-        integrals.append(
-            DarbouxIntegral((Fraction(1),), (surface,))
-        )
-
+    integrals = _certify(
+        field, [DarbouxIntegral((Fraction(1),), (s,)) for s in surfaces]
+    )
     point = SamplePoint.of([1] * d)
-    jacobian = RationalMatrix.from_rows(
-        [
-            [surface.defining.differentiate(l).evaluate(point.coords)
-             for l in range(1, d + 1)]
-            for surface in surfaces
-        ]
+    jac_rank = _check_rank(
+        [[s.defining.differentiate(l).evaluate(point.coords)
+          for l in range(1, d + 1)] for s in surfaces],
+        n, "the gradients of the integrals",
     )
-    jac_rank = rank(jacobian)
-    if jac_rank != n:
-        raise RuntimeError(
-            f"internal error: independence rank {jac_rank}, expected {n}"
-        )
-    return field, IntegrabilityCertificate(
-        tuple(integrals), point, jac_rank
-    )
+    return field, IntegrabilityCertificate(tuple(integrals), point, jac_rank)
 
 
 def standard_sample_points(dim: int) -> Tuple[SamplePoint, ...]:
@@ -535,11 +535,9 @@ def complete_integrability_check(
 
     integrals = basis[:n] if rank_b <= 2 else []
     if integrals:
-        stacked = RationalMatrix.from_rows([i.exponents for i in integrals])
-        if rank(stacked) != n:
-            raise RuntimeError(
-                "internal error: emitted exponent vectors are dependent"
-            )
+        _check_rank(
+            [i.exponents for i in integrals], n, "the emitted exponent vectors"
+        )
     return CompleteIntegrabilityCertificate(
         rank_b=rank_b,
         integrals=tuple(integrals),

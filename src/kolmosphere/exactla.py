@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, List, Tuple
 
-from .polyring import Scalar, _canonical
+from .polyring import Scalar, SelfCheckError, _canonical
 
 Vector = Tuple[Fraction, ...]
 
@@ -107,7 +107,8 @@ def _bareiss_echelon(m: RationalMatrix):
             if prev != 1:
                 for c, v in row.items():
                     q, rem = divmod(v, prev)
-                    assert rem == 0, "fraction-free step left a remainder"
+                    if rem:
+                        raise SelfCheckError("Bareiss step left a remainder")
                     row[c] = q
             if b:
                 active[r] = {c: v for c, v in row.items() if v}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .polyring import DimensionMismatchError, Poly, divide_exact
+from .polyring import DimensionMismatchError, Poly, SelfCheckError, divide_exact
 from .field_forms import (
     CubicKolmogorovForm,
     PolyVectorField,
@@ -145,8 +145,8 @@ def classify_hyperplane(
 
     The decision comes from coefficient conditions on (alpha, atilde) and is
     cross-validated against direct exact division on the assembled field;
-    disagreement between the two routes raises, since the conditions are
-    equivalent to invariance-with-structured-cofactor.
+    disagreement between the two routes raises ``SelfCheckError``, since
+    the conditions are equivalent to invariance-with-structured-cofactor.
     """
     if form.dim != hp.dim:
         raise DimensionMismatchError(
@@ -165,15 +165,10 @@ def classify_hyperplane(
     division = cofactor(vf, Hypersurface(hp.defining_poly()))
     division_structured = None if division is None else division.structured
 
-    if (predicted is None) != (division_structured is None):
-        raise RuntimeError(
-            "internal disagreement: coefficient conditions and direct "
-            f"division differ (conditions {predicted}, division {division})"
-        )
-    if predicted is not None and predicted != division_structured:
-        raise RuntimeError(
-            "internal disagreement: predicted cofactor "
-            f"{predicted} but division found {division_structured}"
+    if predicted != division_structured:
+        raise SelfCheckError(
+            f"coefficient conditions predict the cofactor {predicted}, "
+            f"direct division finds {division_structured}"
         )
 
     invariant = predicted is not None
@@ -309,12 +304,10 @@ def second_sphere_check(
     cof = cofactor(vf, Hypersurface(sum_of_squares(form.dim) - r * r))
     quotient = cof.poly if cof is not None else None
     alpha_zero = all(a == 0 for a in form.alpha)
-    if quotient is not None:
-        if not alpha_zero or not quotient.is_zero():
-            raise RuntimeError(
-                "internal inconsistency: a second invariant sphere forces "
-                "alpha = 0 and a zero cofactor"
-            )
+    if quotient is not None and not (alpha_zero and quotient.is_zero()):
+        raise SelfCheckError(
+            "a second invariant sphere forces alpha = 0 and a zero cofactor"
+        )
     return SecondSphereReport(
         invariant=quotient is not None,
         radius=r,

@@ -45,6 +45,11 @@ NEG_INF = float("-inf")
 MAX_PAREN_DEPTH = 100
 
 
+class SelfCheckError(RuntimeError):
+    """A result failed the package's own check of it: a fault in the code,
+    never a verdict on the input.  Every module may raise it."""
+
+
 class DimensionMismatchError(ValueError):
     """Operands live in polynomial rings with different numbers of variables."""
 

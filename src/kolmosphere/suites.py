@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
-from .polyring import Poly
+from .polyring import Poly, SelfCheckError
 from .exactla import determinant
 from .field_forms import (
     CubicKolmogorovForm,
@@ -219,7 +219,7 @@ def hyperplane_suite(seed: int = 0, *, instances: int) -> SuiteReport:
             expected_case = "through_origin"
         try:
             verdict = classify_hyperplane(form, hp)
-        except RuntimeError as err:
+        except SelfCheckError as err:
             report.failures.append(f"instance {idx}: cross-check blew up: {err}")
             continue
         if not verdict.invariant or verdict.case != expected_case:
@@ -231,7 +231,7 @@ def hyperplane_suite(seed: int = 0, *, instances: int) -> SuiteReport:
         perturbed = _perturb(form, rng, support, outside)
         try:
             verdict2 = classify_hyperplane(perturbed, hp)
-        except RuntimeError as err:
+        except SelfCheckError as err:
             report.failures.append(
                 f"instance {idx}: perturbed cross-check blew up: {err}"
             )

@@ -249,8 +249,8 @@ def test_criterion_07_constructions_conserve_their_integrals():
         if all(p.is_zero() for row in seed for p in row):
             seed[0][1] = Poly.const(dim, 1)
             seed[1][0] = Poly.const(dim, -1)
-        form = construct_linear_fi_field(hp, seed)
-        vf = construct_from_form(form)
+        vf, form = construct_linear_fi_field(hp, seed)
+        assert vf == construct_from_form(form)
         assert lie_derivative(vf, hp.defining_poly()).is_zero()
     conclude(
         7,

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kolmosphere
-from kolmosphere import cli, field_from_dict, integrate_rk4, numeric_validate
+from kolmosphere import (
+    cli, darboux, field_from_dict, integrate_rk4, numeric_validate,
+)
 from kolmosphere.cli import main
 from kolmosphere.suites import SUITES, run_suite
 
@@ -181,6 +183,22 @@ def test_construct_linear_fi_conserves_the_plane(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["first_integral"] == "x1 + 2*x2 + 3*x3 + 5"
+
+
+def test_construct_linear_fi_assembles_its_field_once(capsys, monkeypatch):
+    from kolmosphere import field_forms
+
+    calls = []
+    real = field_forms._assemble
+    monkeypatch.setattr(
+        field_forms, "_assemble", lambda *args: calls.append(1) or real(*args)
+    )
+    code, out, _ = run(
+        capsys, "construct", "linear-fi", "--a0", "5", "--a", "1,2,3",
+        "--seed", SEED,
+    )
+    assert code == 0 and out.startswith("field: ")
+    assert len(calls) == 1
 
 
 def test_construct_cubic_round_trip(capsys):
@@ -589,6 +607,46 @@ def test_internal_error_exits_three_without_a_verdict(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: RuntimeError: internal error: x\n"
+
+
+def test_a_failed_self_check_exits_three_on_one_line(capsys, monkeypatch):
+    real = darboux.coordinate_quotients
+    monkeypatch.setattr(
+        darboux, "coordinate_quotients",
+        lambda vf: tuple(q + i for i, q in enumerate(real(vf))),
+    )
+    code, out, err = run(
+        capsys, "darboux", "--form", FORM, "--g", "1 - x1^2 - x2^2 - x3^2",
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: SelfCheckError: DarbouxIntegral(")
+    assert err.endswith(" fails the cofactor-sum check\n")
+    assert err.count("\n") == 1
+
+
+def test_the_hyperplane_suite_reports_failed_self_checks_only(
+    capsys, monkeypatch
+):
+    """A failed self-check of the classifier is a FAIL line of the suite;
+    any other exception is no verdict, so ``certify`` exits 3."""
+    from kolmosphere import SelfCheckError, suites
+
+    def disagree(form, hp):
+        raise SelfCheckError("x")
+
+    monkeypatch.setattr(suites, "classify_hyperplane", disagree)
+    report = run_suite("thm41", instances=2)
+    assert report.failures == [
+        "instance 0: cross-check blew up: x",
+        "instance 1: cross-check blew up: x",
+    ]
+
+    def crash(form, hp):
+        raise RuntimeError("y")
+
+    monkeypatch.setattr(suites, "classify_hyperplane", crash)
+    code, out, err = run(capsys, "certify", "--suite", "thm41")
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: y\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -22,6 +22,7 @@ from kolmosphere import (
     Poly,
     PolyVectorField,
     SamplePoint,
+    SelfCheckError,
     ZeroSeedError,
     assemble_cubic,
     build_matrix_B,
@@ -250,14 +251,14 @@ def rotation_seed(dim_field):
 
 def test_linear_fi_construction_golden_instance():
     hp = HyperplaneSpec.from_values(5, [1, 2, 3])
-    form = construct_linear_fi_field(hp, rotation_seed(3))
+    vf, form = construct_linear_fi_field(hp, rotation_seed(3))
     assert [str(p) for p in form.ftilde] == ["0", "0", "0"]
     assert [[str(p) for p in row] for row in form.atilde] == [
         ["0", "3*x3", "-2*x2"],
         ["-3*x3", "0", "x1"],
         ["2*x2", "-x1", "0"],
     ]
-    vf = construct_from_form(form)
+    assert vf == construct_from_form(form)
     assert lie_derivative(vf, hp.defining_poly()).is_zero()
 
 
@@ -283,8 +284,8 @@ def test_linear_fi_conserves_the_plane_on_random_specs():
             seed[-1][0] = Poly.const(dim, -1)
         if n == 1:
             continue  # a 1 x 1 skew seed is identically zero
-        form = construct_linear_fi_field(hp, seed)
-        vf = construct_from_form(form)
+        vf, form = construct_linear_fi_field(hp, seed)
+        assert vf == construct_from_form(form)
         assert lie_derivative(vf, hp.defining_poly()).is_zero()
         assert all(p.is_zero() for p in form.ftilde)
 
@@ -327,6 +328,31 @@ def test_completely_integrable_family_certifies_for_all_small_sizes():
             assert cert.jacobian_rank == n
             for integral in cert.integrals:
                 assert lie_derivative(field, integral.surfaces[0].defining).is_zero()
+
+
+# ``list(p.terms)`` of every component of the family for seeded multi-term
+# interaction polynomials: the float evaluation order that the RK4 pins and
+# the drift reports read, as ``test_assembly_term_order_is_pinned`` pins it
+# for the two assemblies.
+COMPLETE_FAMILY_TERM_ORDER_DIGEST = (
+    "994e2aa031787aa0c25f8af9e21e58b53e4a6547c0bacd09555f216807beba86"
+)
+
+
+def test_completely_integrable_family_term_order_is_pinned():
+    rng = random.Random(20261019)
+    lines = []
+    for _ in range(100):
+        d = rng.randint(2, 4)
+        a = rand_poly(rng, d, 3, terms=5)
+        while len(a) < 2:
+            a = rand_poly(rng, d, 3, terms=5)
+        field, _ = construct_completely_integrable(d - 1, a.degree() + 3, a)
+        lines += [repr(list(p.terms)) for p in field.components]
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        COMPLETE_FAMILY_TERM_ORDER_DIGEST
+    )
 
 
 def test_completely_integrable_family_input_validation():
@@ -575,3 +601,66 @@ def test_hypothesis_determinants_are_those_of_the_hypothesis_matrices():
             determinant(hypothesis_matrix(g.defining, i, points))
             for i in range(1, d + 1)
         )
+
+
+# ----- self-checks ----------------------------------------------------------------
+# Each self-checked fact, fed a wrong input, raises ``SelfCheckError``.
+
+
+def _plus_first(real, extra):
+    """``real`` with ``extra(d)`` added to the first component of the field
+    it returns."""
+    def wrong(*args):
+        vf = real(*args)
+        first = vf.components[0] + extra(vf.dim)
+        return PolyVectorField(vf.dim, (first,) + vf.components[1:])
+    return wrong
+
+
+def test_a_wrong_coordinate_cofactor_fails_the_cofactor_sum(monkeypatch):
+    real = darboux.coordinate_quotients
+    monkeypatch.setattr(
+        darboux, "coordinate_quotients",
+        lambda vf: tuple(q + i for i, q in enumerate(real(vf))),
+    )
+    for call in (lambda: find_darboux(fixture_form(), sphere_surface(3)),
+                 lambda: syzygy_first_integral(fixture_form())):
+        with pytest.raises(SelfCheckError, match="fails the cofactor-sum check"):
+            call()
+
+
+def test_a_field_that_moves_the_plane_fails_its_certificate(monkeypatch):
+    monkeypatch.setattr(darboux, "construct_from_form", _plus_first(
+        construct_from_form, lambda d: Poly.var(d, 1)
+    ))
+    hp = HyperplaneSpec.from_values(5, [1, 2, 3])
+    with pytest.raises(SelfCheckError, match="is not invariant for the field"):
+        construct_linear_fi_field(hp, rotation_seed(3))
+
+
+def test_a_field_that_moves_the_sphere_fails_its_certificate(monkeypatch):
+    # The sphere stays invariant, with cofactor 2 x1^2 instead of 0.
+    monkeypatch.setattr(darboux, "construct_from_form", _plus_first(
+        construct_from_form, lambda d: Poly.var(d, 1) * sphere_polynomial(d)
+    ))
+    with pytest.raises(SelfCheckError, match="fails the cofactor-sum check"):
+        construct_completely_integrable(2, 4, Poly.var(3, 1))
+
+
+def test_an_inexact_row_division_is_a_failed_self_check(monkeypatch):
+    monkeypatch.setattr(darboux, "divide_exact", lambda *args: None)
+    hp = HyperplaneSpec.from_values(5, [1, 2, 3])
+    with pytest.raises(SelfCheckError, match="row-1 division is not exact"):
+        construct_linear_fi_field(hp, rotation_seed(3))
+
+
+@pytest.mark.parametrize("what, call", [
+    ("the gradients of the integrals",
+     lambda: construct_completely_integrable(2, 4, Poly.var(3, 1))),
+    ("the emitted exponent vectors",
+     lambda: complete_integrability_check(fixture_form(), sphere_surface(3))),
+])
+def test_a_rank_below_n_is_a_failed_self_check(monkeypatch, what, call):
+    monkeypatch.setattr(darboux, "rank", lambda m: m.rows - 1)
+    with pytest.raises(SelfCheckError, match=f"{what} have rank 1, expected 2"):
+        call()

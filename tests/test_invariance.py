@@ -11,6 +11,7 @@ import pytest
 
 from kolmosphere import (
     BadRadiusError,
+    Cofactor,
     ConeReport,
     CubicKolmogorovForm,
     HyperplaneSpec,
@@ -19,6 +20,7 @@ from kolmosphere import (
     NotInvariantError,
     Poly,
     PolyVectorField,
+    SelfCheckError,
     StructuredView,
     assemble_cubic,
     classify_homogeneous,
@@ -33,6 +35,7 @@ from kolmosphere import (
     second_sphere_check,
     sphere_polynomial,
 )
+from kolmosphere import invariance
 from kolmosphere.field_forms import skew_matrix
 from kolmosphere.suites import hyperplane_suite, slice_negative_suite
 
@@ -374,3 +377,44 @@ def test_hyperplane_classifications_on_seeded_forms_match_their_pinned_digest():
     assert sum(r[0] for r in records) >= 30
     text = json.dumps(records)
     assert hashlib.sha256(text.encode()).hexdigest() == HYPERPLANE_DIGEST
+
+
+# ----- self-checks ----------------------------------------------------------------
+
+
+def _origin_case(alpha):
+    form = CubicKolmogorovForm.from_values(
+        alpha, [[0, 0, 4], [0, 0, 4], [-4, -4, 0]]
+    )
+    return form, HyperplaneSpec.from_values(0, [2, -1, 0])
+
+
+@pytest.mark.parametrize("alpha, view", [
+    ((3, 3, -1), lambda form, support, offset: None),
+    ((3, 2, -1), lambda form, support, offset: form.coordinate_view(0)),
+    ((3, 3, -1), lambda form, support, offset: StructuredView(0, (0, 0, 0))),
+], ids=["missed", "invented", "wrong-view"])
+def test_conditions_that_disagree_with_division_fail_the_self_check(
+    monkeypatch, alpha, view
+):
+    form, hp = _origin_case(alpha)
+    monkeypatch.setattr(invariance, "_shared_view", view)
+    with pytest.raises(SelfCheckError, match="direct division finds"):
+        classify_hyperplane(form, hp)
+
+
+@pytest.mark.parametrize("alpha, quotient", [
+    ((0, 0, 0), Poly.const(3, 1)),
+    ((1, 0, 0), Poly.zero(3)),
+], ids=["nonzero-cofactor", "alpha-nonzero"])
+def test_an_impossible_second_sphere_fails_the_self_check(
+    monkeypatch, alpha, quotient
+):
+    form = CubicKolmogorovForm.from_values(
+        alpha, [[0, 3, 0], [-3, 0, -3], [0, 3, 0]]
+    )
+    monkeypatch.setattr(
+        invariance, "cofactor", lambda vf, h: Cofactor(quotient, None)
+    )
+    with pytest.raises(SelfCheckError, match="second invariant sphere"):
+        second_sphere_check(form, Fraction(2))

@@ -162,6 +162,49 @@ def test_a_lie_derivative_is_divided_in_one_place():
     assert lie_divisions == ["invariance.cofactor"]
 
 
+def test_every_self_check_raises_one_type_from_one_function_per_fact():
+    """A failed self-check raises ``SelfCheckError``, never a bare
+    ``RuntimeError`` or an ``assert`` that ``python -O`` strips, and only
+    ``cli.main`` writes the words "internal error".  The cofactor-sum
+    identity is formed in ``verify_first_integral`` alone, reached through
+    the one certifier, so ``darboux`` takes no Lie derivative of its own."""
+    bare_raises, asserts, phrases, certifiers, lie_calls = [], [], [], set(), []
+    names = set()
+    for path in sorted((ROOT / "src" / "kolmosphere").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if "internal error" in (ast.get_docstring(tree) or ""):
+            phrases.append(f"{path.stem}.<docstring>")
+        for top in tree.body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                names.add(getattr(node, "name", getattr(node, "id", None)))
+                if isinstance(node, ast.Raise):
+                    exc = node.exc
+                    if isinstance(exc, ast.Call):
+                        exc = exc.func
+                    if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                        bare_raises.append(where)
+                elif isinstance(node, ast.Assert):
+                    asserts.append(where)
+                elif (isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)
+                        and "internal error" in node.value
+                        and node is not getattr(tree.body[0], "value", None)):
+                    phrases.append(where)
+                elif isinstance(node, ast.Call):
+                    if _called_name(node) == "verify_first_integral":
+                        certifiers.add(where)
+                    if (_called_name(node) == "lie_derivative"
+                            and path.stem == "darboux"):
+                        lie_calls.append(where)
+    assert bare_raises == [] and asserts == []
+    assert phrases == ["cli.<docstring>", "cli.main"]
+    assert certifiers == {"darboux._certify"}
+    assert lie_calls == []
+    assert "_cofactor_sums_vanish" not in names
+    assert issubclass(kolmosphere.SelfCheckError, RuntimeError)
+
+
 def test_the_assembly_rule_is_written_in_one_place():
     """The factor 1 - |x|^2 of P_i = x_i((1 - |x|^2) ftilde_i + ...) is built
     only where the unit fields are: every assembly, constant or polynomial,
