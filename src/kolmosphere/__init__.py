@@ -42,13 +42,13 @@ from .field_forms import (
     field_to_dict,
     is_kolmogorov_on_sphere,
     lie_derivative,
+    pure_square_profile,
     recover_cubic_form,
     seed_from_dict,
     sphere_polynomial,
 )
 from .invariance import (
     BadRadiusError,
-    Cofactor,
     ConeReport,
     GreatSphereReport,
     HyperplaneClassification,

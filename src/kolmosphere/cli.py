@@ -30,6 +30,7 @@ from .field_forms import (
     field_from_dict,
     field_to_dict,
     is_kolmogorov_on_sphere,
+    pure_square_profile,
     read_rational,
     seed_from_dict,
 )
@@ -201,8 +202,8 @@ def _cmd_cofactor(args) -> Outcome:
         payload = {"invariant": False, "cofactor": None, "structured": None}
         return 1, payload, ["not invariant"]
     # k0 and k are coefficients of the cofactor: they print once it does.
-    text = _poly_text(outcome.poly, "cofactor")
-    view = outcome.structured
+    text = _poly_text(outcome, "cofactor")
+    view = pure_square_profile(outcome)
     structured = (
         None if view is None
         else {"k0": str(view.k0), "k": [str(v) for v in view.k]}

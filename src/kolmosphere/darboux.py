@@ -41,11 +41,11 @@ from .field_forms import (
     check_skew,
     construct_from_form,
     coordinate_quotients,
+    pure_square_profile,
     skew_matrix,
     sphere_polynomial,
 )
 from .invariance import (
-    Cofactor,
     Hypersurface,
     HyperplaneSpec,
     NotInvariantError,
@@ -123,21 +123,20 @@ class SamplePoint:
         return cls(tuple([_canonical(v) for v in values]))
 
 
-def build_matrix_B(
-    form: CubicKolmogorovForm, extra: Cofactor
-) -> RationalMatrix:
+def build_matrix_B(form: CubicKolmogorovForm, extra: Poly) -> RationalMatrix:
     """Rows 1..d: the coordinate views (k0, k_1, ..., k_d) of the form; last
-    row: the structured cofactor of the extra surface in the same view."""
-    if extra.structured is None:
+    row: the view of the extra surface's cofactor, which must have one."""
+    view = pure_square_profile(extra)
+    if view is None:
         raise UnstructuredCofactorError(
-            f"cofactor {extra.poly} is not of the shape k0 + sum k_i x_i^2"
+            f"cofactor {extra} is not of the shape k0 + sum k_i x_i^2"
         )
     d = form.dim
-    if len(extra.structured.k) != d:
+    if extra.dim != d:
         raise DimensionMismatchError(
-            f"cofactor over {len(extra.structured.k)} variables, form on R^{d}"
+            f"cofactor over {extra.dim} variables, form on R^{d}"
         )
-    views = [form.coordinate_view(i) for i in range(d)] + [extra.structured]
+    views = [form.coordinate_view(i) for i in range(d)] + [view]
     return RationalMatrix.from_rows([[v.k0, *v.k] for v in views])
 
 
@@ -156,7 +155,7 @@ def verify_first_integral(
             raise NotInvariantError(
                 f"surface {surface.defining} is not invariant for the field"
             )
-        known.append(cof.poly)
+        known.append(cof)
     return Poly.sum(
         vf.dim, (b * k for b, k in zip(integral.exponents, known))
     ).is_zero()
@@ -215,7 +214,13 @@ def find_darboux(
 ) -> List[DarbouxIntegral]:
     """All first integrals g^(b_{d+1}) prod x_i^(b_i), as a basis of
     exponent vectors over the surfaces (x_1, ..., x_d, g); empty when the
-    matrix B has full rank."""
+    matrix B has full rank.  A one-term g = c x^beta is refused: its
+    cofactor sum_i beta_i K_i always gives (beta, -1), whose integral is 1/c."""
+    if len(g.defining.terms) == 1:
+        raise ValueError(
+            f"g = {g.defining} is a single term, so its only integral with "
+            "the coordinate hyperplanes is a constant"
+        )
     vf = assemble_cubic(form)
     extra = cofactor(vf, g)
     if extra is None:
@@ -223,7 +228,7 @@ def find_darboux(
             f"surface {g.defining} is not invariant for the assembled field"
         )
     basis = nullspace(build_matrix_B(form, extra), side="left")
-    return _certified_integrals(vf, basis, [(g, extra.poly)])
+    return _certified_integrals(vf, basis, [(g, extra)])
 
 
 def syzygy_first_integral(

@@ -13,8 +13,8 @@ and a constant skew matrix atilde.
 
 The field is linear in its data: P_i = U_i ftilde_i + sum_j W_ij atilde_ij,
 with the unit fields U_i = x_i(1 - |x|^2) and W_ij = x_i x_j^2.
-``_unit_fields`` builds U and W once per dimension, and ``_assemble`` is the
-one place that writes the sum, for constant and polynomial data alike.
+``_unit_fields`` builds a row (U_i, W_i1..W_id) once, when data touch it;
+``_assemble`` writes the sum in one place, for constant and polynomial data.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .polyring import (
 
 T = TypeVar("T")
 
-# Dimensions whose unit fields stay cached; each holds d + d^2 small Polys.
-_UNIT_FIELD_DIMS = 32
+# Rows of unit fields that stay cached; a row on R^d holds d + 1 small Polys.
+_UNIT_FIELD_ROWS = 512
 
 
 class NotSkewError(ValueError):
@@ -186,26 +186,32 @@ def lie_derivative(vf: PolyVectorField, f: Poly) -> Poly:
     )
 
 
-@functools.lru_cache(maxsize=_UNIT_FIELD_DIMS)
-def _unit_fields(d: int) -> Tuple[tuple, tuple]:
-    """(U, W) on R^d: U_i = x_i(1 - |x|^2) is the field of a unit ftilde_i,
-    W_ij = x_i * x_j^2 that of a unit atilde_ij (0-based i, j)."""
-    xs = [Poly.var(d, i) for i in range(1, d + 1)]
-    one_minus_r2 = -sphere_polynomial(d)
+@functools.lru_cache(maxsize=_UNIT_FIELD_ROWS)
+def _unit_fields(d: int, i: int) -> Tuple[Poly, tuple]:
+    """(U_i, (W_i1, ..., W_id)) on R^d (0-based i): U_i = x_i(1 - |x|^2) is
+    the field of a unit ftilde_i, W_ij = x_i * x_j^2 that of a unit
+    atilde_ij."""
+    x = Poly.var(d, i + 1)
     return (
-        tuple(x * one_minus_r2 for x in xs),
-        tuple(tuple(x * y ** 2 for y in xs) for x in xs),
+        x * -sphere_polynomial(d),
+        tuple(x * Poly.var(d, j) ** 2 for j in range(1, d + 1)),
     )
 
 
 def _assemble(d: int, ftilde: Sequence, atilde: Sequence[Sequence]) -> PolyVectorField:
     """P_i = U_i * ftilde_i + sum_j W_ij * atilde_ij, for rational or
-    polynomial entries alike; a zero atilde_ij adds nothing and is skipped."""
-    units, squares = _unit_fields(d)
-    return PolyVectorField(d, tuple(
-        Poly.sum(d, [u * f] + [w * a for w, a in zip(ws, row) if a])
-        for u, f, ws, row in zip(units, ftilde, squares, atilde)
-    ))
+    polynomial entries alike; a zero atilde_ij adds nothing and is skipped,
+    and a zero row of data gives P_i = 0 with no unit fields built."""
+    components = []
+    for i, (f, row) in enumerate(zip(ftilde, atilde)):
+        if not (f or any(row)):
+            components.append(Poly.zero(d))
+            continue
+        u, ws = _unit_fields(d, i)
+        components.append(
+            Poly.sum(d, [u * f] + [w * a for w, a in zip(ws, row) if a])
+        )
+    return PolyVectorField(d, tuple(components))
 
 
 def construct_from_form(form: KolmogorovForm) -> PolyVectorField:
@@ -255,7 +261,7 @@ def is_kolmogorov_on_sphere(vf: PolyVectorField) -> SphereKolmogorovReport:
     return SphereKolmogorovReport(
         kolmogorov=coordinate_quotients(vf) is not None,
         sphere_invariant=cof is not None,
-        sphere_cofactor=None if cof is None else cof.poly,
+        sphere_cofactor=cof,
     )
 
 

@@ -77,7 +77,7 @@ def _constraint_columns(n: int) -> List[Dict[tuple, Scalar]]:
     that value: alpha_i puts U_i = x_i(1 - |x|^2) into P_i, and atilde_ij
     (i < j) puts W_ij = x_i x_j^2 into P_i and -W_ji into P_j."""
     d = 2 * n
-    units, squares = _unit_fields(d)
+    units, squares = zip(*(_unit_fields(d, i) for i in range(d)))
     zero = Poly.zero(d)
     pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
     slots = {pair: slot for slot, pair in enumerate(pairs)}

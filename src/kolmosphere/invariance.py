@@ -3,8 +3,8 @@
 A hypersurface {f = 0} is invariant when the derivative of f along the
 field is a polynomial multiple K * f; the quotient K is the cofactor.
 For the fields assembled in :mod:`.field_forms` the cofactors of interest
-all have the shape k0 + sum_i k_i x_i^2; each cofactor carries that
-structured view (``field_forms.pure_square_profile``) whenever it exists.
+all have the shape k0 + sum_i k_i x_i^2; ``field_forms.pure_square_profile``
+reads that structured view off a cofactor where it is needed.
 """
 
 from __future__ import annotations
@@ -53,22 +53,13 @@ class Hypersurface:
         return self.defining.dim
 
 
-@dataclass(frozen=True)
-class Cofactor:
-    poly: Poly
-    structured: Optional[StructuredView]
-
-
-def cofactor(vf: PolyVectorField, h: Hypersurface) -> Optional[Cofactor]:
+def cofactor(vf: PolyVectorField, h: Hypersurface) -> Optional[Poly]:
     """Cofactor of an invariant hypersurface, None when not invariant."""
     if h.dim != vf.dim:
         raise DimensionMismatchError(
             f"hypersurface in {h.dim} variables, field on R^{vf.dim}"
         )
-    quotient = divide_exact(lie_derivative(vf, h.defining), h.defining)
-    if quotient is None:
-        return None
-    return Cofactor(quotient, pure_square_profile(quotient))
+    return divide_exact(lie_derivative(vf, h.defining), h.defining)
 
 
 @dataclass(frozen=True)
@@ -91,12 +82,12 @@ class HyperplaneSpec:
         return len(self.a)
 
     def defining_poly(self) -> Poly:
+        """a0, then a1 x1..ad xd, zeros dropped."""
         d = self.dim
-        return Poly.sum(
-            d,
-            [Poly.const(d, self.a0)]
-            + [a * Poly.var(d, i) for i, a in enumerate(self.a, start=1)],
-        )
+        terms = {(0,) * d: self.a0}
+        for i, a in enumerate(self.a):
+            terms[(0,) * i + (1,) + (0,) * (d - 1 - i)] = a
+        return Poly(d, terms)
 
 
 class PreconditionError(ValueError):
@@ -116,7 +107,7 @@ class HyperplaneClassification:
     invariant: bool
     case: Optional[str]
     predicted: Optional[StructuredView]
-    division_cofactor: Optional[Cofactor]
+    division_cofactor: Optional[Poly]
 
 
 def _shared_view(
@@ -163,12 +154,12 @@ def classify_hyperplane(
 
     vf = assemble_cubic(form)
     division = cofactor(vf, Hypersurface(hp.defining_poly()))
-    division_structured = None if division is None else division.structured
+    division_view = None if division is None else pure_square_profile(division)
 
-    if predicted != division_structured:
+    if predicted != division_view:
         raise SelfCheckError(
             f"coefficient conditions predict the cofactor {predicted}, "
-            f"direct division finds {division_structured}"
+            f"direct division finds {division_view}"
         )
 
     invariant = predicted is not None
@@ -192,7 +183,7 @@ class GreatSphereReport:
     cofactor_at_a        = K(a_1, ..., a_d)
     """
 
-    cofactor: Cofactor
+    cofactor: Poly
     interaction_sum: Fraction
     coefficient_balance: Fraction
     cofactor_at_a: Fraction
@@ -233,8 +224,8 @@ def great_sphere_conditions(
         Fraction(0),
     )
     ones = (Fraction(1),) * form.dim
-    coefficient_balance = sum(hp.a, Fraction(0)) * cof.poly.evaluate(ones)
-    cofactor_at_a = cof.poly.evaluate(hp.a)
+    coefficient_balance = sum(hp.a, Fraction(0)) * cof.evaluate(ones)
+    cofactor_at_a = cof.evaluate(hp.a)
     return GreatSphereReport(
         cofactor=cof,
         interaction_sum=interaction_sum,
@@ -271,10 +262,7 @@ def cone_invariance(
     if cone.is_zero():
         raise ValueError("degenerate cone: the defining polynomial vanishes")
     cof = cofactor(vf, Hypersurface(cone))
-    quotient = cof.poly if cof is not None else None
-    return ConeReport(
-        invariant=quotient is not None, cone=cone, cofactor=quotient
-    )
+    return ConeReport(invariant=cof is not None, cone=cone, cofactor=cof)
 
 
 @dataclass(frozen=True)
@@ -302,15 +290,14 @@ def second_sphere_check(
         raise BadRadiusError("radius must differ from 0, 1, and -1")
     vf = assemble_cubic(form)
     cof = cofactor(vf, Hypersurface(sum_of_squares(form.dim) - r * r))
-    quotient = cof.poly if cof is not None else None
     alpha_zero = all(a == 0 for a in form.alpha)
-    if quotient is not None and not (alpha_zero and quotient.is_zero()):
+    if cof is not None and not (alpha_zero and cof.is_zero()):
         raise SelfCheckError(
             "a second invariant sphere forces alpha = 0 and a zero cofactor"
         )
     return SecondSphereReport(
-        invariant=quotient is not None,
+        invariant=cof is not None,
         radius=r,
-        cofactor=quotient,
+        cofactor=cof,
         alpha_zero=alpha_zero,
     )

@@ -413,6 +413,13 @@ def test_construct_complete_rejects_wrong_degree(capsys):
          "expected at most 100 nested parentheses"),
         (["darboux", "--form", "UNSTRUCTURED_FORM", "--g", "1 + x1 - x2"],
          "is not of the shape k0 + sum k_i x_i^2"),
+        (["darboux", "--form", FORM, "--g", "x1"],
+         "error: g = x1 is a single term, so its only integral with the "
+         "coordinate hyperplanes is a constant\n"),
+        (["darboux", "--form", FORM, "--g", "2*x1*x2", "--format", "json"],
+         "error: g = 2*x1*x2 is a single term"),
+        (["darboux", "--form", FORM, "--g", "x1^2"],
+         "error: g = x1^2 is a single term"),
         (["integrate", "--field", FIELD, "--x0", "nan,0.5,0.5",
           "--h", "0.001", "--steps", "10"],
          "x0 must be finite, got (nan, 0.5, 0.5)"),
@@ -489,7 +496,8 @@ def test_construct_complete_rejects_wrong_degree(capsys):
     ids=["steps-0", "h-nan", "constraint-n-0", "form-1-over-0",
          "form-atilde-1-over-0", "form-infinity",
          "negative-instances", "3000-nested-parentheses",
-         "unstructured-cofactor", "x0-nan", "x0-inf", "seed-of-numbers",
+         "unstructured-cofactor", "g-x1", "g-2x1x2-json", "g-x1-squared",
+         "x0-nan", "x0-inf", "seed-of-numbers",
          "seed-not-skew", "negative-n", "form-alpha-string",
          "form-atilde-row-string", "form-alpha-boolean", "form-alpha-null",
          "form-alpha-array", "form-atilde-nan-text", "form-dim-float",

@@ -100,7 +100,7 @@ def test_coordinate_cofactor_matches_division():
     cofactors = [form.coordinate_view(i).poly() for i in range(3)]
     for i in (1, 2, 3):
         direct = cofactor(vf, Hypersurface(Poly.var(3, i)))
-        assert cofactors[i - 1] == direct.poly
+        assert cofactors[i - 1] == direct
 
 
 def test_find_darboux_returns_the_expected_exponent_plane():
@@ -125,6 +125,24 @@ def test_find_darboux_is_empty_for_a_full_rank_form(monkeypatch):
     # With no exponent vector to certify, no coordinate is divided out.
     monkeypatch.setattr(darboux, "coordinate_quotients", None)
     assert find_darboux(form, sphere_surface(3)) == []
+
+
+@pytest.mark.parametrize("g_text", ["x1", "2*x1*x2", "x1^2"])
+def test_find_darboux_refuses_a_one_term_g_before_any_division(
+    monkeypatch, g_text
+):
+    """A monomial c x^beta has the cofactor sum beta_i K_i, so (beta, -1)
+    would always come back, with the constant 1/c as its integral."""
+    form = fixture_form()
+    g = Hypersurface(parse(g_text, 3))
+    monkeypatch.setattr(darboux, "assemble_cubic", None)
+    monkeypatch.setattr(darboux, "cofactor", None)
+    with pytest.raises(ValueError) as exc:
+        find_darboux(form, g)
+    assert str(exc.value) == (
+        f"g = {g_text} is a single term, so its only integral with the "
+        "coordinate hyperplanes is a constant"
+    )
 
 
 def test_verify_first_integral_raises_on_non_invariant_surface():

@@ -18,6 +18,7 @@ from kolmosphere import (
     assemble_cubic,
     classify_homogeneous,
     cofactor,
+    construct_completely_integrable,
     construct_from_form,
     cubic_form_from_dict,
     cubic_form_to_dict,
@@ -30,6 +31,7 @@ from kolmosphere import (
     seed_from_dict,
     sphere_polynomial,
 )
+from kolmosphere import field_forms
 from kolmosphere.field_forms import StructuredView, pure_square_profile, skew_matrix
 from kolmosphere.polyring import NEG_INF
 
@@ -152,6 +154,15 @@ def test_cubic_assembly_matches_field_fixture():
     assert assemble_cubic(form).components == vf.components
 
 
+def test_an_assembly_builds_only_the_unit_field_rows_its_data_touch():
+    """The field (A x1 x2^2, -A x1^2 x2, 0, ..., 0) on R^41 touches rows 1
+    and 2 alone; the other 39 rows are zero and build no unit field."""
+    field_forms._unit_fields.cache_clear()
+    field, _ = construct_completely_integrable(40, 3, Poly.const(41, 1))
+    assert field_forms._unit_fields.cache_info().currsize == 2
+    assert all(p.is_zero() for p in field.components[2:])
+
+
 def rand_cubic_form(rng):
     """Small entries, so that alpha_i = 0 and atilde_ij = alpha_i (a zero
     in the coordinate view) both occur."""
@@ -198,7 +209,7 @@ def test_coordinate_views_read_back_and_equal_the_division_cofactors(seed):
             view = form.coordinate_view(i)
             assert pure_square_profile(view.poly()) == view
             division = cofactor(vf, Hypersurface(Poly.var(d, i + 1)))
-            assert view.poly() == division.poly
+            assert view.poly() == division
 
 
 def test_view_polynomial_has_the_constant_first_and_no_zero_terms():

@@ -11,7 +11,6 @@ import pytest
 
 from kolmosphere import (
     BadRadiusError,
-    Cofactor,
     ConeReport,
     CubicKolmogorovForm,
     HyperplaneSpec,
@@ -30,11 +29,14 @@ from kolmosphere import (
     cubic_form_from_dict,
     field_from_dict,
     great_sphere_conditions,
+    is_kolmogorov_on_sphere,
     lie_derivative,
     parse,
+    pure_square_profile,
     second_sphere_check,
     sphere_polynomial,
 )
+import kolmosphere
 from kolmosphere import invariance
 from kolmosphere.field_forms import skew_matrix
 from kolmosphere.suites import hyperplane_suite, slice_negative_suite
@@ -61,8 +63,8 @@ def test_sphere_cofactor_of_fixture_field_is_structured():
     vf = load_demo3d()
     cof = cofactor(vf, Hypersurface(sphere_polynomial(3)))
     assert cof is not None
-    assert str(cof.poly) == "-4*x1^2 - 4*x3^2"
-    assert cof.structured == StructuredView(
+    assert str(cof) == "-4*x1^2 - 4*x3^2"
+    assert pure_square_profile(cof) == StructuredView(
         k0=Fraction(0), k=(Fraction(-4), Fraction(0), Fraction(-4))
     )
 
@@ -70,7 +72,7 @@ def test_sphere_cofactor_of_fixture_field_is_structured():
 def test_cofactor_of_coordinate_plane():
     vf = load_demo3d()
     cof = cofactor(vf, Hypersurface(Poly.var(3, 2)))
-    assert str(cof.poly) == "-3*x1^2 - 3*x3^2"
+    assert str(cof) == "-3*x1^2 - 3*x3^2"
 
 
 def test_cofactor_is_none_for_non_invariant_surface():
@@ -82,7 +84,7 @@ def test_cofactor_witness_identity_holds():
     vf = load_demo3d()
     h = Hypersurface(sphere_polynomial(3))
     cof = cofactor(vf, h)
-    assert lie_derivative(vf, h.defining) == cof.poly * h.defining
+    assert lie_derivative(vf, h.defining) == cof * h.defining
 
 
 def test_unstructured_cofactor_is_still_reported():
@@ -90,11 +92,61 @@ def test_unstructured_cofactor_is_still_reported():
     # constant-plus-squares shape.
     vf = PolyVectorField(2, (parse("x1*x2", 2), parse("x2", 2)))
     cof = cofactor(vf, Hypersurface(Poly.var(2, 1)))
-    assert str(cof.poly) == "x2"
-    assert cof.structured is None
+    assert str(cof) == "x2"
+    assert pure_square_profile(cof) is None
+
+
+def test_every_cofactor_is_a_polynomial_or_none():
+    """``cofactor`` and the cofactor field of each report hold the quotient
+    itself; the view k0 + sum k_i x_i^2 is read off where it is needed."""
+    vf = load_demo3d()
+    assert isinstance(cofactor(vf, Hypersurface(sphere_polynomial(3))), Poly)
+    assert cofactor(vf, Hypersurface(parse("x1 + x2 + x3", 3))) is None
+    assert isinstance(is_kolmogorov_on_sphere(vf).sphere_cofactor, Poly)
+    origin = CubicKolmogorovForm.from_values(
+        (3, 3, -1), [[0, 0, 4], [0, 0, 4], [-4, -4, 0]]
+    )
+    plane = HyperplaneSpec.from_values(0, [2, -1, 0])
+    assert isinstance(classify_hyperplane(origin, plane).division_cofactor, Poly)
+    assert classify_hyperplane(
+        origin, HyperplaneSpec.from_values(0, [1, 1, 1])
+    ).division_cofactor is None
+    assert isinstance(
+        great_sphere_conditions(great_sphere_form(), plane).cofactor, Poly
+    )
+    flat = cone_invariance(
+        slice_field_with_flat_axis(), HyperplaneSpec.from_values(0, [0, 0, 1]),
+        Fraction(1, 2),
+    )
+    assert isinstance(flat.cofactor, Poly)
+    assert second_sphere_check(load_demo3d_form(), Fraction(2)).cofactor is None
+    assert not hasattr(kolmosphere, "Cofactor")
+    assert not hasattr(invariance, "Cofactor")
 
 
 # ----- hyperplane classification ---------------------------------------------
+
+
+def test_a_hyperplane_writes_its_terms_as_the_sum_of_its_parts():
+    """``defining_poly`` builds the terms directly; they are those of the sum
+    a0 + a1 x1 + ... + ad xd, in the same order and of the same types."""
+    rng = random.Random(2024)
+    for _ in range(500):
+        d = rng.randint(1, 5)
+        values = [0, 0, 1, -2, Fraction(3, 4), Fraction(-5, 2), Fraction(6, 3)]
+        a = [rng.choice(values) for _ in range(d)]
+        if all(x == 0 for x in a):
+            a[rng.randrange(d)] = 1
+        hp = HyperplaneSpec.from_values(rng.choice(values), a)
+        summed = Poly.sum(
+            d,
+            [Poly.const(d, hp.a0)]
+            + [c * Poly.var(d, i) for i, c in enumerate(hp.a, start=1)],
+        )
+        written = hp.defining_poly()
+        assert [(e, c, type(c)) for e, c in written.terms.items()] == [
+            (e, c, type(c)) for e, c in summed.terms.items()
+        ]
 
 
 def test_offset_hyperplane_invariant_only_with_silent_support_rows():
@@ -108,7 +160,7 @@ def test_offset_hyperplane_invariant_only_with_silent_support_rows():
     assert verdict.predicted == StructuredView(
         k0=Fraction(0), k=(Fraction(0),) * 3
     )
-    assert verdict.division_cofactor.poly.is_zero()
+    assert verdict.division_cofactor.is_zero()
 
 
 @pytest.mark.parametrize(
@@ -140,7 +192,7 @@ def test_origin_hyperplane_golden_classification():
     assert verdict.predicted == StructuredView(
         k0=Fraction(3), k=(Fraction(-3), Fraction(-3), Fraction(1))
     )
-    assert str(verdict.division_cofactor.poly) == "-3*x1^2 - 3*x2^2 + x3^2 + 3"
+    assert str(verdict.division_cofactor) == "-3*x1^2 - 3*x2^2 + x3^2 + 3"
 
 
 def test_origin_hyperplane_breaks_under_single_perturbations():
@@ -199,7 +251,7 @@ def test_great_sphere_conditions_golden_instance():
     assert report.cofactor_at_a == 0
     assert report.condition_interaction and report.condition_root
     assert report.passes
-    assert str(report.cofactor.poly) == "4*x3^2"
+    assert str(report.cofactor) == "4*x3^2"
 
 
 def test_great_sphere_conditions_require_invariance():
@@ -413,8 +465,6 @@ def test_an_impossible_second_sphere_fails_the_self_check(
     form = CubicKolmogorovForm.from_values(
         alpha, [[0, 3, 0], [-3, 0, -3], [0, 3, 0]]
     )
-    monkeypatch.setattr(
-        invariance, "cofactor", lambda vf, h: Cofactor(quotient, None)
-    )
+    monkeypatch.setattr(invariance, "cofactor", lambda vf, h: quotient)
     with pytest.raises(SelfCheckError, match="second invariant sphere"):
         second_sphere_check(form, Fraction(2))

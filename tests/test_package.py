@@ -38,6 +38,7 @@ UNREACHED = {
         "the README's conditions for planes through the origin of "
         "homogeneous fields; whether a suite reaches it or it goes is open"
     ),
+    "max_abs_drift": "the tests' one-call form of ``drift_sweep``",
 }
 
 SUBMODULES = {
@@ -140,15 +141,20 @@ def test_a_lie_derivative_is_divided_in_one_place():
     """``invariance.cofactor`` is the one home of X(f) / f, so tracing has one
     division span and a rechecker one function to keep away from.  The
     other two ``divide_exact`` calls are other quotients: P_i / x_i, and the
-    row division of the linear-first-integral construction."""
-    callers, lie_divisions = set(), []
+    row division of the linear-first-integral construction.  A cofactor is
+    the quotient itself; its view k0 + sum k_i x_i^2 is read off only where
+    it is used."""
+    callers, lie_divisions, profiles = set(), [], set()
     for path in sorted((ROOT / "src" / "kolmosphere").glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if not (isinstance(node, ast.Call)
-                        and _called_name(node) == "divide_exact"):
+                if not isinstance(node, ast.Call):
                     continue
                 where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                if _called_name(node) == "pure_square_profile":
+                    profiles.add(where)
+                if _called_name(node) != "divide_exact":
+                    continue
                 callers.add(where)
                 first = node.args[0] if node.args else None
                 if (isinstance(first, ast.Call)
@@ -160,6 +166,12 @@ def test_a_lie_derivative_is_divided_in_one_place():
         "darboux.construct_linear_fi_field",
     }
     assert lie_divisions == ["invariance.cofactor"]
+    assert profiles == {
+        "darboux.build_matrix_B",
+        "invariance.classify_hyperplane",
+        "field_forms.recover_cubic_form",
+        "cli._cmd_cofactor",
+    }
 
 
 def test_every_self_check_raises_one_type_from_one_function_per_fact():
@@ -228,24 +240,42 @@ def test_the_assembly_rule_is_written_in_one_place():
     ]
 
 
+def _referenced_names(path: Path, strings: bool = False) -> set:
+    """The names and attributes that the code in ``path`` refers to, and
+    with ``strings`` its string constants too, such as the function names
+    that ``_call(module, "name", ...)`` passes, but not the keys of a
+    subscript such as ``payload["max_abs_drift"]``."""
+    tree = ast.parse(path.read_text())
+    keys = {
+        id(node.slice) for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+    }
+    referenced = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif (strings and isinstance(node, ast.Constant)
+                and isinstance(node.value, str) and id(node) not in keys):
+            referenced.add(node.value)
+    return referenced
+
+
 def test_every_public_function_is_reached_or_listed_with_its_reason():
     """A public function is reached when code in a module of the package
     other than ``__init__`` refers to it (a docstring or comment does not
-    count), or when README.md or bench/workloads.py names it."""
-    referenced = set()
+    count), when the code of bench/workloads.py refers to it by name or by
+    a string that is not a subscript key, or when README.md names it."""
+    referenced = _referenced_names(ROOT / "bench" / "workloads.py", True)
     for path in (ROOT / "src" / "kolmosphere").glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    named = README.read_text() + (ROOT / "bench" / "workloads.py").read_text()
+        if path.name != "__init__.py":
+            referenced |= _referenced_names(path)
+    readme = README.read_text()
     unreached = {
         name for name in kolmosphere.__all__
         if inspect.isfunction(getattr(kolmosphere, name))
         and name not in referenced
-        and not re.search(rf"\b{name}\b", named)
+        and not re.search(rf"\b{name}\b", readme)
     }
     assert unreached == set(UNREACHED)
