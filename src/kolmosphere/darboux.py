@@ -403,9 +403,12 @@ def construct_completely_integrable(
         field, [DarbouxIntegral((Fraction(1),), (s,)) for s in surfaces]
     )
     point = SamplePoint.of([1] * d)
+    # A zero partial is written as 0: evaluating all d^2 of them, each
+    # converting the d coordinates again, would make the check O(d^3).
     jac_rank = _check_rank(
-        [[s.defining.differentiate(l).evaluate(point.coords)
-          for l in range(1, d + 1)] for s in surfaces],
+        [[q.evaluate(point.coords) if q else 0
+          for q in map(s.defining.differentiate, range(1, d + 1))]
+         for s in surfaces],
         n, "the gradients of the integrals",
     )
     return field, IntegrabilityCertificate(tuple(integrals), point, jac_rank)

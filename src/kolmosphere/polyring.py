@@ -9,15 +9,26 @@ two hash alike, so equality, hashing and printing do not depend on the
 representation.  The zero polynomial is the empty dict.  All arithmetic is
 exact; no floating point enters this module.
 
-``parse`` tokenizes the text with one pass of one regular expression.  Its
-matches cover every character but trailing whitespace, so each token's
-position is the running sum of the matched lengths, and a literal longer
-than the interpreter's digit limit is refused there, at its position.  The
-parser reads the tokens by index.  It folds the rational and variable
-factors of each term into one monomial, multiplies the term's parenthesised
-factors into it from left to right, and folds the term straight into one
-dict of the sum, deleting a monomial the moment its coefficient cancels, as
-``Poly.sum`` does.
+``parse`` has two readers.  The flat reader takes ASCII text without
+parentheses, the shape that ``str`` prints and every JSON field holds: one
+``re.split`` cuts the terms at their signs, each term is cut at '*', and
+each distinct factor text is read once per call, with ``str.partition`` at
+'^' and '/'.  It gives up on anything else (a parenthesis, a character
+outside ASCII, an empty factor, a variable outside 1..dim, a zero
+denominator, a power of a rational, a literal past the interpreter's digit
+limit, or any text outside the grammar) and hands the whole text to the
+grammar parser, which alone reads parenthesised text and alone raises
+every ``ParseError``, with its position.  The grammar parser tokenizes the
+text with one pass of one regular expression.  Its matches cover every
+character but trailing whitespace, so each token's position is the running
+sum of the matched lengths, and a literal longer than the digit limit is
+refused there, at its position.  It reads the tokens by index, folds the
+rational and variable factors of each term into one monomial and
+multiplies the term's parenthesised factors into it from left to right.
+Both readers take a term's coefficient as its sign times its rationals and
+fold the terms, in text order, straight into one dict of the sum, deleting
+a monomial the moment its coefficient cancels, as ``Poly.sum`` does; so
+they give the same terms in the same order.
 
 Monomial order everywhere is graded lexicographic with x1 > x2 > ... :
 compare total degree first, then the exponent tuples lexicographically.
@@ -422,6 +433,15 @@ def _heap_key(exps: Monomial) -> tuple:
     return (-sum(exps),) + tuple(map(neg, exps))
 
 
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """The exact coefficient a / b: ``/`` on two ints would round to a
+    float."""
+    if type(a) is int and type(b) is int:
+        c, rem = divmod(a, b)
+        return Fraction(a, b) if rem else c
+    return _canonical(a / b)
+
+
 def divide_exact(dividend: Poly, divisor: Poly):
     """Quotient when ``divisor`` divides ``dividend`` exactly, else None.
 
@@ -431,11 +451,15 @@ def divide_exact(dividend: Poly, divisor: Poly):
     dividend cannot be a multiple (over a field a nonzero remainder is
     definitive for a singleton divisor set), so the scan stops early.
 
-    The remainder is one dict, updated in place by each step's
-    ``c * divisor``, with a heap holding each of its monomials once to find
-    the leading one (Johnson 1974; Monagan & Pearce 2007).  A monomial whose
-    coefficient cancels stays, at zero, until it surfaces and is skipped.
-    The quotient's terms come out in grlex-descending order.
+    A one-term divisor c x^a needs no remainder: one pass over the
+    dividend's monomials, sorted once in grlex-descending order, shifts each
+    by a (the first negative exponent gives None) and divides its
+    coefficient by c, or copies it when c is 1.  A longer divisor updates
+    the remainder, one dict, in place by each step's ``c * divisor``, with
+    a heap holding each of its monomials once to find the leading one
+    (Johnson 1974; Monagan & Pearce 2007).  A monomial whose coefficient
+    cancels stays, at zero, until it surfaces and is skipped.  Either way
+    the quotient's terms come out in grlex-descending order.
     """
     if divisor.dim != dividend.dim:
         raise DimensionMismatchError(
@@ -444,11 +468,20 @@ def divide_exact(dividend: Poly, divisor: Poly):
     if divisor.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     lead_exps, lead_coeff = divisor.leading()
+    quotient: Dict[Monomial, Scalar] = {}
+    if len(divisor.terms) == 1:
+        terms = dividend.terms
+        for exps in sorted(terms, key=_grlex_key, reverse=True):
+            step = tuple(map(sub, exps, lead_exps))
+            if min(step, default=0) < 0:
+                return None
+            quotient[step] = (terms[exps] if lead_coeff == 1
+                              else _quotient(terms[exps], lead_coeff))
+        return Poly._trusted(dividend.dim, quotient)
     tail = [(e, c) for e, c in divisor.terms.items() if e != lead_exps]
     remainder = dict(dividend.terms)
     heap = [(_heap_key(e), e) for e in remainder]
     heapq.heapify(heap)
-    quotient: Dict[Monomial, Scalar] = {}
     while heap:
         r_exps = heapq.heappop(heap)[1]
         r_coeff = remainder.pop(r_exps)
@@ -457,14 +490,7 @@ def divide_exact(dividend: Poly, divisor: Poly):
         step = tuple(map(sub, r_exps, lead_exps))
         if min(step, default=0) < 0:
             return None
-        # Exact quotient: ``/`` on two ints would round to a float.
-        if type(r_coeff) is int and type(lead_coeff) is int:
-            c, rem = divmod(r_coeff, lead_coeff)
-            if rem:
-                c = Fraction(r_coeff, lead_coeff)
-        else:
-            c = _canonical(r_coeff / lead_coeff)
-        quotient[step] = c
+        c = quotient[step] = _quotient(r_coeff, lead_coeff)
         minus_c = -c
         for d_exps, d_coeff in tail:
             m = tuple(map(add, step, d_exps))
@@ -667,10 +693,102 @@ class _Parser:
         _fold(acc, terms)
 
 
+_SIGN = re.compile(r"([-+])")
+
+
+def _read_factor(text: str, dim: int, limit: int):
+    """A flat factor as (index, power, None) for x<index + 1>^power or
+    (-1, value, -value) for a rational.  None when it is neither, when a
+    variable lies outside 1..dim, a denominator is zero or a literal has
+    more than ``limit`` digits, and for a power of a rational: ``str``
+    never prints one, and the grammar parser tokenizes the whole text
+    before it computes any power, so "2^99999999 + $" fails at once.
+    ``text`` is ASCII, where ``isdigit`` means ``[0-9]``."""
+    base, caret, power = text.partition("^")
+    base = base.strip()
+    if base[:1] == "x":
+        index = base[1:]
+        if not index.isdigit() or len(index) > limit:
+            return None
+        index = int(index)
+        if not 1 <= index <= dim:
+            return None
+        if not caret:
+            return index - 1, 1, None
+        power = power.strip()
+        if not power.isdigit() or len(power) > limit:
+            return None
+        return index - 1, int(power), None
+    if caret:
+        return None
+    num, slash, den = base.partition("/")
+    num = num.strip()
+    if not num.isdigit() or len(num) > limit:
+        return None
+    if not slash:
+        value = int(num)
+        return -1, value, -value
+    den = den.strip()
+    if not den.isdigit() or len(den) > limit or not int(den):
+        return None
+    value = Fraction(int(num), int(den))
+    return -1, value, -value
+
+
+def _read_flat(text: str, dim: int):
+    """The Poly of flat text (see the module docstring), else None.
+
+    Each distinct factor text is read once, into a dict that lives for this
+    call only.  A term's coefficient is its sign times its rationals from
+    left to right, the value ``_Parser`` computes; the sign is taken from
+    the first rational's cached negation instead of by a product.
+    """
+    if "(" in text or ")" in text or not text.isascii():
+        return None
+    pieces = _SIGN.split(text)  # [lead, sign, term, sign, term, ...]
+    if pieces[0].strip():
+        pieces.insert(0, "+")
+    elif len(pieces) > 1 and pieces[1] == "-":
+        del pieces[0]
+    else:
+        return None
+    limit = sys.get_int_max_str_digits() or len(text)  # 0 means no limit
+    factors: Dict[str, tuple] = {}
+    terms = []
+    for sign, term in zip(pieces[::2], pieces[1::2]):
+        coeff = None
+        exps = [0] * dim
+        for factor in term.split("*"):
+            read = factors.get(factor)
+            if read is None:
+                read = _read_factor(factor, dim, limit)
+                if read is None:
+                    return None
+                factors[factor] = read
+            index, value, negated = read
+            if index >= 0:
+                exps[index] += value
+            elif coeff is None:
+                coeff = negated if sign == "-" else value
+            else:
+                coeff *= value
+        if coeff is None:
+            coeff = -1 if sign == "-" else 1
+        if coeff:
+            terms.append((tuple(exps), coeff))
+    acc: Dict[Monomial, Scalar] = {}
+    _fold(acc, terms)
+    return Poly._trusted(dim, acc)
+
+
 def parse(text: str, dim: int) -> Poly:
-    """Parse polynomial text into a Poly in ``dim`` variables."""
+    """Parse polynomial text into a Poly in ``dim`` variables: the flat
+    reader first, then the grammar parser for any text it hands over."""
     if dim < 0:
         raise ValueError("dim must be a natural number")
+    result = _read_flat(text, dim)
+    if result is not None:
+        return result
     parser = _Parser(text, dim)
     result = parser.parse_poly()
     if parser.kinds[parser.i] != "end":

@@ -977,6 +977,12 @@ def _captured():
         yield out, err
 
 
+@pytest.fixture(scope="module")
+def fuzz_field(tmp_path_factory):
+    """A JSON field file that each drawn example overwrites."""
+    return tmp_path_factory.mktemp("fuzz") / "field.json"
+
+
 POLY_CHARS = list(" x0123456789+-*/^()") + [
     "\u00a0", "\u2003", "\u0661", "\u00b2", "$", "\n", "\ud800",
 ]
@@ -1001,11 +1007,17 @@ OPERATORS = [" + ", " - ", "*", "^2*", "\u00a0-\u00a0"]
 @example("10^5000*x1")
 @example("1" + "0" * 5000 + "*x1")
 @settings(max_examples=150, deadline=None)
-def test_polynomial_text_never_crashes_the_cli(text):
-    """Drawn text never powers a sum past an exponent of 6."""
+def test_polynomial_text_never_crashes_the_cli(fuzz_field, text):
+    """Drawn text never powers a sum past an exponent of 6.  It is also
+    every component of a JSON field, the path that ``field_from_dict``
+    reads."""
+    fuzz_field.write_text(
+        json.dumps({"dim": 3, "components": [text] * 3}), encoding="utf-8"
+    )
     for argv in (
         ["cofactor", "--field", FIELD, f"--surface={text}"],
         INTEGRATE + [f"--watch={text}"],
+        ["check", "--field", str(fuzz_field)],
     ):
         with _captured() as (out, err):
             code = main(argv)

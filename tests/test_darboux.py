@@ -348,6 +348,23 @@ def test_completely_integrable_family_certifies_for_all_small_sizes():
                 assert lie_derivative(field, integral.surfaces[0].defining).is_zero()
 
 
+def test_the_jacobian_check_evaluates_only_the_nonzero_partials(monkeypatch):
+    """The sphere has d nonzero partials and each x_j one, so 2d - 2 of the
+    d^2 partials are evaluated; the rest are written as 0."""
+    calls = Counter()
+    evaluate = Poly.evaluate
+
+    def counted(self, point):
+        calls["evaluate"] += 1
+        return evaluate(self, point)
+
+    monkeypatch.setattr(Poly, "evaluate", counted)
+    n = 30
+    _, cert = construct_completely_integrable(n, 3, Poly.const(n + 1, 1))
+    assert cert.jacobian_rank == n
+    assert calls["evaluate"] == 2 * (n + 1) - 2
+
+
 # ``list(p.terms)`` of every component of the family for seeded multi-term
 # interaction polynomials: the float evaluation order that the RK4 pins and
 # the drift reports read, as ``test_assembly_term_order_is_pinned`` pins it

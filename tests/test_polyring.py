@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kolmosphere import polyring
 from kolmosphere.field_forms import PolyVectorField, lie_derivative
 from kolmosphere.invariance import Hypersurface, cofactor
 from kolmosphere.polyring import (
@@ -433,11 +434,13 @@ def test_print_then_parse_is_identity_on_random_polynomials():
         assert parse(str(p), dim) == p
 
 
+SUM_3000 = "1/7*x1*x2" + "".join(
+    f" {'-' if i % 2 else '+'} {i}/7*x1^{i}*x2^{i % 5}" for i in range(2, 3001)
+)
+
+
 def test_a_3000_term_sum_round_trips_through_text():
-    text = "1/7*x1*x2" + "".join(
-        f" {'-' if i % 2 else '+'} {i}/7*x1^{i}*x2^{i % 5}" for i in range(2, 3001)
-    )
-    p = parse(text, 2)
+    p = parse(SUM_3000, 2)
     assert len(p) == 3000
     assert p.terms[(3000, 0)] == Fraction(3000, 7)
     assert p.terms[(2999, 4)] == Fraction(-2999, 7)
@@ -829,11 +832,12 @@ FEW_TERMS = ["x1", "2*x2", "x1*x2", "1", "1/2", "(x1 - x2)", "x1^2*(x2 + 1)"]
 
 @st.composite
 def near_grammar_texts(draw):
-    """Grammar text with pieces inserted, pieces alone, or a signed sum of
-    few terms, inside 0 to 101 pairs of parentheses."""
-    kind = draw(st.sampled_from(["grammar", "pieces", "sum"]))
-    if kind == "grammar":
-        text = draw(texts())
+    """Grammar text or printed text with pieces inserted, pieces alone, or
+    a signed sum of few terms, inside 0 to 101 pairs of parentheses;
+    printed text, the flat reader's own traffic, stays outside them."""
+    kind = draw(st.sampled_from(["grammar", "printed", "pieces", "sum"]))
+    if kind in ("grammar", "printed"):
+        text = draw(texts()) if kind == "grammar" else str(draw(polys(dim=3)))
         for _ in range(draw(st.integers(min_value=0, max_value=3))):
             at = draw(st.integers(min_value=0, max_value=len(text)))
             text = text[:at] + draw(st.sampled_from(PIECES)) + text[at:]
@@ -847,8 +851,9 @@ def near_grammar_texts(draw):
                 min_size=1, max_size=8,
             ))
         )
-    depth = draw(st.sampled_from([0, 1, 3, MAX_PAREN_DEPTH - 1, MAX_PAREN_DEPTH,
-                                  MAX_PAREN_DEPTH + 1]))
+    depth = 0 if kind == "printed" else draw(st.sampled_from(
+        [0, 1, 3, MAX_PAREN_DEPTH - 1, MAX_PAREN_DEPTH, MAX_PAREN_DEPTH + 1]
+    ))
     return capped_exponents("(" * depth + text + ")" * depth)
 
 
@@ -866,6 +871,66 @@ def _outcome(parser, text):
 @settings(max_examples=400, deadline=None)
 def test_parse_agrees_with_the_character_loop_reference(text):
     assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The texts that ``parse`` hands to the grammar parser."""
+    built = []
+
+    class Counted(polyring._Parser):
+        def __init__(self, text, dim):
+            built.append(text)
+            super().__init__(text, dim)
+
+    monkeypatch.setattr(polyring, "_Parser", Counted)
+    return built
+
+
+def test_printed_text_is_read_without_the_grammar_parser(parsers_built):
+    p = parse(SUM_3000, 2)
+    assert parse(str(p), 2) == p
+    assert parsers_built == []
+
+
+@pytest.mark.parametrize("text", [
+    "x1 ^ 2 * 3 / 4", "-x2*x1 - 0*x1", " 0 ", "007*x01^0", "\t1/2*x2\n",
+    "2*3/4*x1*5 + x1\x1c- 2", "x1 - x1 + x1",
+])
+def test_flat_text_in_any_spacing_is_read_without_the_grammar_parser(
+    parsers_built, text
+):
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+    assert parsers_built == []
+
+
+@pytest.mark.parametrize("text", ["(x1 + x2)*x1", "2^3*x1", "x1*(1)"])
+def test_parenthesised_text_and_powers_of_rationals_build_one_parser(
+    parsers_built, text
+):
+    assert parse(text, 2) == reference_parse(text, 2)
+    assert parsers_built == [text]
+
+
+@pytest.mark.parametrize("text", [
+    "x1 + $", "x1**x2", "x1 + ", "+x1", "--x1", "x4", "x0", "x", "1/0*x1",
+    "x1 x2", "2x1", "x1^2^3", "x1^\u0662", "1/2/3",
+])
+def test_flat_text_with_an_error_builds_one_parser(parsers_built, text):
+    """The grammar parser reads the whole text again and raises its error,
+    with the reference's type, position and message."""
+    outcome = _outcome(parse, text)
+    assert isinstance(outcome, tuple)
+    assert outcome == _outcome(reference_parse, text)
+    assert parsers_built == [text]
+
+
+def test_a_literal_past_the_digit_limit_builds_one_parser(parsers_built):
+    text = "x1 + 1" + "0" * 5000 + "*x2"
+    with pytest.raises(ParseError) as exc:
+        parse(text, 2)
+    assert (exc.value.position, exc.value.found) == (5, "5001 digits")
+    assert parsers_built == [text]
 
 
 def test_the_regex_whitespace_class_is_str_isspace():
@@ -926,7 +991,23 @@ TERM_ORDER_DIGESTS = {
         "b59c594d4d69a0ed9791eae70b1138646280acfeb07791d8c8c9de360cddfd2d",
     "parse":
         "a8b8157bd3a09810d66f54fa8ea473f3b18478d7d2158c4d7a7b46c937adc8d1",
+    "parse_flat":
+        "1bfdc5dfa1d1eae2b986a0293a94e435bf8410ef00eb1aa0458c7537714f9be4",
 }
+
+
+def _flat_terms(p, sign=1, reverse=False):
+    """``p``'s terms as flat text in insertion order, each after its own
+    ' + ' or ' - '; ``reverse`` writes each monomial's variables last
+    first."""
+    pieces = []
+    for exps, c in p:
+        factors = str(Poly(p.dim, {exps: 1})).split("*")
+        if reverse:
+            factors.reverse()
+        pieces.append(f" {'-' if sign * c < 0 else '+'} "
+                      + "*".join([str(abs(c))] + factors))
+    return "".join(pieces)
 
 
 def _term_orders(rng):
@@ -949,6 +1030,16 @@ def _term_orders(rng):
         if not q.is_zero():
             cases["divide_exact"].append(divide_exact(p * q, q))
         cases["parse"].append(parse(f"({p})*({q}) - ({m})^{k} + ({q})", dim))
+        # Flat text only: printed results, and sums whose monomials repeat,
+        # cancel and come back; no draw, so the other cases stay as pinned.
+        cases["parse_flat"].append(parse(str(p * q), dim))
+        cases["parse_flat"].append(parse(str(q), dim))
+        cases["parse_flat"].append(parse(
+            "0" + _flat_terms(p) + _flat_terms(q, reverse=True)
+            + _flat_terms(m) + _flat_terms(p, -1) + _flat_terms(q)
+            + _flat_terms(p, reverse=True) + _flat_terms(m, -1),
+            dim,
+        ))
     return cases
 
 
