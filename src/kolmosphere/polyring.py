@@ -696,42 +696,35 @@ class _Parser:
 _SIGN = re.compile(r"([-+])")
 
 
+def _natural(digits: str, limit: int):
+    """The number that ASCII ``digits`` write when they are ``[0-9]+`` of
+    at most ``limit`` digits, else None."""
+    return int(digits) if digits.isdigit() and len(digits) <= limit else None
+
+
 def _read_factor(text: str, dim: int, limit: int):
     """A flat factor as (index, power, None) for x<index + 1>^power or
     (-1, value, -value) for a rational.  None when it is neither, when a
     variable lies outside 1..dim, a denominator is zero or a literal has
     more than ``limit`` digits, and for a power of a rational: ``str``
     never prints one, and the grammar parser tokenizes the whole text
-    before it computes any power, so "2^99999999 + $" fails at once.
-    ``text`` is ASCII, where ``isdigit`` means ``[0-9]``."""
+    before it computes any power, so "2^99999999 + $" fails at once."""
     base, caret, power = text.partition("^")
     base = base.strip()
     if base[:1] == "x":
-        index = base[1:]
-        if not index.isdigit() or len(index) > limit:
+        index = _natural(base[1:], limit)
+        power = _natural(power.strip(), limit) if caret else 1
+        if index is None or power is None or not 1 <= index <= dim:
             return None
-        index = int(index)
-        if not 1 <= index <= dim:
-            return None
-        if not caret:
-            return index - 1, 1, None
-        power = power.strip()
-        if not power.isdigit() or len(power) > limit:
-            return None
-        return index - 1, int(power), None
+        return index - 1, power, None
     if caret:
         return None
     num, slash, den = base.partition("/")
-    num = num.strip()
-    if not num.isdigit() or len(num) > limit:
+    num = _natural(num.strip(), limit)
+    den = _natural(den.strip(), limit) if slash else 1
+    if num is None or not den:
         return None
-    if not slash:
-        value = int(num)
-        return -1, value, -value
-    den = den.strip()
-    if not den.isdigit() or len(den) > limit or not int(den):
-        return None
-    value = Fraction(int(num), int(den))
+    value = Fraction(num, den) if slash else num
     return -1, value, -value
 
 
