@@ -462,6 +462,12 @@ def hypothesis_matrix(
         raise ValueError(f"omitted coordinate {omit} outside 1..{d}")
     if len(points) != d:
         raise ValueError(f"need {d} sample points, got {len(points)}")
+    for pt in points:
+        if len(pt.coords) != d:
+            raise DimensionMismatchError(
+                f"sample point ({', '.join(map(str, pt.coords))}) has "
+                f"{len(pt.coords)} coordinates, expected {d}"
+            )
     return _omit_column(_hypothesis_table(g, points), omit)
 
 

@@ -30,6 +30,8 @@ from .polyring import (
     DimensionMismatchError,
     NEG_INF,
     Poly,
+    Scalar,
+    _exact,
     divide_exact,
     parse,
 )
@@ -118,6 +120,16 @@ class KolmogorovForm:
         check_skew(self.atilde, Poly.zero(self.dim), "atilde")
 
 
+def pure_power_poly(c0: Scalar, c: Sequence[Scalar], power: int) -> Poly:
+    """c0 + sum_i c_i x_i^power in len(c) variables, for a positive
+    ``power``: c0 first, then x1^power..xd^power, zeros dropped."""
+    d = len(c)
+    terms = {(0,) * d: c0}
+    for i, ci in enumerate(c):
+        terms[(0,) * i + (power,) + (0,) * (d - 1 - i)] = ci
+    return Poly(d, terms)
+
+
 @dataclass(frozen=True)
 class StructuredView:
     """Cofactor decomposition K = k0 + sum_i k_i x_i^2."""
@@ -126,12 +138,8 @@ class StructuredView:
     k: Tuple[Fraction, ...]
 
     def poly(self) -> Poly:
-        """K in len(k) variables: k0, then x1^2..xd^2, zeros dropped."""
-        d = len(self.k)
-        terms = {(0,) * d: self.k0}
-        for i, c in enumerate(self.k):
-            terms[(0,) * i + (2,) + (0,) * (d - 1 - i)] = c
-        return Poly(d, terms)
+        """K in len(k) variables."""
+        return pure_power_poly(self.k0, self.k, 2)
 
 
 @dataclass(frozen=True)
@@ -139,8 +147,8 @@ class CubicKolmogorovForm:
     """Constant assembly data: the degree-three case."""
 
     dim: int
-    alpha: Tuple[Fraction, ...]
-    atilde: Tuple[Tuple[Fraction, ...], ...]
+    alpha: Tuple[Scalar, ...]
+    atilde: Tuple[Tuple[Scalar, ...], ...]
 
     def __post_init__(self):
         if len(self.alpha) != self.dim:
@@ -153,8 +161,8 @@ class CubicKolmogorovForm:
 
     @classmethod
     def from_values(cls, alpha: Sequence, atilde: Sequence[Sequence]) -> "CubicKolmogorovForm":
-        a = tuple(Fraction(x) for x in alpha)
-        m = tuple(tuple(Fraction(x) for x in row) for row in atilde)
+        a = tuple(_exact(x) for x in alpha)
+        m = tuple(tuple(_exact(x) for x in row) for row in atilde)
         return cls(len(a), a, m)
 
     def coordinate_view(self, i: int) -> StructuredView:
@@ -166,12 +174,12 @@ class CubicKolmogorovForm:
 
 def sum_of_squares(dim: int) -> Poly:
     """x1^2 + ... + xd^2."""
-    return StructuredView(0, (1,) * dim).poly()
+    return pure_power_poly(0, (1,) * dim, 2)
 
 
 def sphere_polynomial(dim: int) -> Poly:
     """x1^2 + ... + xd^2 - 1."""
-    return StructuredView(-1, (1,) * dim).poly()
+    return pure_power_poly(-1, (1,) * dim, 2)
 
 
 def lie_derivative(vf: PolyVectorField, f: Poly) -> Poly:

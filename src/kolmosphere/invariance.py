@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .polyring import DimensionMismatchError, Poly, SelfCheckError, divide_exact
+from .polyring import (
+    DimensionMismatchError,
+    Poly,
+    Scalar,
+    SelfCheckError,
+    _exact,
+    divide_exact,
+)
 from .field_forms import (
     CubicKolmogorovForm,
     PolyVectorField,
@@ -21,6 +28,7 @@ from .field_forms import (
     assemble_cubic,
     classify_homogeneous,
     lie_derivative,
+    pure_power_poly,
     pure_square_profile,
     sum_of_squares,
 )
@@ -66,8 +74,8 @@ def cofactor(vf: PolyVectorField, h: Hypersurface) -> Optional[Poly]:
 class HyperplaneSpec:
     """Affine hyperplane a0 + a1 x1 + ... + ad xd = 0."""
 
-    a0: Fraction
-    a: Tuple[Fraction, ...]
+    a0: Scalar
+    a: Tuple[Scalar, ...]
 
     def __post_init__(self):
         if all(x == 0 for x in self.a):
@@ -75,19 +83,15 @@ class HyperplaneSpec:
 
     @classmethod
     def from_values(cls, a0, a: Sequence) -> "HyperplaneSpec":
-        return cls(Fraction(a0), tuple(Fraction(x) for x in a))
+        return cls(_exact(a0), tuple(_exact(x) for x in a))
 
     @property
     def dim(self) -> int:
         return len(self.a)
 
     def defining_poly(self) -> Poly:
-        """a0, then a1 x1..ad xd, zeros dropped."""
-        d = self.dim
-        terms = {(0,) * d: self.a0}
-        for i, a in enumerate(self.a):
-            terms[(0,) * i + (1,) + (0,) * (d - 1 - i)] = a
-        return Poly(d, terms)
+        """a0 + a1 x1 + ... + ad xd."""
+        return pure_power_poly(self.a0, self.a, 1)
 
 
 class PreconditionError(ValueError):
@@ -242,7 +246,7 @@ class ConeReport:
 
 
 def cone_invariance(
-    vf: PolyVectorField, hp: HyperplaneSpec, d: Fraction
+    vf: PolyVectorField, hp: HyperplaneSpec, d: Scalar
 ) -> ConeReport:
     """For a homogeneous field, invariance of the sphere slice
     {sum a_i x_i = d} on the unit sphere is equivalent to invariance of the
@@ -258,7 +262,7 @@ def cone_invariance(
             "cone equivalence only applies to homogeneous fields"
         )
     linear = hp.defining_poly()
-    cone = linear * linear - Fraction(d) ** 2 * sum_of_squares(vf.dim)
+    cone = linear * linear - _exact(d) ** 2 * sum_of_squares(vf.dim)
     if cone.is_zero():
         raise ValueError("degenerate cone: the defining polynomial vanishes")
     cof = cofactor(vf, Hypersurface(cone))
@@ -273,7 +277,7 @@ class SecondSphereReport:
     cofactor vanishes, so the second sphere is a genuine first integral."""
 
     invariant: bool
-    radius: Fraction
+    radius: Scalar
     cofactor: Optional[Poly]
     alpha_zero: bool
 
@@ -283,9 +287,9 @@ class SecondSphereReport:
 
 
 def second_sphere_check(
-    form: CubicKolmogorovForm, r: Fraction
+    form: CubicKolmogorovForm, r: Scalar
 ) -> SecondSphereReport:
-    r = Fraction(r)
+    r = _exact(r)
     if r in (0, 1, -1):
         raise BadRadiusError("radius must differ from 0, 1, and -1")
     vf = assemble_cubic(form)

@@ -22,13 +22,15 @@ every ``ParseError``, with its position.  The grammar parser tokenizes the
 text with one pass of one regular expression.  Its matches cover every
 character but trailing whitespace, so each token's position is the running
 sum of the matched lengths, and a literal longer than the digit limit is
-refused there, at its position.  It reads the tokens by index, folds the
-rational and variable factors of each term into one monomial and
-multiplies the term's parenthesised factors into it from left to right.
-Both readers take a term's coefficient as its sign times its rationals and
-fold the terms, in text order, straight into one dict of the sum, deleting
-a monomial the moment its coefficient cancels, as ``Poly.sum`` does; so
-they give the same terms in the same order.
+refused there, at its position.  It then reads the tokens by plain
+recursive descent: a factor is a ``Poly``, a term is the product of its
+factors from left to right, starting from its sign, and a sum folds its
+terms, in text order, into one dict, deleting a monomial the moment its
+coefficient cancels, as ``Poly.sum`` does.  The flat reader folds the same
+terms the same way, so the two give the same terms in the same order.
+
+``str`` writes the terms in grlex-descending order, each once with the sign
+of its coefficient, and joins them so that a negative term reads " - ".
 
 Monomial order everywhere is graded lexicographic with x1 > x2 > ... :
 compare total degree first, then the exponent tuples lexicographically.
@@ -373,24 +375,21 @@ class Poly:
     # ----- printing --------------------------------------------------------
 
     def __str__(self) -> str:
+        """Terms in grlex-descending order, each written once with its own
+        sign and joined by " + ", so a negative term's joint reads " - "."""
         if not self.terms:
             return "0"
-        ordered = sorted(self.terms, key=_grlex_key, reverse=True)
+        names = [f"x{i}" for i in range(1, self.dim + 1)]
         pieces = []
-        for exps, first in zip(ordered, [True] + [False] * len(ordered)):
-            coeff = self.terms[exps]
+        for exps in sorted(self.terms, key=_grlex_key, reverse=True):
             try:
-                body = _term_text(exps, abs(coeff))
+                pieces.append(_term_text(exps, self.terms[exps], names))
             except ValueError:
                 raise UnprintableError(
                     "the polynomial",
                     f"its coefficient of {Poly(self.dim, {exps: 1})}",
                 ) from None
-            if first:
-                pieces.append(("-" if coeff < 0 else "") + body)
-            else:
-                pieces.append((" - " if coeff < 0 else " + ") + body)
-        return "".join(pieces)
+        return " + ".join(pieces).replace(" + -", " - ")
 
     def __repr__(self) -> str:
         return f"Poly({str(self)!r}, dim={self.dim})"
@@ -415,16 +414,19 @@ def _fold(
             del acc[exps]
 
 
-def _term_text(exps: Monomial, coeff: Scalar) -> str:
-    vars_part = "*".join(
-        f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-        for i, e in enumerate(exps)
-        if e > 0
-    )
+def _term_text(exps: Monomial, coeff: Scalar, names: Sequence[str]) -> str:
+    """The term ``coeff`` * x^``exps`` with its sign: a coefficient of 1 or
+    -1 is written as nothing or '-' before a variable."""
+    vars_part = "*".join([
+        names[i] if e == 1 else f"{names[i]}^{e}"
+        for i, e in enumerate(exps) if e
+    ])
     if not vars_part:
         return str(coeff)
     if coeff == 1:
         return vars_part
+    if coeff == -1:
+        return "-" + vars_part
     return f"{coeff}*{vars_part}"
 
 
@@ -581,7 +583,13 @@ def _describe(kind: str, value) -> str:
 
 class _Parser:
     """Recursive descent over the token lists of ``_tokenize``; ``i`` is the
-    index of the next token."""
+    index of the next token.
+
+    A factor is a ``Poly``, a term the product of its factors from left to
+    right starting from its sign, and a sum folds its terms into one dict
+    as ``Poly.sum`` folds its addends (``_fold``).  A one-term factor only
+    shifts and scales the terms it meets, so flat text gives the terms,
+    values and types of ``_read_flat``."""
 
     def __init__(self, text: str, dim: int):
         self.kinds, self.values, self.positions = _tokenize(text)
@@ -589,108 +597,77 @@ class _Parser:
         self.dim = dim
         self.depth = 0
 
-    def fail(self, i: int, expected: str):
+    def fail(self, expected: str):
+        i = self.i
         raise ParseError(self.positions[i], expected,
                          _describe(self.kinds[i], self.values[i]))
 
+    def take(self, kind: str, expected: str):
+        """The value of the next token, which must be of ``kind``."""
+        if self.kinds[self.i] != kind:
+            self.fail(expected)
+        self.i += 1
+        return self.values[self.i - 1]
+
     def parse_poly(self) -> Poly:
-        """The sum of the terms, each folded into one dict as ``Poly.sum``
-        folds its addends (``_fold``)."""
-        kinds = self.kinds
         acc: Dict[Monomial, Scalar] = {}
         sign = 1
-        if kinds[self.i] == "-":
+        if self.kinds[self.i] == "-":
             self.i += 1
             sign = -1
         while True:
-            self.parse_term(acc, sign)
-            kind = kinds[self.i]
-            if kind == "+":
-                sign = 1
-            elif kind == "-":
-                sign = -1
-            else:
+            _fold(acc, self.parse_term(sign).terms.items())
+            kind = self.kinds[self.i]
+            if kind not in ("+", "-"):
                 return Poly._trusted(self.dim, acc)
             self.i += 1
+            sign = 1 if kind == "+" else -1
 
-    def parse_term(self, acc: Dict[Monomial, Scalar], sign: int) -> None:
-        """Fold ``sign`` times the product of the term's factors into
-        ``acc``.
-
-        Rationals and variables fold into one monomial; the parenthesised
-        factors then multiply into it from left to right.  A monomial
-        factor only shifts the exponents of the terms it meets, so this
-        keeps the term order of the left-to-right product.
-        """
-        kinds = self.kinds
-        values = self.values
-        i = self.i
-        coeff = sign
-        exps = [0] * self.dim
-        parenthesised = []
+    def parse_term(self, sign: int) -> Poly:
+        term = Poly.const(self.dim, sign)
         while True:
-            kind = kinds[i]
-            if kind == "int":
-                base = values[i]
-                i += 1
-                if kinds[i] == "/":
-                    i += 1
-                    if kinds[i] != "int":
-                        self.fail(i, "a positive denominator")
-                    if values[i] == 0:
-                        raise ZeroDenominatorError(
-                            f"at position {self.positions[i]}: denominator is zero"
-                        )
-                    base = Fraction(base, values[i])
-                    i += 1
-            elif kind == "var":
-                base = values[i]
-                if base > self.dim:
-                    raise VariableIndexError(
-                        f"at position {self.positions[i]}: variable x{base} "
-                        f"outside 1..{self.dim}"
+            term = term * self.parse_factor()
+            if self.kinds[self.i] != "*":
+                return term
+            self.i += 1
+
+    def parse_factor(self) -> Poly:
+        i = self.i
+        kind, value = self.kinds[i], self.values[i]
+        if kind == "int":
+            self.i += 1
+            if self.kinds[self.i] == "/":
+                self.i += 1
+                position = self.positions[self.i]
+                denominator = self.take("int", "a positive denominator")
+                if denominator == 0:
+                    raise ZeroDenominatorError(
+                        f"at position {position}: denominator is zero"
                     )
-                i += 1
-            elif kind == "(":
-                if self.depth == MAX_PAREN_DEPTH:
-                    self.fail(i, f"at most {MAX_PAREN_DEPTH} nested parentheses")
-                self.i = i + 1
-                self.depth += 1
-                base = self.parse_poly()
-                i = self.i
-                if kinds[i] != ")":
-                    self.fail(i, "')'")
-                self.depth -= 1
-                i += 1
-            else:
-                self.fail(i, "a rational, a variable, or '('")
-            power = 1
-            if kinds[i] == "^":
-                i += 1
-                if kinds[i] != "int":
-                    self.fail(i, "a natural exponent")
-                power = values[i]
-                i += 1
-            if kind == "var":
-                exps[base - 1] += power
-            elif kind == "(":
-                parenthesised.append(base if power == 1 else base ** power)
-            else:
-                coeff *= base ** power
-            if kinds[i] != "*":
-                break
-            i += 1
-        self.i = i
-        if parenthesised:
-            product = Poly._trusted(self.dim, {tuple(exps): coeff})
-            for factor in parenthesised:
-                product = product * factor
-            terms = product.terms.items()
-        elif coeff:
-            terms = ((tuple(exps), coeff),)
+                value = Fraction(value, denominator)
+            base = Poly.const(self.dim, value)
+        elif kind == "var":
+            if value > self.dim:
+                raise VariableIndexError(
+                    f"at position {self.positions[i]}: variable x{value} "
+                    f"outside 1..{self.dim}"
+                )
+            self.i += 1
+            base = Poly.var(self.dim, value)
+        elif kind == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                self.fail(f"at most {MAX_PAREN_DEPTH} nested parentheses")
+            self.i += 1
+            self.depth += 1
+            base = self.parse_poly()
+            self.take(")", "')'")
+            self.depth -= 1
         else:
-            return
-        _fold(acc, terms)
+            self.fail("a rational, a variable, or '('")
+        if self.kinds[self.i] == "^":
+            self.i += 1
+            base = base ** self.take("int", "a natural exponent")
+        return base
 
 
 _SIGN = re.compile(r"([-+])")
@@ -785,5 +762,5 @@ def parse(text: str, dim: int) -> Poly:
     parser = _Parser(text, dim)
     result = parser.parse_poly()
     if parser.kinds[parser.i] != "end":
-        parser.fail(parser.i, "'+', '-', '*', '^', or end of input")
+        parser.fail("'+', '-', '*', '^', or end of input")
     return result

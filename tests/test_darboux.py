@@ -15,6 +15,7 @@ from kolmosphere import (
     CubicKolmogorovForm,
     DarbouxIntegral,
     DegreeMismatchError,
+    DimensionMismatchError,
     HyperplaneSpec,
     Hypersurface,
     HypothesisFailedError,
@@ -446,6 +447,21 @@ def test_hypothesis_matrix_input_validation():
         hypothesis_matrix(g, 0, standard_sample_points(3))
     with pytest.raises(ValueError):
         hypothesis_matrix(g, 1, standard_sample_points(3)[:2])
+
+
+@pytest.mark.parametrize(
+    "coords, named",
+    [([(2, 1, 5), (1, 2, 7)], "(2, 1, 5) has 3 coordinates"),
+     ([(2,), (1,)], "(2) has 1 coordinates")],
+    ids=["three-for-two", "one-for-two"],
+)
+def test_hypothesis_matrix_refuses_points_of_another_dimension(coords, named):
+    """Not a matrix with the third coordinate dropped, nor a bare
+    IndexError: the error names the first point that does not fit."""
+    points = [SamplePoint.of(c) for c in coords]
+    with pytest.raises(DimensionMismatchError) as exc:
+        hypothesis_matrix(sphere_polynomial(2), 1, points)
+    assert str(exc.value) == f"sample point {named}, expected 2"
 
 
 def test_complete_integrability_verdict_on_fixture_form():

@@ -395,6 +395,41 @@ def test_second_sphere_random_homogeneous_forms_conserve_every_radius():
         assert second_sphere_check(form, r).first_integral
 
 
+# ----- exact scalars at the entry points ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: CubicKolmogorovForm.from_values((0.1, 0), [[0, 0], [0, 0]]),
+     lambda: CubicKolmogorovForm.from_values((0, 0), [[0, 0.5], [-0.5, 0]]),
+     lambda: HyperplaneSpec.from_values(0.1, [1, 0, 0]),
+     lambda: HyperplaneSpec.from_values(0, [1, 0.25, 0]),
+     lambda: second_sphere_check(load_demo3d_form(), 0.1),
+     lambda: cone_invariance(slice_field_with_flat_axis(),
+                             HyperplaneSpec.from_values(0, [0, 0, 1]), 0.1)],
+    ids=["alpha", "atilde", "a0", "a", "radius", "slice-offset"],
+)
+def test_a_float_scalar_is_refused_as_poly_refuses_it(call):
+    """0.1 is not read as its binary fraction 3602879701896397/2^55."""
+    with pytest.raises(TypeError, match=r"^coefficient 0\.(1|5|25) is a "
+                                        r"float, not exact$"):
+        call()
+
+
+def test_integral_scalars_are_stored_as_ints():
+    form = CubicKolmogorovForm.from_values(
+        (Fraction(4, 2), Fraction(1, 2)), [[0, Fraction(3)], [-3, 0]]
+    )
+    hp = HyperplaneSpec.from_values(Fraction(6, 3), [Fraction(1, 3), 1])
+    report = second_sphere_check(form, Fraction(2))
+    assert [type(x) for x in form.alpha + form.atilde[0] + form.atilde[1]] == [
+        int, Fraction, int, int, int, int
+    ]
+    assert [type(x) for x in (hp.a0,) + hp.a] == [int, Fraction, int]
+    assert type(report.radius) is int
+    assert str(hp.defining_poly()) == "1/3*x1 + x2 + 2"
+
+
 # ----- pinned classifications on seeded forms ------------------------------------
 
 

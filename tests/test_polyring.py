@@ -414,9 +414,9 @@ def test_parse_and_canonical_print(text, dim, printed):
 def test_a_parsed_term_is_the_left_to_right_product_of_its_factors(
     text, dim, factors
 ):
-    """A term's rationals and variables fold into one monomial; the
-    result keeps the value, the term order and the coefficient types of
-    the product taken factor by factor."""
+    """A term is the product of its factors from left to right: the
+    value, the term order and the coefficient types of the product taken
+    factor by factor."""
     product = functools.reduce(
         operator.mul, (parse(f, dim) for f in factors), Poly.const(dim, 1)
     )
@@ -445,6 +445,79 @@ def test_a_3000_term_sum_round_trips_through_text():
     assert p.terms[(3000, 0)] == Fraction(3000, 7)
     assert p.terms[(2999, 4)] == Fraction(-2999, 7)
     assert parse(str(p), 2) == p
+
+
+def sign_and_abs_text(p):
+    """A writer kept as the printer's byte contract: each term as its sign
+    (none for a positive first term) and then the text of ``abs`` of its
+    coefficient, a coefficient of 1 left out before a variable."""
+    pieces = []
+    for k, exps in enumerate(sorted(p.terms, key=lambda e: (sum(e), e),
+                                    reverse=True)):
+        c = p.terms[exps]
+        body = "*".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                        for i, e in enumerate(exps) if e)
+        if not body:
+            body = str(abs(c))
+        elif abs(c) != 1:
+            body = f"{abs(c)}*{body}"
+        if k == 0:
+            pieces.append(("-" if c < 0 else "") + body)
+        else:
+            pieces.append((" - " if c < 0 else " + ") + body)
+    return "".join(pieces) or "0"
+
+
+@st.composite
+def printable_polys(draw):
+    """Polynomials in 1-4 variables with coefficients 1 and -1, small
+    fractions and long integers, a constant term often, and a negated
+    leading term half the time."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        exps = tuple(draw(st.integers(min_value=0, max_value=2))
+                     for _ in range(dim))
+        terms[exps] = draw(st.one_of(
+            st.sampled_from([1, -1]), coeffs,
+            st.integers(min_value=-10**30, max_value=10**30),
+        ))
+    p = Poly(dim, terms)
+    if p and draw(st.booleans()):
+        lead, c = p.leading()
+        p = Poly(dim, {**p.terms, lead: -abs(c)})
+    return p
+
+
+@given(printable_polys())
+@settings(max_examples=120, deadline=None)
+def test_str_writes_the_bytes_of_sign_and_abs_text(p):
+    assert str(p) == sign_and_abs_text(p)
+
+
+# A factor of printed text: a rational, or a variable with its power.
+FACTOR = re.compile(r"[0-9/]+|x[0-9]+(?:\^[0-9]+)?")
+
+
+@given(st.lists(polys(dim=3), min_size=1, max_size=3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_parenthesising_the_text_or_one_factor_keeps_the_terms(ps, data):
+    """Printed texts joined by their signs, so monomials repeat and
+    cancel, are read by the flat reader; the same text with the whole of
+    it or any one factor in parentheses goes to the grammar parser, which
+    must give the same terms in the same order with the same types."""
+    text = " + ".join(map(str, ps)).replace(" + -", " - ")
+    factors = list(FACTOR.finditer(text))
+    k = data.draw(st.integers(min_value=-1, max_value=len(factors) - 1))
+    if k < 0:
+        wrapped = f"({text})"
+    else:
+        start, end = factors[k].span()
+        wrapped = f"{text[:start]}({text[start:end]}){text[end:]}"
+    flat = parse(text, 3)
+    assert [(e, c, type(c)) for e, c in parse(wrapped, 3)] == [
+        (e, c, type(c)) for e, c in flat
+    ]
 
 
 @pytest.mark.parametrize(
