@@ -335,45 +335,65 @@ def test_trajectories_and_drifts_are_bit_identical_to_the_pinned_values():
         assert (digest, drifts) == PINNED_BITS[name], name
 
 
-# ----- the scalar reference ---------------------------------------------------
+# ----- the term-walking reference ---------------------------------------------
 #
-# integrate_rk4, conservation_report and max_abs_drift each run one generated
-# loop.  The functions below are the loops those replaced: a compile_polys
-# evaluator called once per point, RK4 on tuples, and the drifts taken from
-# lists of row values.  The generated loops must match them bit for bit,
-# errors and step indices included.
+# integrate_rk4, conservation_report, max_abs_drift and compile_polys each run
+# generated code.  The functions below share none of it: ``term_value`` walks
+# a polynomial's terms in their own order, RK4 runs on tuples, and the drifts
+# are taken from lists of row values.  The generated code must match them bit
+# for bit, errors and step indices included.
+
+
+def term_value(p, point):
+    """``p`` at ``point`` in floats: each term is float(c) times x**e for
+    each variable in order (times x itself for e = 1), and the terms are
+    summed from the left in the polynomial's own term order."""
+    total = None
+    for exps, coeff in p:
+        value = float(coeff)
+        for x, e in zip(point, exps):
+            if e:
+                value = value * (x if e == 1 else x ** e)
+        total = value if total is None else total + value
+    return 0.0 if total is None else total
+
+
+def term_values(polys, point):
+    return tuple(term_value(p, point) for p in polys)
+
+
+def reference_step(polys, state, h):
+    """One RK4 step of size ``h`` from ``state``, unchecked."""
+    half = h / 2.0
+    sixth = h / 6.0
+    k1 = term_values(polys, state)
+    k2 = term_values(polys, tuple(x + half * k for x, k in zip(state, k1)))
+    k3 = term_values(polys, tuple(x + half * k for x, k in zip(state, k2)))
+    k4 = term_values(polys, tuple(x + h * k for x, k in zip(state, k3)))
+    return tuple(
+        x + sixth * (a + 2.0 * b + 2.0 * c + e)
+        for x, a, b, c, e in zip(state, k1, k2, k3, k4)
+    )
 
 
 def reference_rk4(vf, x0, h, steps):
-    f = compile_polys(vf.dim, vf.components)
-    d = vf.dim
     state = tuple(float(v) for v in x0)
     rows = [state]
-    half = h / 2.0
-    sixth = h / 6.0
-    for step in range(steps):
+    for step in range(1, steps + 1):
         try:
-            k1 = f(state)
-            k2 = f(tuple(state[i] + half * k1[i] for i in range(d)))
-            k3 = f(tuple(state[i] + half * k2[i] for i in range(d)))
-            k4 = f(tuple(state[i] + h * k3[i] for i in range(d)))
-            state = tuple(
-                state[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                for i in range(d)
-            )
+            state = reference_step(vf.components, state, h)
         except OverflowError as err:
-            raise NonFiniteError(step + 1) from err
+            raise NonFiniteError(step) from err
         if not all(math.isfinite(v) for v in state):
-            raise NonFiniteError(step + 1)
+            raise NonFiniteError(step)
         rows.append(state)
-    return np.array(rows, dtype=np.float64)
+    return Trajectory(h, rows)
 
 
 def reference_values(traj, polys, what):
-    values = compile_polys(traj.dim, polys)
-    for step, row in enumerate(traj.states.tolist()):
+    for step, row in enumerate(traj.rows):
         try:
-            out = values(row)
+            out = term_values(polys, row)
         except OverflowError as err:
             raise NonFiniteError(step, what) from err
         if not all(map(math.isfinite, out)):
@@ -414,10 +434,10 @@ def reference_max_abs_drift(traj, poly, what):
 
 def outcome(fn, *args):
     """("ok", the result as exact bits), or the error's type, message and
-    step."""
+    step.  A ValueError is the log of a zero under a floor of 0.0."""
     try:
         result = fn(*args)
-    except (NonFiniteError, DomainViolationError) as err:
+    except (NonFiniteError, DomainViolationError, ValueError) as err:
         return type(err).__name__, str(err), getattr(err, "step_index", None)
     if isinstance(result, Trajectory):
         result = result.states
@@ -485,6 +505,145 @@ def test_generated_loops_match_the_scalar_reference_bit_for_bit():
     assert min(seen[key] for key in (
         "rk4 ok", "rk4 NonFiniteError", "report ok", "report DomainViolationError",
     )) >= 3, seen
+
+
+def signed_component(rng, dim):
+    """A component rich in what the generated text writes specially: unit
+    and negative coefficients, a constant term, and powers that other
+    terms and components repeat; or the zero polynomial."""
+    if rng.random() < 0.3:
+        return Poly.zero(dim)
+    terms = {}
+    if rng.random() < 0.4:
+        terms[(0,) * dim] = rng.choice([1, -1, Fraction(-3, 2)])
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(dim))
+        terms[exps] = rng.choice([1, -1, 1, -1, 2, -3, Fraction(-1, 3), Fraction(5, 2)])
+    return Poly(dim, terms)
+
+
+def signed_surface(rng, dim):
+    while True:
+        p = signed_component(rng, dim)
+        if not p.is_zero() and p.degree() >= 1:
+            return p
+
+
+def signed_start(rng, dim):
+    return tuple(rng.choice([0.0, -0.0, rng.uniform(-1.0, 1.0)]) for _ in range(dim))
+
+
+def test_generated_code_matches_the_term_walking_reference_bit_for_bit():
+    """Fields with zero components, unit and negative coefficients, constant
+    terms and repeated powers, from start points with 0.0 and -0.0
+    coordinates: the stepper, the sweeps and ``compile_polys`` agree with
+    the reference to the bit, the sign of a zero included."""
+    rng = random.Random(27)
+    seen = Counter()
+    cases = [
+        # A zero component whose -0.0 start meets another component's
+        # product: the first stage must see -0.0, the later stages +0.0.
+        (PolyVectorField(2, (Poly.zero(2), parse("x1*x2", 2))), (-0.0, -0.0)),
+        (PolyVectorField(2, (Poly.zero(2), parse("-x1*x2", 2))), (-0.0, -0.0)),
+        (PolyVectorField(3, (parse("x1*x3", 3), Poly.zero(3), parse("x2^3*x3", 3))),
+         (-0.0, -0.0, 0.0)),
+    ]
+    for dim in range(1, 5):
+        for _ in range(14):
+            vf = PolyVectorField(
+                dim, tuple(signed_component(rng, dim) for _ in range(dim))
+            )
+            cases.append((vf, signed_start(rng, dim)))
+    for vf, x0 in cases:
+        dim = vf.dim
+        h, steps = rng.choice([1e-3, 1e-2, 0.1]), 60
+        result = outcome(integrate_rk4, vf, x0, h, steps)
+        assert result == outcome(reference_rk4, vf, x0, h, steps), (vf, x0, h)
+        seen[f"rk4 {result[0]}"] += 1
+        evaluate = compile_polys(dim, vf.components)
+        for point in (x0, signed_start(rng, dim), (-0.0,) * dim):
+            assert np.array(evaluate(point)).tobytes() == np.array(
+                term_values(vf.components, point)).tobytes(), (vf, point)
+        if result[0] != "ok":
+            continue
+        traj = integrate_rk4(vf, x0, h, steps)
+        for _ in range(2):
+            surfaces = [signed_surface(rng, dim) for _ in range(rng.randint(1, 3))]
+            integral = DarbouxIntegral(
+                tuple(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2))
+                      for _ in surfaces),
+                tuple(Hypersurface(p) for p in surfaces),
+            )
+            floor = rng.choice([DEFAULT_DOMAIN_FLOOR, 1e-3, 1e-300, 0.0])
+            result = outcome(conservation_report, traj, integral, floor)
+            assert result == outcome(reference_report, traj, integral, floor)
+            seen[f"report {result[0]}"] += 1
+            watched = surfaces[0]
+            assert outcome(max_abs_drift, traj, watched, "watched v") == outcome(
+                reference_max_abs_drift, traj, watched, "watched v"
+            )
+    assert min(seen[key] for key in (
+        "rk4 ok", "rk4 NonFiniteError", "report ok", "report DomainViolationError",
+    )) >= 3, seen
+
+
+def test_a_state_that_becomes_inf_through_a_product_stops_at_the_reference_step():
+    """x1 = x2 solves x' = x^2 and blows up at t = 1; the product x1*x2
+    reaches inf without an OverflowError, so only the finiteness test can
+    see it."""
+    vf = PolyVectorField(2, (parse("x1*x2", 2), parse("x1*x2", 2)))
+    with pytest.raises(NonFiniteError) as exc:
+        integrate_rk4(vf, (1.0, 1.0), 0.05, 100)
+    assert exc.value.__cause__ is None
+    assert 1 < exc.value.step_index < 100
+    assert outcome(integrate_rk4, vf, (1.0, 1.0), 0.05, 100) == outcome(
+        reference_rk4, vf, (1.0, 1.0), 0.05, 100
+    )
+
+
+def test_a_state_that_becomes_nan_through_inf_minus_inf_stops_at_the_reference_step():
+    """x1 stays 1, so 10^200*x1*x2 - 10^200*x2 is 0 until both products
+    reach inf together, and their difference is NaN."""
+    vf = PolyVectorField(2, (parse("10^200*x1*x2 - 10^200*x2", 2), parse("10*x2", 2)))
+    x0, h = (1.0, 1e100), 0.1
+    with pytest.raises(NonFiniteError) as exc:
+        integrate_rk4(vf, x0, h, 100)
+    assert exc.value.__cause__ is None
+    step = exc.value.step_index
+    assert outcome(integrate_rk4, vf, x0, h, 100) == outcome(
+        reference_rk4, vf, x0, h, 100
+    )
+    last = integrate_rk4(vf, x0, h, step - 1).rows[-1]
+    assert last[0] == 1.0 and step > 10
+    failed = reference_step(vf.components, last, h)
+    assert math.isnan(failed[0]) and math.isfinite(failed[1])
+
+
+def test_a_sweep_value_that_is_inf_or_under_the_floor_names_its_step_and_value():
+    """The products 10^200*x1 reach inf, and their difference NaN, with no
+    OverflowError; a value under the floor keeps its sign in the message."""
+    traj = Trajectory(1.0, [(1.0, 1.0), (0.5, 2.0), (1e120, 1e110), (1.0, 1.0)])
+    step = 2
+    for text in ("10^200*x1 + x2", "10^200*x1 - 10^200*x2 + 1"):
+        poly = parse(text, 2)
+        integral = DarbouxIntegral((Fraction(1),), (Hypersurface(poly),))
+        with pytest.raises(NonFiniteError) as exc:
+            conservation_report(traj, integral)
+        assert str(exc.value) == f"surface value became non-finite at step {step}"
+        assert exc.value.__cause__ is None
+        with pytest.raises(NonFiniteError) as exc:
+            max_abs_drift(traj, poly, "watched v")
+        assert str(exc.value) == f"watched v became non-finite at step {step}"
+        assert outcome(conservation_report, traj, integral) == outcome(
+            reference_report, traj, integral)
+    x1 = DarbouxIntegral((Fraction(1),), (Hypersurface(parse("x1", 2)),))
+    for value in (1e-13, -1e-13, 0.0, -0.0):
+        low = Trajectory(1.0, [(1.0, 1.0), (0.5, 1.0), (value, 1.0)])
+        with pytest.raises(DomainViolationError) as exc:
+            conservation_report(low, x1)
+        assert str(exc.value) == f"surface value {value!r} within 1e-12 of zero"
+        assert outcome(conservation_report, low, x1) == outcome(
+            reference_report, low, x1)
 
 
 def test_a_row_under_the_floor_before_an_overflowing_row_is_a_domain_exit():
