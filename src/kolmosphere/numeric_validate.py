@@ -14,11 +14,43 @@ step size, start point, exponents and floor are arguments.  Each distinct
 source is compiled once and the function kept in a bounded cache, so a
 field run from many start points and step sizes is compiled once, and so
 is each integral's sweep.  Every value lives in a local variable, so the
-loop pays no call or tuple per point.  ``_poly_source`` writes each
-polynomial as one float expression in its own term order with ``**`` for
-powers, the same text ``compile_polys`` evaluates, so every float operation
-and its order is that of a point-by-point evaluation: results match it bit
-for bit, errors and their step indices included.
+loop pays no call or tuple per point.  ``_values`` writes each polynomial
+in its own term order, the same text ``compile_polys`` evaluates, so every
+float operation and its order is that of a point-by-point evaluation of
+float(c) * x**e * ... summed from the left: results match it bit for bit,
+errors and their step indices included.
+
+The text does as little Python work as that allows.  Each of these
+rewrites is exact in IEEE arithmetic:
+
+- a coefficient 1.0 is not written, since 1.0*x is x, and a negative sign
+  moves out of its term, since (-u)*v is -(u*v) and a + -b is a - b:
+  ``a - 3.0*x1`` for ``a + -3.0*x1``, and ``-x1**3.0*x2`` for a leading
+  ``-1.0*x1**3*x2``;
+- an exponent is written as a float, ``x1**3.0``: the same C ``pow`` call
+  on the same doubles that ``x1**3`` makes after converting the int;
+- a power that one RK4 stage, or one sweep row, reads more than once is
+  computed once into a local;
+- a coordinate whose component is zero has k = 0.0 in every stage, so it
+  gets no k, y, update or finiteness line.  It becomes x + 0.0 (+0.0 from
+  -0.0) and then stays, so the later stages read it in place of y.  Only
+  the first stage of the first step reads the start value, and -0.0 there
+  can change the sign of a zero that a product makes; so a coordinate that
+  some component reads is set to x + 0.0 after the first stage of every
+  step, and any other once, before the loop;
+- the finiteness test is ``(x1 - x1) + ... != 0.0``: x - x is 0.0 for
+  every finite x and NaN for inf and NaN;
+- the sweep takes |v| as ``v if v >= 0.0 else -v``, which keeps -0.0; that
+  compares with the floor, and fails in ``log``, as 0.0 does;
+- a sum or product of more than ``_CHAIN`` operands goes on from the left
+  in running assignments, since the compiler recurses once per operand.
+
+Off limits, because each can change a bit: ``x*x`` for ``x**2`` (``pow``
+is not always correctly rounded, so the two can differ in the last bit);
+reordering the factors of a term or the terms of a sum; and a cache keyed
+on the field or its polynomials: ``Poly.__eq__`` and ``__hash__`` ignore
+term order, so such a key could return a function written in another term
+order.  The cache is keyed on the text.
 """
 
 from __future__ import annotations
@@ -26,6 +58,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
@@ -42,6 +75,11 @@ MAX_STEPS = 2_000_000
 # integrals' sweeps take a few entries; a full sweep of the criteria 7/9
 # family and the fixture takes about thirty.
 _COMPILED_FUNCTIONS = 128
+
+# Most operands one generated line chains with + or *.  The compiler
+# recurses once per operand and gives up near 3000, so a longer sum or
+# product goes on in running assignments.
+_CHAIN = 256
 
 
 class NonFiniteError(RuntimeError):
@@ -91,8 +129,9 @@ def compile_polys(
     """Fast float evaluator: a point in R^dim gives the tuple of the
     polynomials' values, each summed in the polynomial's own term order."""
     x = _names("x", dim)
-    values = "".join(f"{_poly_source(p, x)}, " for p in polys)
-    fn = _compile(x, [f"return ({values})"])
+    v = _names("v", len(polys))
+    values = "".join(f"{vj}, " for vj in v)
+    fn = _compile(x, [*_values(polys, x, v, "p"), f"return ({values})"])
     return lambda point: fn(*point)
 
 
@@ -100,21 +139,64 @@ def _names(prefix: str, count: int) -> List[str]:
     return [f"{prefix}{i + 1}" for i in range(count)]
 
 
-def _poly_source(p: Poly, names: Sequence[str]) -> str:
-    """``p`` as a float expression in the variables ``names``, one product
-    per term in the polynomial's own term order."""
-    if p.is_zero():
-        return "0.0"
-    pieces = []
-    for exps, coeff in p:
-        factors = [repr(_double(coeff, "the coefficient", p, exps))]
-        for name, e in zip(names, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}**{e}")
-        pieces.append("*".join(factors))
-    return " + ".join(pieces)
+def _chain(target: str, first: str, rest: Sequence[str]) -> Tuple[List[str], str]:
+    """``first`` followed by the operations ``rest`` (such as ``+ t`` or
+    ``* x1``), applied from the left: an expression of at most ``_CHAIN``
+    of them, and the lines before it that set ``target`` to the value of
+    the operations that do not fit."""
+    lines = []
+    while len(rest) > _CHAIN:
+        lines.append(" ".join([f"{target} = {first}", *rest[:_CHAIN]]))
+        first, rest = target, rest[_CHAIN:]
+    return lines, " ".join([first, *rest])
+
+
+def _power(name: str, e: int) -> str:
+    """``name`` to the power ``e``, with a float exponent where ``e`` fits
+    in a double: the same C ``pow`` call that an int exponent makes after
+    converting it."""
+    if e == 1:
+        return name
+    try:
+        return f"{name}**{float(e)!r}"
+    except OverflowError:  # raised again, at run time, as an int exponent
+        return f"{name}**{e}"
+
+
+def _values(
+    polys: Sequence[Poly], names: Sequence[str], targets: Sequence[str], local: str
+) -> List[str]:
+    """Lines that set each of ``targets`` in turn to its polynomial's value
+    at the variables ``names``.  A power that several terms read is computed
+    once, first, into a local named from ``local``."""
+    written = [[(_double(c, "the coefficient", p, exps),
+                 [_power(n, e) for n, e in zip(names, exps) if e]) for exps, c in p]
+               for p in polys]
+    uses = Counter(f for terms in written for _, factors in terms for f in factors
+                   if "**" in f)
+    powers = {f: f"{local}{j}" for j, f in enumerate(
+        (f for f, count in uses.items() if count > 1), 1)}
+    lines = [f"{name} = {f}" for f, name in powers.items()]
+    for target, terms in zip(targets, written):
+        pieces = []
+        for j, (c, factors) in enumerate(terms):
+            factors = [powers.get(f, f) for f in factors]
+            if abs(c) != 1.0 or not factors:
+                factors.insert(0, repr(abs(c)))
+            text = "*".join(factors)
+            if len(factors) > _CHAIN:
+                text = f"{target}_{j}"
+                head, product = _chain(text, factors[0], [f"* {f}" for f in factors[1:]])
+                lines += [*head, f"{text} = {product}"]
+            pieces.append((math.copysign(1.0, c) < 0.0, text))
+        if not pieces:
+            lines.append(f"{target} = 0.0")
+            continue
+        (negative, first), rest = pieces[0], pieces[1:]
+        head, total = _chain(target, "-" * negative + first,
+                             [f"{'-' if neg else '+'} {text}" for neg, text in rest])
+        lines += [*head, f"{target} = {total}"]
+    return lines
 
 
 def _double(value, what: str, owner: Poly, term: Tuple[int, ...] = ()) -> float:
@@ -143,7 +225,6 @@ def _define(source: str) -> Callable:
     """The function ``source`` defines, compiled once per distinct text:
     the text is all a generated function depends on."""
     scope = {
-        "isfinite": math.isfinite,
         "log": math.log,
         "NonFiniteError": NonFiniteError,
         "DomainViolationError": DomainViolationError,
@@ -154,12 +235,14 @@ def _define(source: str) -> Callable:
 
 def _guarded(body: Sequence[str], checked: Sequence[str], error: str) -> List[str]:
     """``body`` such that an OverflowError in it, or a non-finite value
-    left in one of the ``checked`` names, raises ``error``."""
+    left in one of the ``checked`` names, raises ``error``: x - x is 0.0
+    for every finite x and NaN otherwise."""
     lines = ["try:", *(f"    {line}" for line in body or ["pass"])]
     lines += ["except OverflowError as err:", f"    raise {error} from err"]
     if checked:
-        finite = " and ".join(f"isfinite({name})" for name in checked)
-        lines += [f"if not ({finite}):", f"    raise {error}"]
+        spreads = [f"({name} - {name})" for name in checked]
+        head, total = _chain("spread", spreads[0], [f"+ {s}" for s in spreads[1:]])
+        lines += [*head, f"if {total} != 0.0:", f"    raise {error}"]
     return lines
 
 
@@ -183,27 +266,45 @@ def integrate_rk4(
     if not all(math.isfinite(v) for v in state):
         raise ValueError(f"x0 must be finite, got {state}")
     x = _names("x", vf.dim)
-    y = _names("y", vf.dim)
-    k1, k2, k3, k4 = (_names(f"k{s}_", vf.dim) for s in "1234")
-    # Each stage evaluates the field into k, then moves y ahead of x by k.
-    stages = ((k1, x, "half"), (k2, y, "half"), (k3, y, "h"), (k4, y, None))
+    moving = [i for i, p in enumerate(vf.components) if not p.is_zero()]
+    polys = [vf.components[i] for i in moving]
+    # A zero component's coordinate becomes x + 0.0 and stays (see the
+    # module docstring): after the first stage of every step if some
+    # component reads it, else once before the loop.
+    read = {i for p in polys for exps, _ in p for i, e in enumerate(exps) if e}
+    still = [i for i, p in enumerate(vf.components) if p.is_zero()]
+    y = list(x)
+    for i in moving:
+        y[i] = f"y{i + 1}"
+    # One stage's lines, written once with format fields for the point it
+    # reads, its k names and its power locals.
+    stage = _values(polys, [f"{{{i}}}" for i in range(vf.dim)],
+                    [f"{{k}}_{i + 1}" for i in moving], "{p}")
     body: List[str] = []
-    for k, at, ahead in stages:
-        body += [f"{ki} = {_poly_source(p, at)}" for ki, p in zip(k, vf.components)]
+    stages = ((x, "half"), (y, "half"), (y, "h"), (y, None))
+    for s, (at, ahead) in enumerate(stages, 1):
+        k = [f"k{s}_{i + 1}" for i in moving]
+        body += [line.format(*at, k=f"k{s}", p=f"p{s}_") for line in stage]
+        if s == 1:
+            body += [f"{x[i]} = {x[i]} + 0.0" for i in still if i in read]
         if ahead is not None:
-            body += [f"{yi} = {xi} + {ahead} * {ki}" for xi, yi, ki in zip(x, y, k)]
+            body += [f"{y[i]} = {x[i]} + {ahead} * {ki}" for i, ki in zip(moving, k)]
     body += [
-        f"{xi} = {xi} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {e})"
-        for xi, a, b, c, e in zip(x, k1, k2, k3, k4)
+        f"{x[i]} = {x[i]} + sixth * (k1_{i + 1} + 2.0 * k2_{i + 1} + 2.0 * k3_{i + 1}"
+        f" + k4_{i + 1})"
+        for i in moving
     ]
     row = f"({', '.join(x)},)"
     stepper = _compile(["h", "steps", *x], [
         "half = h / 2.0",
         "sixth = h / 6.0",
         f"rows = [{row}]",
+        "append = rows.append",
+        *(f"{x[i]} = {x[i]} + 0.0" for i in still if i not in read),
         "for step in range(1, steps + 1):",
-        *(f"    {line}" for line in _guarded(body, x, "NonFiniteError(step)")),
-        f"    rows.append({row})",
+        *(f"    {line}" for line in _guarded(body, [x[i] for i in moving],
+                                              "NonFiniteError(step)")),
+        f"    append({row})",
         "return rows",
     ])
     return Trajectory(h, stepper(h, steps, *state))
@@ -220,13 +321,14 @@ def _row_sweep(
     row 0| (the first maximal one, as ``max`` keeps it) and its step."""
     x = _names("x", dim)
     v = _names("v", len(polys))
-    values = [f"{vj} = {_poly_source(p, x)}" for vj, p in zip(v, polys)]
+    values = _values(polys, x, v, "p")
     return _compile(["rows", "what", *args], [
         f"for step, ({', '.join(x)},) in enumerate(rows):",
         *(f"    {line}" for line in _guarded(values, v, "NonFiniteError(step, what)")),
         *(f"    {line}" for line in level),
         "    if step:",
-        "        gap = abs(level - first)",
+        "        gap = level - first",
+        "        gap = gap if gap >= 0.0 else -gap",
         "        if gap > worst:",
         "            worst = gap",
         "            at = step",
@@ -248,16 +350,18 @@ def conservation_report(
     kept = [(beta, s.defining) for b, s in zip(integral.exponents, integral.surfaces)
             if (beta := _double(b, "the exponent", s.defining)) != 0.0]
     b = _names("b", len(kept))
-    level = ["level = 0.0"]
+    level, total = [], "0.0"
     for aj, bj, vj in zip(_names("a", len(kept)), b, _names("v", len(kept))):
         level += [
-            f"{aj} = abs({vj})",
+            f"{aj} = {vj} if {vj} >= 0.0 else -{vj}",
             f"if {aj} < floor:",
             f"    raise DomainViolationError("
             f"f'surface value {{{vj}!r}} within {{floor}} of zero')",
-            f"level += {bj} * log({aj})",
+            f"level = {total} + {bj} * log({aj})",
         ]
-    sweep = _row_sweep(traj.dim, [s for _, s in kept], level, ["floor", *b])
+        total = "level"
+    sweep = _row_sweep(traj.dim, [s for _, s in kept], level or ["level = 0.0"],
+                       ["floor", *b])
     betas = (beta for beta, _ in kept)
     first, worst, _ = sweep(traj.rows, "surface value", floor, *betas)
     return worst / max(1.0, abs(first))

@@ -708,6 +708,26 @@ def test_a_watch_label_that_breaks_a_line_reports_on_one_line(
     ]
 
 
+def test_a_watch_and_a_component_of_5000_terms_integrate(capsys, tmp_path):
+    """Long generated sums go on in running assignments, so they compile;
+    they used to stop with a RecursionError (exit 3)."""
+    terms = [f"x1^{i}" for i in range(1, 5001)]
+    code, out, err = run(
+        capsys, "integrate", "--field", FIELD, "--x0", "0.5,0.4,0.3",
+        "--h", "1e-3", "--steps", "10", "--watch", " + ".join(terms),
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["watch"][0]["max_abs_drift"] > 0.0
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"dim": 1, "components": ["-" + " - ".join(terms)]}))
+    code, out, err = run(
+        capsys, "integrate", "--field", str(field), "--x0", "0.5",
+        "--h", "1e-3", "--steps", "3",
+    )
+    assert (code, err) == (0, "")
+
+
 def test_cli_imports_no_private_name_from_a_sibling_module():
     """File formats and numeric checks live in the library; the CLI only
     uses their public names."""

@@ -765,3 +765,31 @@ def test_csv_dump_round_trips_at_full_precision():
         assert cells[0] == traj.times[idx]
         assert cells[1] == traj.states[idx, 0]
         assert cells[2] == traj.states[idx, 1]
+
+
+def test_sums_and_products_longer_than_one_line_compile_in_their_own_order():
+    """A sum of 5000 terms, a product of 5000 factors and a check of 300
+    coordinates each go on in running assignments; the compiler used to
+    stop at about 3000 operands with a RecursionError."""
+    long_sum = Poly(1, {(i,): (-1) ** i * (i % 7 + 1) for i in range(1, 5001)})
+    evaluate = compile_polys(1, [long_sum, -long_sum])
+    for x in (0.5, -0.7, -0.0):
+        assert np.array(evaluate((x,))).tobytes() == np.array(
+            term_values([long_sum, -long_sum], (x,))).tobytes()
+    traj = Trajectory(0.1, [(0.5,), (0.25,), (-0.0,), (1e10,)])
+    assert outcome(max_abs_drift, traj, long_sum, "v") == outcome(
+        reference_max_abs_drift, traj, long_sum, "v")
+    rng = random.Random(5000)
+    point = tuple(rng.uniform(0.9, 1.1) for _ in range(5000))
+    product = Poly(5000, {(1,) * 5000: -3, (0,) * 4999 + (2,): 1})
+    assert compile_polys(5000, [product])(point) == term_values([product], point)
+    # The last of 300 coordinates reaches inf through a product.
+    wide = PolyVectorField(300, tuple(
+        Poly(300, {tuple(int(j == i) for j in range(300)): -1}) for i in range(299)
+    ) + (parse("10^300*x300", 300),))
+    x0 = (1.0,) * 300
+    with pytest.raises(NonFiniteError) as exc:
+        integrate_rk4(wide, x0, 0.1, 3)
+    assert exc.value.__cause__ is None
+    assert outcome(integrate_rk4, wide, x0, 0.1, 3) == outcome(
+        reference_rk4, wide, x0, 0.1, 3)
