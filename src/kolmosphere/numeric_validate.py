@@ -215,9 +215,7 @@ def _double(value, what: str, owner: Poly, term: Tuple[int, ...] = ()) -> float:
 
 def _compile(args: Sequence[str], body: Sequence[str]) -> Callable:
     """The function ``def _fn(*args)`` with the generated ``body`` lines."""
-    return _define(f"def _fn({', '.join(args)}):\n" + "".join(
-        f"    {line}\n" for line in body
-    ))
+    return _define(f"def _fn({', '.join(args)}):\n    " + "\n    ".join(body) + "\n")
 
 
 @functools.lru_cache(maxsize=_COMPILED_FUNCTIONS)
