@@ -275,7 +275,8 @@ def integrate_rk4(
     for i in moving:
         y[i] = f"y{i + 1}"
     # One stage's lines, written once with format fields for the point it
-    # reads, its k names and its power locals.
+    # reads, its k names and its power locals: the text is rebuilt on every
+    # call, so the polynomials are walked once rather than four times.
     stage = _values(polys, [f"{{{i}}}" for i in range(vf.dim)],
                     [f"{{k}}_{i + 1}" for i in moving], "{p}")
     body: List[str] = []

@@ -587,6 +587,18 @@ def test_generated_code_matches_the_term_walking_reference_bit_for_bit():
     )) >= 3, seen
 
 
+def test_an_exponent_past_the_double_range_fails_as_the_reference_does():
+    """Such an exponent stays an int in the text, so ``pow`` raises the
+    OverflowError of its conversion at run time, as in the reference."""
+    huge = Poly(1, {(10**400,): 1, (1,): 1})
+    vf = PolyVectorField(1, (huge,))
+    assert outcome(integrate_rk4, vf, (0.5,), 0.1, 3) == outcome(
+        reference_rk4, vf, (0.5,), 0.1, 3)
+    for evaluate in (compile_polys(1, [huge]), lambda point: term_values([huge], point)):
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            evaluate((0.5,))
+
+
 def test_a_state_that_becomes_inf_through_a_product_stops_at_the_reference_step():
     """x1 = x2 solves x' = x^2 and blows up at t = 1; the product x1*x2
     reaches inf without an OverflowError, so only the finiteness test can
