@@ -9,17 +9,21 @@ oracle where it is installed.
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from kolmosphere.darboux import hypothesis_matrix, standard_sample_points
 from kolmosphere.exactla import (
     NotSquareError,
     RationalMatrix,
+    _bareiss_echelon,
     determinant,
     nullspace,
     rank,
 )
-from kolmosphere.hamiltonian import hamiltonian_constraint_space
+from kolmosphere.field_forms import sphere_polynomial
+from kolmosphere.hamiltonian import _constraint_columns, hamiltonian_constraint_space
 
 from conftest import span_equal
 
@@ -323,3 +327,100 @@ def test_hamiltonian_constraint_bases_are_pinned():
     )
     for n in range(2, 9):
         assert hamiltonian_constraint_space(n) == (0, [])
+
+
+def eager_bareiss_echelon(m):
+    """Reference elimination: the same pivot rule as the package, with
+    every remaining row brought to the new pivot value at every step."""
+    active = []
+    scale = 1
+    for entries in m.entries:
+        nonzero = [(c, x) for c, x in enumerate(entries) if x]
+        if all(type(x) is int for _, x in nonzero):
+            active.append(dict(nonzero))
+            continue
+        s = lcm(*(x.denominator for _, x in nonzero))
+        active.append({c: x.numerator * (s // x.denominator) for c, x in nonzero})
+        scale *= s
+    sign = 1
+    prev = 1
+    pivots = []
+    for col in range(m.cols):
+        best = None
+        for pos, row in enumerate(active):
+            if col in row and (best is None or len(row) < len(active[best])):
+                best = pos
+        if best is None:
+            continue
+        if best % 2:
+            sign = -sign
+        prow = active.pop(best)
+        a = prow[col]
+        for r, row in enumerate(active):
+            b = row.pop(col, 0)
+            if not b and a == prev:
+                continue
+            for c, v in row.items():
+                row[c] = a * v
+            if b:
+                for c, v in prow.items():
+                    row[c] = row.get(c, 0) - b * v
+                del row[col]
+            if prev != 1:
+                for c, v in row.items():
+                    q, rem = divmod(v, prev)
+                    assert not rem
+                    row[c] = q
+            if b:
+                active[r] = {c: v for c, v in row.items() if v}
+        prev = a
+        pivots.append((col, prow))
+    return pivots, sign, scale
+
+
+def constraint_matrix(n):
+    columns = _constraint_columns(n)
+    keys = sorted({key for col in columns for key in col})
+    return RationalMatrix(len(keys), len(columns), tuple(
+        tuple(col.get(key, 0) for col in columns) for key in keys
+    ))
+
+
+def seeded_elimination_matrices():
+    rng = random.Random("eager-reference")
+    for _ in range(160):
+        m, n = rng.randint(1, 40), rng.randint(1, 30)
+        if rng.random() < 0.5:
+            m, n = max(m, n), min(m, n)  # tall
+        else:
+            m, n = min(m, n), max(m, n)  # wide
+        density = rng.choice([0.1, 0.2, 0.3, 1.0])
+        fractions = rng.random() < 0.5
+        rows = []
+        for _ in range(m):
+            row = []
+            for _ in range(n):
+                if rng.random() >= density:
+                    row.append(0)
+                elif fractions:
+                    row.append(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                else:
+                    row.append(rng.randint(-5, 5))
+            rows.append(row)
+        yield RationalMatrix.from_rows(rows)
+    for n in range(1, 7):
+        yield constraint_matrix(n)
+    for n in range(1, 13):
+        d = n + 1
+        yield hypothesis_matrix(sphere_polynomial(d), d, standard_sample_points(d))
+
+
+def test_elimination_matches_the_eager_reference_step_for_step():
+    """Pivot columns, echelon rows, sign and scale all agree with the
+    reference that rescales every row at every step."""
+    for matrix in seeded_elimination_matrices():
+        pivots, sign, scale = _bareiss_echelon(matrix)
+        ref_pivots, ref_sign, ref_scale = eager_bareiss_echelon(matrix)
+        assert [col for col, _ in pivots] == [col for col, _ in ref_pivots]
+        assert pivots == ref_pivots
+        assert (sign, scale) == (ref_sign, ref_scale)
