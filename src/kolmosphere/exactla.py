@@ -7,11 +7,25 @@ sparsely as {column: value}.  An all-``int`` row enters unscaled; only a
 row that holds a ``Fraction`` is scaled to integers by the lcm of its
 denominators.  Columns keep their order; each pivot is the candidate row
 with the fewest nonzeros, the first on ties.  Rank counts the pivots and the
-determinant is the last one.  Nullspaces come from back substitution: one
-basis vector per free column, with a 1 there and 0 at the other free
-columns, scaled so its first nonzero entry is 1.  Such a vector is unique
-and the free columns do not depend on the row order, so the basis is the
-reduced-echelon one.
+determinant is the last one.
+
+A Bareiss step brings every row to the new pivot value a: times a, minus
+b times the pivot row, over the previous pivot value.  A row without the
+pivot column only gets a / prev, so each row instead carries the pivot
+value it is current for and is scaled by prev / base only when it is read:
+when it becomes the pivot row or holds the pivot column.  The skipped
+ratios telescope to prev / base, so the row read is the one the eager step
+would have made, and every division is still checked exact.  Scaling by a
+nonzero ratio keeps a row's support, and the pivot choice reads only
+supports, so the pivot order, the sign and every echelon row are those of
+the eager elimination.  On the Hamiltonian constraint matrices, whose
+pivots are powers of two and whose pivot rows hold one or two entries,
+most rows sit out most steps.
+
+Nullspaces come from back substitution: one basis vector per free column,
+with a 1 there and 0 at the other free columns, scaled so its first nonzero
+entry is 1.  Such a vector is unique and the free columns do not depend on
+the row order, so the basis is the reduced-echelon one.
 """
 
 from __future__ import annotations
@@ -66,6 +80,13 @@ class RationalMatrix:
         ))
 
 
+def _exact_quotient(v: int, d: int) -> int:
+    q, rem = divmod(v, d)
+    if rem:
+        raise SelfCheckError("Bareiss step left a remainder")
+    return q
+
+
 def _bareiss_echelon(m: RationalMatrix):
     """Returns (pivots, sign, scale): the (pivot column, echelon row) pairs
     from the top, the sign of the row permutation, and the product of the
@@ -80,38 +101,49 @@ def _bareiss_echelon(m: RationalMatrix):
         s = lcm(*(x.denominator for _, x in nonzero))
         active.append({c: x.numerator * (s // x.denominator) for c, x in nonzero})
         scale *= s
+    bases = [1] * len(active)  # the pivot value each row is current for
     sign = 1
     prev = 1
     pivots = []
     for col in range(m.cols):
-        best = None
-        for pos, row in enumerate(active):
-            if col in row and (best is None or len(row) < len(active[best])):
-                best = pos
-        if best is None:
+        holders = [pos for pos, row in enumerate(active) if col in row]
+        if not holders:
             continue
+        best = min(holders, key=lambda pos: len(active[pos]))
         if best % 2:  # moving the pivot row up past best rows
             sign = -sign
+        for pos in holders:
+            if bases[pos] != prev:
+                base = bases[pos]
+                active[pos] = {
+                    c: _exact_quotient(v * prev, base)
+                    for c, v in active[pos].items()
+                }
+                bases[pos] = prev
         prow = active.pop(best)
+        del bases[best]
         a = prow[col]
-        for r, row in enumerate(active):
-            b = row.pop(col, 0)
-            if not b and a == prev:
-                continue  # a / prev = 1 leaves the row as it is
+        for pos in holders:
+            if pos == best:
+                continue
+            if pos > best:
+                pos -= 1
+            row = active[pos]
+            b = row[col]
+            new = {}
             for c, v in row.items():
-                row[c] = a * v
-            if b:
-                for c, v in prow.items():
-                    row[c] = row.get(c, 0) - b * v
-                del row[col]
-            if prev != 1:
-                for c, v in row.items():
-                    q, rem = divmod(v, prev)
-                    if rem:
-                        raise SelfCheckError("Bareiss step left a remainder")
-                    row[c] = q
-            if b:
-                active[r] = {c: v for c, v in row.items() if v}
+                if c in prow:
+                    v = a * v - b * prow[c]
+                    if not v:
+                        continue
+                else:
+                    v *= a
+                new[c] = _exact_quotient(v, prev)
+            for c, p in prow.items():
+                if c not in row:
+                    new[c] = _exact_quotient(-b * p, prev)
+            active[pos] = new
+            bases[pos] = a
         prev = a
         pivots.append((col, prow))
     return pivots, sign, scale

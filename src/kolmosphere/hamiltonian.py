@@ -31,27 +31,35 @@ class HamiltonianReport:
 def _defects(components) -> Dict[Tuple[int, int], Poly]:
     """The nonzero defects dG_j/dx_k - dG_k/dx_j of the rearranged field
     G = (P_2, -P_1, P_4, -P_3, ...), keyed by 0-based (j, k) with j < k in
-    row-major order.  Each nonzero component of G is differentiated once
-    per other variable."""
+    row-major order.  Only nonzero components are negated, and each is
+    differentiated only by the other variables it contains.  A partial by
+    any other variable is zero: it is left out of the difference, which
+    keeps the terms in the order of the full difference, and a pair with
+    no nonzero partial is not visited.  A U_i row contains every variable,
+    a W_ij row only two."""
     d = len(components)
-    g = [q for i in range(0, d, 2) for q in (components[i + 1], -components[i])]
-    partials = {
-        j: {v: g[j].differentiate(v + 1) for v in range(d) if v != j}
-        for j in range(d) if g[j]
-    }
+    g = []
+    for i in range(0, d, 2):
+        p, q = components[i], components[i + 1]
+        g += [q, -p if p else p]
+    partials = [
+        {v: q.differentiate(v + 1)
+         for v, powers in enumerate(zip(*q.terms)) if v != j and any(powers)}
+        for j, q in enumerate(g)
+    ]
     defects = {}
-    for j in range(d):
-        for k in range(j + 1, d):
-            if j in partials:
-                defect = partials[j][k]
-                if k in partials:
-                    defect = defect - partials[k][j]
-            elif k in partials:
-                defect = -partials[k][j]
-            else:
-                continue
-            if defect:
-                defects[j, k] = defect
+    for j, k in sorted({(min(i, v), max(i, v))
+                        for i, part in enumerate(partials) for v in part}):
+        ours = partials[j].get(k)
+        theirs = partials[k].get(j)
+        if theirs is None:
+            defect = ours
+        elif ours is None:
+            defect = -theirs
+        else:
+            defect = ours - theirs
+        if defect:
+            defects[j, k] = defect
     return defects
 
 
@@ -102,17 +110,25 @@ def hamiltonian_constraint_space(n: int) -> Tuple[int, List[Tuple[Fraction, ...]
     The Jacobian-symmetry defects are linear in the parameters, so stacking
     their coefficients (one matrix column per parameter, one row per
     (pair, monomial) slot) turns the question into a nullspace computation.
-    Each column comes from the one or two components its parameter touches;
-    ``exactla`` eliminates the sparse matrix by sparsest-row pivots.
+    Each column comes from the one or two components its parameter touches.
+    The rows are filled by transposing the columns: one zero row per slot,
+    then each column's nonzeros written in, so the build costs the nonzero
+    count plus the rows, not a lookup per cell.  ``exactla`` eliminates the
+    sparse matrix by sparsest-row pivots.
     Returns (dimension, basis) in the parameter order alpha_1..alpha_2n,
     then atilde_ij for i < j in row-major order.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     columns = _constraint_columns(n)
-    row_keys = sorted({key for col in columns for key in col})
-    matrix = RationalMatrix(len(row_keys), len(columns), tuple(
-        tuple(col.get(key, 0) for col in columns) for key in row_keys
+    rows: Dict[tuple, List[Scalar]] = {}
+    for p, column in enumerate(columns):
+        for key, coeff in column.items():
+            if key not in rows:
+                rows[key] = [0] * len(columns)
+            rows[key][p] = coeff
+    matrix = RationalMatrix(len(rows), len(columns), tuple(
+        tuple(rows[key]) for key in sorted(rows)
     ))
     basis = nullspace(matrix, side="right")
     return len(basis), basis

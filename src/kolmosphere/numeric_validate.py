@@ -41,7 +41,7 @@ rewrites is exact in IEEE arithmetic:
 - the finiteness test is ``(x1 - x1) + ... != 0.0``: x - x is 0.0 for
   every finite x and NaN for inf and NaN;
 - the sweep takes |v| as ``v if v >= 0.0 else -v``, which keeps -0.0; that
-  compares with the floor, and fails in ``log``, as 0.0 does;
+  compares with the floor as 0.0 does;
 - a sum or product of more than ``_CHAIN`` operands goes on from the left
   in running assignments, since the compiler recurses once per operand.
 
@@ -345,7 +345,12 @@ def conservation_report(
     floor: float = DEFAULT_DOMAIN_FLOOR,
 ) -> float:
     """Max relative drift of L(t) = sum_i b_i log|f_i(x(t))| over the
-    trajectory: max_t |L(t) - L(0)| / max(1, |L(0)|)."""
+    trajectory: max_t |L(t) - L(0)| / max(1, |L(0)|).  A surface value
+    within ``floor`` of zero raises ``DomainViolationError``; a floor that
+    is not a positive number (0.0, negative or NaN) would let a zero reach
+    ``log``, and is refused with a ValueError before any work."""
+    if not floor > 0.0:
+        raise ValueError(f"evaluation floor must be positive, got {floor!r}")
     kept = [(beta, s.defining) for b, s in zip(integral.exponents, integral.surfaces)
             if (beta := _double(b, "the exponent", s.defining)) != 0.0]
     b = _names("b", len(kept))

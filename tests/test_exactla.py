@@ -18,12 +18,14 @@ from kolmosphere.exactla import (
     NotSquareError,
     RationalMatrix,
     _bareiss_echelon,
+    _exact_quotient,
     determinant,
     nullspace,
     rank,
 )
 from kolmosphere.field_forms import sphere_polynomial
 from kolmosphere.hamiltonian import _constraint_columns, hamiltonian_constraint_space
+from kolmosphere.polyring import SelfCheckError
 
 from conftest import span_equal
 
@@ -319,6 +321,15 @@ def test_row_shuffles_keep_rank_and_nullspace_and_sign_the_determinant(density):
             assert determinant(shuffled) == (
                 permutation_sign(perm) * determinant(ours)
             )
+
+
+def test_an_inexact_bareiss_quotient_is_a_self_check_failure():
+    assert _exact_quotient(-12, 4) == -3
+    assert _exact_quotient(2**72 * 3, -(2**71)) == -6
+    for v, d in ((7, 2), (-7, 2), (2**72 + 1, 2**30)):
+        with pytest.raises(SelfCheckError) as err:
+            _exact_quotient(v, d)
+        assert str(err.value) == "Bareiss step left a remainder"
 
 
 def test_hamiltonian_constraint_bases_are_pinned():

@@ -18,7 +18,7 @@ from kolmosphere import (
     parse,
 )
 from kolmosphere.field_forms import skew_matrix
-from kolmosphere.hamiltonian import _constraint_columns
+from kolmosphere.hamiltonian import _constraint_columns, _defects
 
 from conftest import rand_poly, rand_skew_constant
 
@@ -148,7 +148,7 @@ def unit_parameter_defect_entries(n):
     return entries
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_constraint_columns_match_the_assembled_unit_fields(n):
     direct = {
         (slot, exps, p): coeff
@@ -156,6 +156,33 @@ def test_constraint_columns_match_the_assembled_unit_fields(n):
         for (slot, exps), coeff in column.items()
     }
     assert direct == unit_parameter_defect_entries(n)
+
+
+def test_defects_match_their_definition_on_random_fields():
+    """Values and term order of every defect agree with the full
+    difference g[j].differentiate(k + 1) - g[k].differentiate(j + 1),
+    zeros dropped, on fields with zero components and unused variables."""
+    rng = random.Random(97)
+    for _ in range(90):
+        d = rng.choice([2, 4, 6])
+        components = [
+            Poly.zero(d) if rng.random() < 0.3
+            else rand_poly(rng, d, 3, terms=rng.randint(1, 6))
+            for _ in range(d)
+        ]
+        g = []
+        for i in range(0, d, 2):
+            g += [components[i + 1], -components[i]]
+        expected = {}
+        for j in range(d):
+            for k in range(j + 1, d):
+                defect = g[j].differentiate(k + 1) - g[k].differentiate(j + 1)
+                if defect:
+                    expected[j, k] = defect
+        ours = _defects(components)
+        assert list(ours) == list(expected)
+        for pair, defect in expected.items():
+            assert list(ours[pair].terms.items()) == list(defect.terms.items())
 
 
 def test_constraint_space_rejects_nonpositive_n():

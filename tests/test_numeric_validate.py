@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -306,6 +307,20 @@ def test_domain_floor_is_configurable():
         conservation_report(traj, integral, floor=1e-6)
 
 
+@pytest.mark.parametrize("floor", [0.0, -1e-12, float("nan")])
+def test_a_floor_that_is_not_positive_is_refused_before_the_sweep(floor):
+    """Under such a floor a zero surface value would reach ``log`` as a
+    bare math domain error; the floor is named instead."""
+    vf = PolyVectorField(2, (Poly.zero(2), Poly.zero(2)))
+    traj = integrate_rk4(vf, (0.0, 1.0), 0.01, 5)
+    integral = DarbouxIntegral(
+        (Fraction(1),), (Hypersurface(Poly.var(2, 1)),)
+    )
+    with pytest.raises(ValueError, match=r"^evaluation floor must be positive, "
+                       rf"got {re.escape(repr(floor))}$"):
+        conservation_report(traj, integral, floor=floor)
+
+
 def _pinned_cases():
     yield "fixture", fixture_field(), fixture_integrals()
     field, cert = construct_completely_integrable(2, 4, parse("x1", 3))
@@ -402,6 +417,8 @@ def reference_values(traj, polys, what):
 
 
 def reference_report(traj, integral, floor=DEFAULT_DOMAIN_FLOOR):
+    if not floor > 0.0:
+        raise ValueError(f"evaluation floor must be positive, got {floor!r}")
     betas = [float(b) for b in integral.exponents]
     surfaces = [s.defining for b, s in zip(betas, integral.surfaces) if b != 0.0]
     betas = [b for b in betas if b != 0.0]
@@ -434,7 +451,7 @@ def reference_max_abs_drift(traj, poly, what):
 
 def outcome(fn, *args):
     """("ok", the result as exact bits), or the error's type, message and
-    step.  A ValueError is the log of a zero under a floor of 0.0."""
+    step.  A ValueError is a floor that is not positive."""
     try:
         result = fn(*args)
     except (NonFiniteError, DomainViolationError, ValueError) as err:
