@@ -81,6 +81,7 @@ class RationalMatrix:
 
 
 def _exact_quotient(v: int, d: int) -> int:
+    """v / d, which every Bareiss division must leave without remainder."""
     q, rem = divmod(v, d)
     if rem:
         raise SelfCheckError("Bareiss step left a remainder")

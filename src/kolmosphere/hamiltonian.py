@@ -50,14 +50,15 @@ def _defects(components) -> Dict[Tuple[int, int], Poly]:
     defects = {}
     for j, k in sorted({(min(i, v), max(i, v))
                         for i, part in enumerate(partials) for v in part}):
-        ours = partials[j].get(k)
-        theirs = partials[k].get(j)
-        if theirs is None:
-            defect = ours
-        elif ours is None:
-            defect = -theirs
+        # dG_j/dx_k and dG_k/dx_j, None where zero; one of them is not.
+        d_jk = partials[j].get(k)
+        d_kj = partials[k].get(j)
+        if d_kj is None:
+            defect = d_jk
+        elif d_jk is None:
+            defect = -d_kj
         else:
-            defect = ours - theirs
+            defect = d_jk - d_kj
         if defect:
             defects[j, k] = defect
     return defects
