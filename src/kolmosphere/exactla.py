@@ -121,14 +121,11 @@ def _bareiss_echelon(m: RationalMatrix):
                     for c, v in active[pos].items()
                 }
                 bases[pos] = prev
-        prow = active.pop(best)
-        del bases[best]
+        prow = active[best]
         a = prow[col]
         for pos in holders:
             if pos == best:
                 continue
-            if pos > best:
-                pos -= 1
             row = active[pos]
             b = row[col]
             new = {}
@@ -145,6 +142,7 @@ def _bareiss_echelon(m: RationalMatrix):
                     new[c] = _exact_quotient(-b * p, prev)
             active[pos] = new
             bases[pos] = a
+        del active[best], bases[best]
         prev = a
         pivots.append((col, prow))
     return pivots, sign, scale
