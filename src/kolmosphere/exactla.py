@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Entries are stored as ``polyring._canonical`` stores a coefficient: an
-``int`` when integral, else a ``Fraction``.  One elimination serves
-everything: fraction-free (Bareiss) echelon form of the rows, stored
-sparsely as {column: value}.  An all-``int`` row enters unscaled; only a
-row that holds a ``Fraction`` is scaled to integers by the lcm of its
-denominators.  Columns keep their order; each pivot is the candidate row
-with the fewest nonzeros, the first on ties.  Rank counts the pivots and the
-determinant is the last one.
+A ``RationalMatrix`` stores its sparse rows: one {column: value} dict per
+row, every value nonzero, each as ``polyring._canonical`` stores a
+coefficient: an ``int`` when integral, else a ``Fraction``.  ``from_rows``
+reads dense rows into that form.  One elimination serves everything:
+fraction-free (Bareiss) echelon form of copies of the stored rows.  An
+all-``int`` row enters unscaled; only a row that holds a ``Fraction`` is
+scaled to integers by the lcm of its denominators.  Columns keep their
+order; each pivot is the candidate row with the fewest nonzeros, the first
+on ties.  Rank counts the pivots and the determinant is the last one.
 
 A Bareiss step brings every row to the new pivot value a: times a, minus
 b times the pivot row, over the previous pivot value.  A row without the
@@ -22,10 +23,11 @@ the eager elimination.  On the Hamiltonian constraint matrices, whose
 pivots are powers of two and whose pivot rows hold one or two entries,
 most rows sit out most steps.
 
-Nullspaces come from back substitution: one basis vector per free column,
-with a 1 there and 0 at the other free columns, scaled so its first nonzero
-entry is 1.  Such a vector is unique and the free columns do not depend on
-the row order, so the basis is the reduced-echelon one.
+``nullspace`` gives the right nullspace; the left one is that of the
+transpose.  Its basis comes from back substitution: one vector per free
+column, with a 1 there and 0 at the other free columns, scaled so its first
+nonzero entry is 1.  Such a vector is unique and the free columns do not
+depend on the row order, so the basis is the reduced-echelon one.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .polyring import Scalar, SelfCheckError, _canonical
 
@@ -48,7 +50,7 @@ class NotSquareError(ValueError):
 class RationalMatrix:
     rows: int
     cols: int
-    entries: Tuple[Tuple[Scalar, ...], ...]
+    entries: Tuple[Dict[int, Scalar], ...]
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -56,28 +58,30 @@ class RationalMatrix:
         if len(self.entries) != self.rows:
             raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
         for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError(
-                    f"expected {self.cols} columns, got {len(row)}"
-                )
+            if row and (min(row) < 0 or max(row) >= self.cols):
+                raise ValueError(f"a column lies outside 0..{self.cols - 1}")
+            if 0 in row.values():  # Bareiss would divide by it as a pivot
+                raise ValueError("a sparse row stores a zero")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
-        # Tuples from lists, not generators: ``tuple`` of a generator takes
-        # a 10-slot tuple and shrinks it, so CPython's free list of each
-        # short row length only fills until a full garbage collection.
-        # Over a few hundred rounds of the hypothesis determinants for
-        # n = 1..20 that held about 3.5 MB more at peak.
-        data = tuple([tuple([_canonical(x) for x in row]) for row in rows])
-        nrows = len(data)
-        ncols = len(data[0]) if data else 0
-        return cls(nrows, ncols, data)
+        """The matrix of dense rows of one length: each entry as
+        ``_canonical`` stores it, zeros left out."""
+        dense = [[_canonical(x) for x in row] for row in rows]
+        ncols = len(dense[0]) if dense else 0
+        for row in dense:
+            if len(row) != ncols:
+                raise ValueError(f"expected {ncols} columns, got {len(row)}")
+        return cls(len(dense), ncols, tuple(
+            [{c: x for c, x in enumerate(row) if x} for row in dense]
+        ))
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows, tuple(
-            tuple(self.entries[i][j] for i in range(self.rows))
-            for j in range(self.cols)
-        ))
+        columns: List[Dict[int, Scalar]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for c, x in row.items():
+                columns[c][i] = x
+        return RationalMatrix(self.cols, self.rows, tuple(columns))
 
 
 def _exact_quotient(v: int, d: int) -> int:
@@ -94,13 +98,12 @@ def _bareiss_echelon(m: RationalMatrix):
     lcms that scaled m's rows holding a ``Fraction`` to integers."""
     active = []
     scale = 1
-    for entries in m.entries:
-        nonzero = [(c, x) for c, x in enumerate(entries) if x]
-        if all(type(x) is int for _, x in nonzero):
-            active.append(dict(nonzero))
+    for row in m.entries:
+        if all(type(x) is int for x in row.values()):
+            active.append(dict(row))  # the echelon rows must not alias m's
             continue
-        s = lcm(*(x.denominator for _, x in nonzero))
-        active.append({c: x.numerator * (s // x.denominator) for c, x in nonzero})
+        s = lcm(*(x.denominator for x in row.values()))
+        active.append({c: x.numerator * (s // x.denominator) for c, x in row.items()})
         scale *= s
     bases = [1] * len(active)  # the pivot value each row is current for
     sign = 1
@@ -168,17 +171,11 @@ def determinant(m: RationalMatrix) -> Fraction:
     return Fraction(sign * row[col], scale)
 
 
-def nullspace(m: RationalMatrix, side: str = "right") -> List[Vector]:
-    """Basis of the requested nullspace, possibly empty.
-
-    Right: all v with M v = 0.  Left: all v with v M = 0.  Each basis
-    vector is scaled so its first nonzero entry is 1; vectors are ordered
-    by the free column of the echelon form that produced them.
+def nullspace(m: RationalMatrix) -> List[Vector]:
+    """Basis of all v with M v = 0, possibly empty.  Each basis vector is
+    scaled so its first nonzero entry is 1; vectors are ordered by the free
+    column of the echelon form that produced them.
     """
-    if side == "left":
-        return nullspace(m.transpose(), "right")
-    if side != "right":
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     pivots = _bareiss_echelon(m)[0]
     pivot_cols = {col for col, _ in pivots}
     basis: List[Vector] = []

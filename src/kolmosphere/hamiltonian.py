@@ -111,25 +111,21 @@ def hamiltonian_constraint_space(n: int) -> Tuple[int, List[Tuple[Fraction, ...]
     The Jacobian-symmetry defects are linear in the parameters, so stacking
     their coefficients (one matrix column per parameter, one row per
     (pair, monomial) slot) turns the question into a nullspace computation.
-    Each column comes from the one or two components its parameter touches.
-    The rows are filled by transposing the columns: one zero row per slot,
-    then each column's nonzeros written in, so the build costs the nonzero
-    count plus the rows, not a lookup per cell.  ``exactla`` eliminates the
-    sparse matrix by sparsest-row pivots.
+    Each column comes from the one or two components its parameter touches,
+    and transposing the columns gives the sparse rows that ``exactla``
+    stores and eliminates by sparsest-row pivots, so no zero is written.
     Returns (dimension, basis) in the parameter order alpha_1..alpha_2n,
     then atilde_ij for i < j in row-major order.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     columns = _constraint_columns(n)
-    rows: Dict[tuple, List[Scalar]] = {}
+    rows: Dict[tuple, Dict[int, Scalar]] = {}
     for p, column in enumerate(columns):
         for key, coeff in column.items():
-            if key not in rows:
-                rows[key] = [0] * len(columns)
-            rows[key][p] = coeff
+            rows.setdefault(key, {})[p] = coeff
     matrix = RationalMatrix(len(rows), len(columns), tuple(
-        tuple(rows[key]) for key in sorted(rows)
+        rows[key] for key in sorted(rows)
     ))
-    basis = nullspace(matrix, side="right")
+    basis = nullspace(matrix)
     return len(basis), basis

@@ -28,6 +28,11 @@ def span_equal(vectors_a, vectors_b) -> bool:
     return ra == rb == rab
 
 
+def dense_rows(m):
+    """The rows of a ``RationalMatrix`` written out, zeros included."""
+    return [tuple(row.get(c, 0) for c in range(m.cols)) for row in m.entries]
+
+
 def rand_fraction(rng: random.Random, allow_zero: bool = True) -> Fraction:
     num = rng.randint(-4, 4)
     if not allow_zero:

@@ -47,7 +47,7 @@ from kolmosphere import darboux
 from kolmosphere.exactla import determinant, rank
 from kolmosphere.field_forms import skew_matrix
 
-from conftest import rand_poly, span_equal
+from conftest import dense_rows, rand_poly, span_equal
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -76,7 +76,7 @@ def test_matrix_rows_for_fixture_form():
     extra = cofactor(vf, sphere_surface(3))
     b = build_matrix_B(form, extra)
     assert b.rows == 4 and b.cols == 4
-    assert list(b.entries) == [
+    assert dense_rows(b) == [
         (Fraction(2), Fraction(-2), Fraction(1), Fraction(-2)),
         (Fraction(0), Fraction(-3), Fraction(0), Fraction(-3)),
         (Fraction(2), Fraction(-2), Fraction(1), Fraction(-2)),
@@ -421,14 +421,14 @@ def test_sample_points_store_integral_coordinates_as_ints():
     assert [type(c) for c in pt.coords] == [int, int, Fraction, Fraction]
     assert pt.coords == (1, 2, Fraction(1, 2), Fraction(1, 4))
     m = hypothesis_matrix(sphere_polynomial(3), 3, standard_sample_points(3))
-    assert all(type(x) is int for row in m.entries for x in row)
+    assert all(type(x) is int for row in m.entries for x in row.values())
     g = sphere_polynomial(3) * Fraction(1, 2)
     m = hypothesis_matrix(g, 3, standard_sample_points(3))
-    types = {type(x) for row in m.entries for x in row}
+    types = {type(x) for row in m.entries for x in row.values()}
     assert types == {int, Fraction}
     assert all(
         (type(x) is int) == (Fraction(x).denominator == 1)
-        for row in m.entries for x in row
+        for row in m.entries for x in row.values()
     )
     cert = complete_integrability_check(fixture_form(), sphere_surface(3))
     assert all(type(v) is Fraction for v in cert.hypothesis_determinants)

@@ -27,7 +27,7 @@ from kolmosphere.field_forms import sphere_polynomial
 from kolmosphere.hamiltonian import _constraint_columns, hamiltonian_constraint_space
 from kolmosphere.polyring import SelfCheckError
 
-from conftest import span_equal
+from conftest import dense_rows, span_equal
 
 
 def laplace_det(rows):
@@ -67,8 +67,57 @@ def test_constructors_and_accessors():
     m = RationalMatrix.from_rows([[1, 2], [3, 4]])
     assert m.rows == 2 and m.cols == 2
     assert m.entries[1][0] == 3
-    assert m.entries[1] == (3, 4)
-    assert m.transpose().entries[0] == (1, 3)
+    assert m.entries[1] == {0: 3, 1: 4}
+    assert m.transpose().entries[0] == {0: 1, 1: 3}
+
+
+def test_from_rows_stores_only_nonzeros_as_ints_exactly_when_integral():
+    m = RationalMatrix.from_rows(
+        [[0, Fraction(4, 2), Fraction(1, 3)], [Fraction(0), 0, -5]]
+    )
+    assert (m.rows, m.cols) == (2, 3)
+    assert m.entries == ({1: 2, 2: Fraction(1, 3)}, {2: -5})
+    assert [type(x) for row in m.entries for x in row.values()] == [
+        int, Fraction, int
+    ]
+    assert dense_rows(m) == [(0, 2, Fraction(1, 3)), (0, 0, -5)]
+    assert RationalMatrix.from_rows([]) == RationalMatrix(0, 0, ())
+    assert RationalMatrix.from_rows([[], []]) == RationalMatrix(2, 0, ({}, {}))
+
+
+def test_the_constructor_refuses_a_stored_zero():
+    """Bareiss would take a stored zero for a pivot and divide by it."""
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError, match="stores a zero"):
+            RationalMatrix(2, 2, ({0: 1}, {1: zero}))
+
+
+@pytest.mark.parametrize("column", [-1, 2, 7])
+def test_the_constructor_refuses_a_column_outside_the_matrix(column):
+    with pytest.raises(ValueError, match="outside 0..1"):
+        RationalMatrix(2, 2, ({0: 1}, {column: 3}))
+
+
+def test_the_constructor_refuses_a_wrong_row_count_or_dimension():
+    with pytest.raises(ValueError, match="expected 3 rows, got 2"):
+        RationalMatrix(3, 2, ({0: 1}, {1: 1}))
+    with pytest.raises(ValueError, match="natural numbers"):
+        RationalMatrix(-1, 2, ())
+
+
+def test_transposing_twice_is_the_identity():
+    rng = random.Random(41)
+    for _ in range(40):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        rows = [
+            [rng.choice([0, 0, 1, -2, Fraction(3, 2)]) for _ in range(n)]
+            for _ in range(m)
+        ]
+        matrix = RationalMatrix.from_rows(rows)
+        t = matrix.transpose()
+        assert (t.rows, t.cols) == (matrix.cols, matrix.rows)
+        assert dense_rows(t) == list(zip(*dense_rows(matrix)))
+        assert t.transpose() == matrix
 
 
 def test_determinant_known_values():
@@ -120,21 +169,23 @@ def test_right_nullspace_annihilates_and_fills_rank_nullity():
     rng = random.Random(3)
     for _ in range(120):
         m = RationalMatrix.from_rows(rand_rows(rng, rng.randint(1, 4), rng.randint(1, 4)))
-        basis = nullspace(m, side="right")
+        basis = nullspace(m)
         assert len(basis) == m.cols - rank(m)
         for v in basis:
-            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m.entries)
+            assert all(
+                sum(a * x for a, x in zip(row, v)) == 0 for row in dense_rows(m)
+            )
 
 
 def test_left_nullspace_annihilates_from_the_left():
     rng = random.Random(31)
     for _ in range(120):
         m = RationalMatrix.from_rows(rand_rows(rng, rng.randint(1, 4), rng.randint(1, 4)))
-        basis = nullspace(m, side="left")
+        basis = nullspace(m.transpose())
         assert len(basis) == m.rows - rank(m)
         for v in basis:
             assert all(
-                sum(x * row[j] for x, row in zip(v, m.entries)) == 0
+                sum(x * row[j] for x, row in zip(v, dense_rows(m))) == 0
                 for j in range(m.cols)
             )
 
@@ -153,19 +204,15 @@ def test_nullspace_basis_vectors_lead_with_one():
 
 def test_full_rank_matrix_has_trivial_nullspaces():
     m = RationalMatrix.from_rows([[2, 0], [1, 1]])
-    assert nullspace(m, side="right") == []
-    assert nullspace(m, side="left") == []
-
-
-def test_invalid_side_is_rejected():
-    m = RationalMatrix.from_rows([[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        nullspace(m, side="up")
+    assert nullspace(m) == []
+    assert nullspace(m.transpose()) == []
 
 
 def test_ragged_rows_are_rejected():
     with pytest.raises(ValueError):
         RationalMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError, match="expected 1 columns, got 2"):
+        RationalMatrix.from_rows([[1], [0, 0]])
 
 
 def oracle_matrices(kind, rng, count=25):
@@ -213,7 +260,9 @@ def test_elimination_matches_the_sympy_oracle(kind):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(f"oracle-{kind}")
     for m, n, rows in oracle_matrices(kind, rng):
-        ours = RationalMatrix(m, n, tuple(tuple(row) for row in rows))
+        ours = RationalMatrix(m, n, tuple(
+            {c: x for c, x in enumerate(row) if x} for row in rows
+        ))
         theirs = sympy.Matrix(
             m, n, [sympy.Rational(x.numerator, x.denominator)
                    for row in rows for x in row]
@@ -221,8 +270,8 @@ def test_elimination_matches_the_sympy_oracle(kind):
         assert rank(ours) == theirs.rank()
         if m == n:
             assert determinant(ours) == Fraction(str(theirs.det()))
-        for side, oracle in (("right", theirs), ("left", theirs.T)):
-            basis = nullspace(ours, side=side)
+        for matrix, oracle in ((ours, theirs), (ours.transpose(), theirs.T)):
+            basis = nullspace(matrix)
             expected = [
                 tuple(Fraction(str(x)) for x in v) for v in oracle.nullspace()
             ]
@@ -262,12 +311,12 @@ def test_mixed_int_and_fraction_rows_match_the_sympy_oracle():
         ours = RationalMatrix.from_rows(rows)
         assert all(
             (type(x) is int) == (Fraction(x).denominator == 1)
-            for row in ours.entries for x in row
+            for row in ours.entries for x in row.values()
         )
         # The same values with every integral entry a Fraction: the rows
         # that hold one are scaled, by 1 where all of them are integral.
         as_fractions = RationalMatrix(m, n, tuple(
-            tuple(Fraction(x) for x in row) for row in rows
+            {c: Fraction(x) for c, x in enumerate(row) if x} for row in rows
         ))
         for matrix in (ours, as_fractions):
             assert rank(matrix) == theirs.rank()
@@ -275,8 +324,8 @@ def test_mixed_int_and_fraction_rows_match_the_sympy_oracle():
                 det = determinant(matrix)
                 assert type(det) is Fraction
                 assert det == Fraction(str(theirs.det()))
-            for side, oracle in (("right", theirs), ("left", theirs.T)):
-                basis = nullspace(matrix, side=side)
+            for target, oracle in ((matrix, theirs), (matrix.transpose(), theirs.T)):
+                basis = nullspace(target)
                 assert all(type(x) is Fraction for v in basis for x in v)
                 expected = [
                     lead_scaled(tuple(Fraction(str(x)) for x in v))
@@ -345,8 +394,8 @@ def eager_bareiss_echelon(m):
     every remaining row brought to the new pivot value at every step."""
     active = []
     scale = 1
-    for entries in m.entries:
-        nonzero = [(c, x) for c, x in enumerate(entries) if x]
+    for row in m.entries:
+        nonzero = list(row.items())
         if all(type(x) is int for _, x in nonzero):
             active.append(dict(nonzero))
             continue
@@ -393,7 +442,8 @@ def constraint_matrix(n):
     columns = _constraint_columns(n)
     keys = sorted({key for col in columns for key in col})
     return RationalMatrix(len(keys), len(columns), tuple(
-        tuple(col.get(key, 0) for col in columns) for key in keys
+        {p: col[key] for p, col in enumerate(columns) if key in col}
+        for key in keys
     ))
 
 
