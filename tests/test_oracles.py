@@ -14,24 +14,27 @@ from kolmosphere import (
     KolmogorovForm,
     assemble_cubic,
     construct_from_form,
+    hamiltonian_constraint_space,
     parse,
 )
 
 sympy = pytest.importorskip("sympy")
 
 
-def _monomials(xs, degree):
-    """Every monomial in ``xs`` of total degree at most ``degree``."""
+def _monomials(xs, degree, lowest=0):
+    """Every monomial in ``xs`` of total degree from ``lowest`` to
+    ``degree``."""
     return [
         sympy.Mul(*powers)
-        for k in range(degree + 1)
+        for k in range(lowest, degree + 1)
         for powers in itertools.combinations_with_replacement(xs, k)
     ]
 
 
-def _generic(xs, degree, name):
-    """A polynomial of degree at most ``degree`` with fresh coefficients."""
-    basis = _monomials(xs, degree)
+def _generic(xs, degree, name, lowest=0):
+    """A polynomial with fresh coefficients over the monomials of degree
+    ``lowest`` to ``degree``."""
+    basis = _monomials(xs, degree, lowest)
     coeffs = sympy.symbols(f"{name}0:{len(basis)}")
     return sum(c * m for c, m in zip(coeffs, basis)), list(coeffs)
 
@@ -137,3 +140,71 @@ def test_the_assembly_reaches_every_field_that_keeps_the_sphere(d, m, dimension)
     for fields in assembled:
         assert all(keeps_the_sphere(components) for components in fields)
         assert field_rank(fields) == dimension
+
+
+def hamiltonian_invariant_fields(d, homogeneous):
+    """A basis of the cubic Kolmogorov fields P_i = x_i Q_i on R^d that
+    keep |x|^2 - 1 invariant and are Hamiltonian for the pairs (x1, x2),
+    (x3, x4), ...: deg Q_i <= 2, or Q_i quadratic forms when
+    ``homogeneous``.  Hamiltonian means the rearranged field
+    (P_2, -P_1, P_4, -P_3, ...) has a symmetric Jacobian.  The cofactor K
+    is unique once the field is given, so each solution in (Q, K) is one
+    field."""
+    xs = sympy.symbols(f"x1:{d + 1}")
+    components, unknowns = [], []
+    for i in range(d):
+        q, coeffs = _generic(xs, 2, f"q{i}_", lowest=2 if homogeneous else 0)
+        components.append(xs[i] * q)
+        unknowns += coeffs
+    k, coeffs = _generic(xs, 2, "k")
+    unknowns += coeffs
+    g = sum(x**2 for x in xs) - 1
+    conditions = [
+        sum(p * sympy.diff(g, x) for x, p in zip(xs, components)) - k * g
+    ]
+    rearranged = []
+    for i in range(0, d, 2):
+        rearranged += [components[i + 1], -components[i]]
+    conditions += [
+        sympy.diff(rearranged[j], xs[l]) - sympy.diff(rearranged[l], xs[j])
+        for j, l in itertools.combinations(range(d), 2)
+    ]
+    equations = [
+        c for e in conditions for c in sympy.Poly(sympy.expand(e), *xs).coeffs()
+    ]
+    matrix, _ = sympy.linear_eq_to_matrix(equations, unknowns)
+    return [
+        [sympy.expand(p.xreplace(dict(zip(unknowns, v)))) for p in components]
+        for v in matrix.nullspace()
+    ]
+
+
+def parameter_form(n, values):
+    """The constant form of the parameters alpha_1..alpha_2n, then atilde_ij
+    for i < j in row-major order, as ``hamiltonian_constraint_space``
+    orders them."""
+    d = 2 * n
+    atilde = [[0] * d for _ in range(d)]
+    for value, (i, j) in zip(values[d:], itertools.combinations(range(d), 2)):
+        atilde[i][j], atilde[j][i] = value, -value
+    return CubicKolmogorovForm.from_values(values[:d], atilde)
+
+
+@pytest.mark.parametrize("n, cubic, homogeneous", [(1, 1, 0), (2, 0, 0)])
+def test_the_hamiltonian_fields_that_keep_an_odd_sphere(n, cubic, homogeneous):
+    """The abstract's Hamiltonian statement on S^1 and S^3, in both classes:
+    no homogeneous cubic Kolmogorov field keeping the sphere is
+    Hamiltonian, but on R^2 one inhomogeneous family is.  The constraint
+    space, assembled into fields, spans exactly the first class."""
+    d = 2 * n
+    assert len(hamiltonian_invariant_fields(d, homogeneous=True)) == homogeneous
+    fields = hamiltonian_invariant_fields(d, homogeneous=False)
+    assert len(fields) == cubic
+    dimension, basis = hamiltonian_constraint_space(n)
+    assert dimension == len(basis) == cubic
+    if cubic:
+        assembled = printed_fields(
+            [assemble_cubic(parameter_form(n, v)) for v in basis], d
+        )
+        assert field_rank(fields) == field_rank(assembled) == cubic
+        assert field_rank(fields + assembled) == cubic
