@@ -253,10 +253,13 @@ def decompose_syzygy(
 ) -> Tuple[Tuple[Poly, ...], ...]:
     """Skew polynomial matrix atilde with q_i = sum_j atilde_ij x_j^k.
 
-    Works greedily: while the residual of row i is nonzero, its leading
-    monomial must carry an x_j^k factor for some later j (otherwise the
-    defining relation sum q_i x_i^k = 0 could not cancel it), and moving
-    that monomial into the (i, j) / (j, i) pair preserves the relation.
+    One pass over the rows, from residuals r_i = q_i.  Each monomial c*m
+    of r_i moves to the first later column j with m_j >= k: atilde_ij
+    gains c*m/x_j^k, atilde_ji loses it and r_j gains c*(m/x_j^k)*x_i^k,
+    which keeps sum_l r_l x_l^k = 0.  Once r_1..r_(i-1) are empty, that
+    relation cancels each m*x_i^k against a term of a later r_j x_j^k, so
+    the column exists; a monomial without one (at the last row, any
+    nonzero residual) is a failed self-check.
     """
     d = len(q)
     if k < 1:
@@ -272,36 +275,23 @@ def decompose_syzygy(
     if not Poly.sum(d, (p * xk for p, xk in zip(q, powers))).is_zero():
         raise NotASyzygyError("sum_i q_i x_i^k is not the zero polynomial")
 
-    residuals = list(q)
-    atilde = [[Poly.zero(d) for _ in range(d)] for _ in range(d)]
+    residuals = [dict(p.terms) for p in q]
+    entries = [[{} for _ in range(d)] for _ in range(d)]
     for i in range(d):
-        while not residuals[i].is_zero():
-            exps, coeff = residuals[i].leading()
-            chosen = None
-            for j in range(i + 1, d):
-                if exps[j] < k:
-                    continue
-                mu = list(exps)
-                mu[j] -= k
-                shifted = tuple(mu)
-                target = list(shifted)
-                target[i] += k
-                if tuple(target) in residuals[j].terms:
-                    chosen = (j, shifted)
-                    break
-            if chosen is None:
+        for exps, coeff in residuals[i].items():
+            if not coeff:  # cancelled by an earlier move
+                continue
+            j = next((j for j in range(i + 1, d) if exps[j] >= k), None)
+            if j is None:
                 raise SelfCheckError(
                     f"no pairing column for monomial {exps} in row {i + 1}"
                 )
-            j, shifted = chosen
-            delta = Poly(d, {shifted: coeff})
-            atilde[i][j] = atilde[i][j] + delta
-            atilde[j][i] = atilde[j][i] - delta
-            residuals[i] = residuals[i] - delta * powers[j]
-            residuals[j] = residuals[j] + delta * powers[i]
-    if any(not r.is_zero() for r in residuals):
-        raise SelfCheckError("nonzero residual after pairing")
-    return tuple(tuple(row) for row in atilde)
+            m = exps[:j] + (exps[j] - k,) + exps[j + 1:]
+            entries[i][j][m] = coeff
+            entries[j][i][m] = -coeff
+            target = m[:i] + (m[i] + k,) + m[i + 1:]
+            residuals[j][target] = residuals[j].get(target, 0) + coeff
+    return tuple(tuple(Poly(d, e) for e in row) for row in entries)
 
 
 def construct_linear_fi_field(

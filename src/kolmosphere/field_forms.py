@@ -31,7 +31,7 @@ from .polyring import (
     NEG_INF,
     Poly,
     Scalar,
-    _exact,
+    _canonical,
     divide_exact,
     parse,
 )
@@ -161,8 +161,8 @@ class CubicKolmogorovForm:
 
     @classmethod
     def from_values(cls, alpha: Sequence, atilde: Sequence[Sequence]) -> "CubicKolmogorovForm":
-        a = tuple(_exact(x) for x in alpha)
-        m = tuple(tuple(_exact(x) for x in row) for row in atilde)
+        a = tuple(_canonical(x) for x in alpha)
+        m = tuple(tuple(_canonical(x) for x in row) for row in atilde)
         return cls(len(a), a, m)
 
     def coordinate_view(self, i: int) -> StructuredView:

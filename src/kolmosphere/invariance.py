@@ -18,7 +18,7 @@ from .polyring import (
     Poly,
     Scalar,
     SelfCheckError,
-    _exact,
+    _canonical,
     divide_exact,
 )
 from .field_forms import (
@@ -83,7 +83,7 @@ class HyperplaneSpec:
 
     @classmethod
     def from_values(cls, a0, a: Sequence) -> "HyperplaneSpec":
-        return cls(_exact(a0), tuple(_exact(x) for x in a))
+        return cls(_canonical(a0), tuple(_canonical(x) for x in a))
 
     @property
     def dim(self) -> int:
@@ -262,7 +262,7 @@ def cone_invariance(
             "cone equivalence only applies to homogeneous fields"
         )
     linear = hp.defining_poly()
-    cone = linear * linear - _exact(d) ** 2 * sum_of_squares(vf.dim)
+    cone = linear * linear - _canonical(d) ** 2 * sum_of_squares(vf.dim)
     if cone.is_zero():
         raise ValueError("degenerate cone: the defining polynomial vanishes")
     cof = cofactor(vf, Hypersurface(cone))
@@ -289,7 +289,7 @@ class SecondSphereReport:
 def second_sphere_check(
     form: CubicKolmogorovForm, r: Scalar
 ) -> SecondSphereReport:
-    r = _exact(r)
+    r = _canonical(r)
     if r in (0, 1, -1):
         raise BadRadiusError("radius must differ from 0, 1, and -1")
     vf = assemble_cubic(form)

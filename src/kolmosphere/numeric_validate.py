@@ -151,16 +151,23 @@ def _chain(target: str, first: str, rest: Sequence[str]) -> Tuple[List[str], str
     return lines, " ".join([first, *rest])
 
 
-def _power(name: str, e: int) -> str:
-    """``name`` to the power ``e``, with a float exponent where ``e`` fits
-    in a double: the same C ``pow`` call that an int exponent makes after
-    converting it."""
+def _power(name: str, e: int, exps: Tuple[int, ...], owner: Poly) -> str:
+    """``name`` to the power ``e`` with a float exponent: the same C ``pow``
+    call that an int exponent makes after converting it.  An exponent past
+    the double range is a ValueError naming ``owner`` and the variable, the
+    first in the monomial ``exps`` with that exponent: the variables are
+    written in order, so an earlier one would have raised first."""
     if e == 1:
         return name
     try:
         return f"{name}**{float(e)!r}"
-    except OverflowError:  # raised again, at run time, as an int exponent
-        return f"{name}**{e}"
+    except OverflowError as err:
+        var = f"x{exps.index(e) + 1}"
+        try:
+            named = f"{var} in {owner}"
+        except ValueError:  # past sys.get_int_max_str_digits()
+            named = f"{var}, in a polynomial too long to print,"
+        raise ValueError(f"the exponent of {named} is past the double range") from err
 
 
 def _values(
@@ -170,7 +177,8 @@ def _values(
     at the variables ``names``.  A power that several terms read is computed
     once, first, into a local named from ``local``."""
     written = [[(_double(c, "the coefficient", p, exps),
-                 [_power(n, e) for n, e in zip(names, exps) if e]) for exps, c in p]
+                 [_power(n, e, exps, p) for n, e in zip(names, exps) if e])
+                for exps, c in p]
                for p in polys]
     uses = Counter(f for terms in written for _, factors in terms for f in factors
                    if "**" in f)

@@ -112,23 +112,17 @@ def _grlex_key(exponents: Monomial) -> tuple:
 
 def _canonical(value) -> Scalar:
     """``value`` as a coefficient: an ``int`` when it is integral, else a
-    ``Fraction``.  Every coefficient of every ``Poly`` takes this form;
-    ``Poly._trusted``, whose input is already ``int`` or ``Fraction``,
-    applies the rule inline."""
-    if type(value) is int:
-        return value
-    if type(value) is not Fraction:
-        value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
-def _exact(value) -> Scalar:
-    """``_canonical`` for outside input: a float is refused, not stored."""
+    ``Fraction``.  The one entry of a scalar into the exact core: an
+    ``int`` is kept, a float refused (not read as its binary fraction) and
+    anything else read through ``Fraction``.  ``Poly._trusted``, whose
+    input is already ``int`` or ``Fraction``, applies the rule inline."""
     if type(value) is int:
         return value
     if isinstance(value, float):
         raise TypeError(f"coefficient {value!r} is a float, not exact")
-    return _canonical(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class Poly:
@@ -136,11 +130,11 @@ class Poly:
 
     Every coefficient is a nonzero ``int`` when it is integral and a
     ``Fraction`` otherwise; ``_canonical`` enforces this for every
-    constructor.  ``Poly(dim, terms)`` takes input from outside the ring,
-    so it checks every exponent tuple.  :meth:`zero`, :meth:`const` and
-    :meth:`var` check their own arguments; ``Poly(dim, terms)`` and
-    :meth:`const` refuse a float coefficient (``_exact``).  The ring's own
-    results (:meth:`sum`, ``+ - *``, ``**``, :meth:`differentiate`,
+    constructor, and so ``Poly(dim, terms)`` and :meth:`const` refuse a
+    float coefficient.  ``Poly(dim, terms)`` takes input from outside the
+    ring, so it checks every exponent tuple.  :meth:`zero`, :meth:`const`
+    and :meth:`var` check their own arguments.  The ring's own results
+    (:meth:`sum`, ``+ - *``, ``**``, :meth:`differentiate`,
     :func:`divide_exact`) and :func:`parse`, which builds each exponent
     tuple from checked tokens (an index in 1..dim, a natural exponent), are
     built by :meth:`_trusted`, which checks no exponent tuple.  The
@@ -161,7 +155,7 @@ class Poly:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in monomial {exps}")
-            c = _exact(coeff)
+            c = _canonical(coeff)
             if c:
                 clean[tuple(exps)] = c
         _set_dim(self, dim)
@@ -195,7 +189,7 @@ class Poly:
     def const(cls, dim: int, value: Scalar) -> "Poly":
         if dim < 0:
             raise ValueError("dim must be a natural number")
-        return cls._trusted(dim, {(0,) * dim: _exact(value)})
+        return cls._trusted(dim, {(0,) * dim: _canonical(value)})
 
     @classmethod
     def var(cls, dim: int, index: int) -> "Poly":
@@ -384,11 +378,12 @@ class Poly:
         for exps in sorted(self.terms, key=_grlex_key, reverse=True):
             try:
                 pieces.append(_term_text(exps, self.terms[exps], names))
-            except ValueError:
-                raise UnprintableError(
-                    "the polynomial",
-                    f"its coefficient of {Poly(self.dim, {exps: 1})}",
-                ) from None
+            except ValueError:  # a number of more digits than str writes
+                big = 10 ** sys.get_int_max_str_digits()
+                name = next((n for n, e in zip(names, exps) if e >= big), None)
+                part = (f"its exponent of {name}" if name else
+                        f"its coefficient of {_term_text(exps, 1, names)}")
+                raise UnprintableError("the polynomial", part) from None
         return " + ".join(pieces).replace(" + -", " - ")
 
     def __repr__(self) -> str:

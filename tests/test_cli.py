@@ -763,6 +763,7 @@ def test_an_overlong_json_integer_exits_two_naming_the_file(capsys, tmp_path):
 
 
 BIG = str(10**400)
+NINES = "9" * 3000
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -783,10 +784,14 @@ BIG = str(10**400)
          "the coefficient of x1, too long to print, is past the double range"),
         ("0", ["--h", "0.1", "--steps", "3", "--watch", "10^5000*x1"],
          "the coefficient of x1, too long to print, is past the double range"),
+        # x1 stays 1, so x1^e is 1; only the exponent has no double.
+        ("0", ["--h", "0.1", "--steps", "3", "--watch", f"x1^{NINES[:400]}"],
+         f"the exponent of x1 in x1^{NINES[:400]} is past the double range"),
     ],
     ids=[
         "field-coefficient", "watch-coefficient", "final-time", "step-count",
         "field-coefficient-too-long", "watch-coefficient-too-long",
+        "watch-exponent",
     ],
 )
 def test_integrate_refuses_numbers_past_the_double_range(
@@ -848,8 +853,11 @@ def test_a_watch_past_the_double_range_is_refused_before_integrating(
         (["hamiltonian"], ["10^5000*x1^2", "0"],
          "the defect of the pair (1, 2) cannot be printed: its coefficient "
          "of x1"),
+        # An exponent of about 6000 digits: named by its variable.
+        (["check"], [f"x1^2*(x1^{NINES})^{NINES} - x1^4*(x1^{NINES})^{NINES}"],
+         "the sphere cofactor cannot be printed: its exponent of x1"),
     ],
-    ids=["cofactor", "check", "hamiltonian"],
+    ids=["cofactor", "check", "hamiltonian", "check-exponent"],
 )
 def test_a_result_too_long_to_print_exits_two_naming_it(
     capsys, tmp_path, fmt, command, components, message

@@ -231,6 +231,24 @@ def test_decompose_syzygy_recovers_a_constant_matrix():
     ]
 
 
+def test_decompose_syzygy_moves_each_monomial_to_its_first_later_column():
+    """2*x2^2*x3^2 in q1 could pair with x2^2 or with x3^2; it goes to
+    column 2, so atilde_13 = x2^2 - x1 comes back as -x1, and its x2^2
+    part returns as x3^2 in atilde_12 and x1^2 in atilde_23."""
+    at = [
+        ["0", "x3^2 + 1", "x2^2 - x1"],
+        ["-x3^2 - 1", "0", "x1*x2"],
+        ["-x2^2 + x1", "-x1*x2", "0"],
+    ]
+    rows = [[parse(text, 3) for text in row] for row in at]
+    decomposed = decompose_syzygy(syzygy_from_matrix(rows, 2), 2)
+    assert [[str(p) for p in row] for row in decomposed] == [
+        ["0", "2*x3^2 + 1", "-x1"],
+        ["-2*x3^2 - 1", "0", "x1^2 + x1*x2"],
+        ["x1", "-x1^2 - x1*x2", "0"],
+    ]
+
+
 def test_decompose_syzygy_reassembly_is_the_identity():
     rng = random.Random(2024)
     for _ in range(200):
@@ -417,7 +435,7 @@ def test_sample_points_store_integral_coordinates_as_ints():
     """Poly.evaluate then uses the coordinates as they are; the matrix
     entries are ints exactly when integral, and the determinants stay
     Fractions."""
-    pt = SamplePoint.of([1, Fraction(4, 2), Fraction(1, 2), 0.25])
+    pt = SamplePoint.of([1, Fraction(4, 2), Fraction(1, 2), Fraction(1, 4)])
     assert [type(c) for c in pt.coords] == [int, int, Fraction, Fraction]
     assert pt.coords == (1, 2, Fraction(1, 2), Fraction(1, 4))
     m = hypothesis_matrix(sphere_polynomial(3), 3, standard_sample_points(3))

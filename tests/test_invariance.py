@@ -19,6 +19,8 @@ from kolmosphere import (
     NotInvariantError,
     Poly,
     PolyVectorField,
+    RationalMatrix,
+    SamplePoint,
     SelfCheckError,
     StructuredView,
     assemble_cubic,
@@ -413,6 +415,21 @@ def test_a_float_scalar_is_refused_as_poly_refuses_it(call):
     """0.1 is not read as its binary fraction 3602879701896397/2^55."""
     with pytest.raises(TypeError, match=r"^coefficient 0\.(1|5|25) is a "
                                         r"float, not exact$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: SamplePoint.of([1, 0.25]),
+     lambda: parse("x1 + x2", 2).evaluate((1, 0.25)),
+     lambda: RationalMatrix.from_rows([[1, 0.25]])],
+    ids=["sample-point", "evaluate", "matrix-row"],
+)
+def test_every_exact_entry_point_refuses_a_float_as_poly_does(call):
+    """A coordinate or a matrix entry enters the exact core through the
+    same function as a coefficient, so it meets the same rule."""
+    with pytest.raises(TypeError, match=r"^coefficient 0\.25 is a float, "
+                                        r"not exact$"):
         call()
 
 

@@ -604,16 +604,33 @@ def test_generated_code_matches_the_term_walking_reference_bit_for_bit():
     )) >= 3, seen
 
 
-def test_an_exponent_past_the_double_range_fails_as_the_reference_does():
-    """Such an exponent stays an int in the text, so ``pow`` raises the
-    OverflowError of its conversion at run time, as in the reference."""
-    huge = Poly(1, {(10**400,): 1, (1,): 1})
-    vf = PolyVectorField(1, (huge,))
-    assert outcome(integrate_rk4, vf, (0.5,), 0.1, 3) == outcome(
-        reference_rk4, vf, (0.5,), 0.1, 3)
-    for evaluate in (compile_polys(1, [huge]), lambda point: term_values([huge], point)):
-        with pytest.raises(OverflowError, match="int too large to convert to float"):
-            evaluate((0.5,))
+def test_an_exponent_past_the_double_range_is_refused_naming_its_variable(
+    monkeypatch
+):
+    """Such an exponent has no float to write in the text, so it is refused
+    while the text is written, before anything is compiled or run; past
+    the digit limit the polynomial is not printed."""
+    zero = PolyVectorField(2, (Poly.zero(2), Poly.zero(2)))
+    traj = integrate_rk4(zero, (0.5, 0.5), 0.1, 3)
+
+    def no_compile(*args):
+        raise AssertionError("generated code was compiled")
+
+    monkeypatch.setattr(numeric_validate, "_compile", no_compile)
+    for e in (10**400, 10**5000):
+        huge = Poly(2, {(1, 0): 1, (0, e): 1})
+        named = (f"x2 in {huge}" if e == 10**400
+                 else "x2, in a polynomial too long to print,")
+        integral = DarbouxIntegral((Fraction(1),), (Hypersurface(huge),))
+        for call in (
+            lambda: compile_polys(2, [huge]),
+            lambda: integrate_rk4(PolyVectorField(2, (huge, huge)), (0.5, 0.5), 0.1, 3),
+            lambda: numeric_validate.drift_sweep(2, huge, "watched v"),
+            lambda: conservation_report(traj, integral),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"the exponent of {named} is past the double range"
 
 
 def test_a_state_that_becomes_inf_through_a_product_stops_at_the_reference_step():

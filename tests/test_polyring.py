@@ -20,6 +20,7 @@ from kolmosphere.polyring import (
     DimensionMismatchError,
     ParseError,
     Poly,
+    UnprintableError,
     VariableIndexError,
     ZeroDenominatorError,
     divide_exact,
@@ -493,6 +494,25 @@ def printable_polys(draw):
 @settings(max_examples=120, deadline=None)
 def test_str_writes_the_bytes_of_sign_and_abs_text(p):
     assert str(p) == sign_and_abs_text(p)
+
+
+@pytest.mark.parametrize(
+    "terms, part",
+    [({(10**5000, 0): 1}, "its exponent of x1"),
+     ({(0, 10**5000): 3, (1, 0): 1}, "its exponent of x2"),
+     ({(2, 1): 10**5000}, "its coefficient of x1^2*x2")],
+    ids=["exponent", "exponent-in-sum", "coefficient"],
+)
+def test_a_part_too_long_to_print_is_named_without_printing_it(terms, part):
+    """The message names the variable of an exponent past the digit limit;
+    naming its monomial would run into the same limit again."""
+    with pytest.raises(UnprintableError) as exc:
+        str(Poly(2, terms))
+    assert exc.value.part == part
+    assert str(exc.value) == (
+        f"the polynomial cannot be printed: {part} exceeds the limit "
+        f"({sys.get_int_max_str_digits()} digits) for integer string conversion"
+    )
 
 
 # A factor of printed text: a rational, or a variable with its power.
