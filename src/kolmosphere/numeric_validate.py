@@ -10,15 +10,16 @@ Each call runs one generated Python function: ``integrate_rk4`` the
 whole stepping loop, with the four stages unrolled, and
 ``conservation_report`` and ``max_abs_drift`` one sweep over the state rows
 with its checks.  The source text is written from the polynomials alone;
-step size, start point, exponents and floor are arguments.  Each distinct
-source is compiled once and the function kept in a bounded cache, so a
-field run from many start points and step sizes is compiled once, and so
-is each integral's sweep.  Every value lives in a local variable, so the
-loop pays no call or tuple per point.  ``_values`` writes each polynomial
-in its own term order, the same text ``compile_polys`` evaluates, so every
-float operation and its order is that of a point-by-point evaluation of
-float(c) * x**e * ... summed from the left: results match it bit for bit,
-errors and their step indices included.
+step size, start point, exponents and floor are arguments.  So each
+function is cached on ``_key``, the polynomials' terms in their own order,
+and written only on a miss: a field run from many start points and step
+sizes is written and compiled once, and so is each integral's sweep.
+Every value lives in a local variable, so the loop pays no call or tuple
+per point.  ``_values`` writes each polynomial in its own term order, the
+same text ``compile_polys`` evaluates, so every float operation and its
+order is that of a point-by-point evaluation of float(c) * x**e * ...
+summed from the left: results match it bit for bit, errors and their step
+indices included.
 
 The text does as little Python work as that allows.  Each of these
 rewrites is exact in IEEE arithmetic:
@@ -48,9 +49,8 @@ rewrites is exact in IEEE arithmetic:
 Off limits, because each can change a bit: ``x*x`` for ``x**2`` (``pow``
 is not always correctly rounded, so the two can differ in the last bit);
 reordering the factors of a term or the terms of a sum; and a cache keyed
-on the field or its polynomials: ``Poly.__eq__`` and ``__hash__`` ignore
-term order, so such a key could return a function written in another term
-order.  The cache is keyed on the text.
+on the polynomials as values: ``Poly.__eq__`` and ``__hash__`` ignore term
+order, so such a key could return a function written in another term order.
 """
 
 from __future__ import annotations
@@ -71,9 +71,8 @@ DEFAULT_DOMAIN_FLOOR = 1e-12
 # Most steps one integration takes: its rows (~150 B each) stay near 300 MB.
 MAX_STEPS = 2_000_000
 
-# Distinct generated functions kept compiled.  One field's stepper and its
-# integrals' sweeps take a few entries; a full sweep of the criteria 7/9
-# family and the fixture takes about thirty.
+# Generated functions kept compiled in each cache, steppers and sweeps.  A
+# full sweep of the criteria 7/9 family and the fixture takes about thirty.
 _COMPILED_FUNCTIONS = 128
 
 # Most operands one generated line chains with + or *.  The compiler
@@ -133,6 +132,11 @@ def compile_polys(
     values = "".join(f"{vj}, " for vj in v)
     fn = _compile(x, [*_values(polys, x, v, "p"), f"return ({values})"])
     return lambda point: fn(*point)
+
+
+def _key(polys: Sequence[Poly]) -> Tuple:
+    """Each polynomial's terms in their own order, which ``==`` ignores."""
+    return tuple(tuple(p.terms.items()) for p in polys)
 
 
 def _names(prefix: str, count: int) -> List[str]:
@@ -223,18 +227,9 @@ def _double(value, what: str, owner: Poly, term: Tuple[int, ...] = ()) -> float:
 
 def _compile(args: Sequence[str], body: Sequence[str]) -> Callable:
     """The function ``def _fn(*args)`` with the generated ``body`` lines."""
-    return _define(f"def _fn({', '.join(args)}):\n    " + "\n    ".join(body) + "\n")
-
-
-@functools.lru_cache(maxsize=_COMPILED_FUNCTIONS)
-def _define(source: str) -> Callable:
-    """The function ``source`` defines, compiled once per distinct text:
-    the text is all a generated function depends on."""
-    scope = {
-        "log": math.log,
-        "NonFiniteError": NonFiniteError,
-        "DomainViolationError": DomainViolationError,
-    }
+    scope = {"log": math.log, "NonFiniteError": NonFiniteError,
+             "DomainViolationError": DomainViolationError}
+    source = f"def _fn({', '.join(args)}):\n    " + "\n    ".join(body) + "\n"
     exec(source, scope)  # source is generated purely from Poly data
     return scope["_fn"]
 
@@ -271,27 +266,29 @@ def integrate_rk4(
     state = tuple(float(v) for v in x0)
     if not all(math.isfinite(v) for v in state):
         raise ValueError(f"x0 must be finite, got {state}")
-    x = _names("x", vf.dim)
-    moving = [i for i, p in enumerate(vf.components) if not p.is_zero()]
-    polys = [vf.components[i] for i in moving]
+    return Trajectory(h, _stepper(vf.dim, _key(vf.components))(h, steps, *state))
+
+
+@functools.lru_cache(maxsize=_COMPILED_FUNCTIONS)
+def _stepper(dim: int, key: Tuple) -> Callable:
+    """Compile ``stepper(h, steps, *x0)``, the RK4 loop of the ``key`` field."""
+    components = [Poly._trusted(dim, dict(terms)) for terms in key]
+    x = _names("x", dim)
+    moving = [i for i, p in enumerate(components) if not p.is_zero()]
+    polys = [components[i] for i in moving]
     # A zero component's coordinate becomes x + 0.0 and stays (see the
     # module docstring): after the first stage of every step if some
     # component reads it, else once before the loop.
     read = {i for p in polys for exps, _ in p for i, e in enumerate(exps) if e}
-    still = [i for i, p in enumerate(vf.components) if p.is_zero()]
+    still = [i for i, p in enumerate(components) if p.is_zero()]
     y = list(x)
     for i in moving:
         y[i] = f"y{i + 1}"
-    # One stage's lines, written once with format fields for the point it
-    # reads, its k names and its power locals: the text is rebuilt on every
-    # call, so the polynomials are walked once rather than four times.
-    stage = _values(polys, [f"{{{i}}}" for i in range(vf.dim)],
-                    [f"{{k}}_{i + 1}" for i in moving], "{p}")
     body: List[str] = []
     stages = ((x, "half"), (y, "half"), (y, "h"), (y, None))
     for s, (at, ahead) in enumerate(stages, 1):
         k = [f"k{s}_{i + 1}" for i in moving]
-        body += [line.format(*at, k=f"k{s}", p=f"p{s}_") for line in stage]
+        body += _values(polys, at, k, f"p{s}_")
         if s == 1:
             body += [f"{x[i]} = {x[i]} + 0.0" for i in still if i in read]
         if ahead is not None:
@@ -302,7 +299,7 @@ def integrate_rk4(
         for i in moving
     ]
     row = f"({', '.join(x)},)"
-    stepper = _compile(["h", "steps", *x], [
+    return _compile(["h", "steps", *x], [
         "half = h / 2.0",
         "sixth = h / 6.0",
         f"rows = [{row}]",
@@ -314,21 +311,21 @@ def integrate_rk4(
         f"    append({row})",
         "return rows",
     ])
-    return Trajectory(h, stepper(h, steps, *state))
 
 
+@functools.lru_cache(maxsize=_COMPILED_FUNCTIONS)
 def _row_sweep(
-    dim: int, polys: Sequence[Poly], level: Sequence[str], args: Sequence[str]
+    dim: int, key: Tuple, level: Tuple[str, ...], args: Tuple[str, ...]
 ) -> Callable:
     """Compile ``sweep(rows, what, *args)``.  Over the state rows in step
-    order it binds the polynomials' values to v1..vm, raises
+    order it binds the values of the ``key`` polynomials to v1..vm, raises
     ``NonFiniteError(step, what)`` at the first row where one overflows or
     is not finite, and runs the ``level`` lines, which set ``level`` from
     them.  It returns the level at row 0, the largest |level - level at
     row 0| (the first maximal one, as ``max`` keeps it) and its step."""
     x = _names("x", dim)
-    v = _names("v", len(polys))
-    values = _values(polys, x, v, "p")
+    v = _names("v", len(key))
+    values = _values([Poly._trusted(dim, dict(t)) for t in key], x, v, "p")
     return _compile(["rows", "what", *args], [
         f"for step, ({', '.join(x)},) in enumerate(rows):",
         *(f"    {line}" for line in _guarded(values, v, "NonFiniteError(step, what)")),
@@ -372,8 +369,8 @@ def conservation_report(
             f"level = {total} + {bj} * log({aj})",
         ]
         total = "level"
-    sweep = _row_sweep(traj.dim, [s for _, s in kept], level or ["level = 0.0"],
-                       ["floor", *b])
+    sweep = _row_sweep(traj.dim, _key([s for _, s in kept]),
+                       tuple(level) or ("level = 0.0",), ("floor", *b))
     betas = (beta for beta, _ in kept)
     first, worst, _ = sweep(traj.rows, "surface value", floor, *betas)
     return worst / max(1.0, abs(first))
@@ -385,7 +382,7 @@ def drift_sweep(
     """``max_abs_drift`` of ``poly`` over a trajectory on R^dim, built
     before there is one: a coefficient past the double range is refused
     here, not after the integration."""
-    sweep = _row_sweep(dim, [poly], ["level = v1"], [])
+    sweep = _row_sweep(dim, _key([poly]), ("level = v1",), ())
 
     def drift(traj: Trajectory) -> float:
         _, worst, at = sweep(traj.rows, what)

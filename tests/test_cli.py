@@ -56,6 +56,18 @@ def test_check_text_golden(capsys):
     assert out == golden("check_demo3d.txt")
 
 
+def test_python_dash_m_kolmosphere_runs_the_cli():
+    src = Path(kolmosphere.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "kolmosphere", "check",
+         "--field", "fixtures/demo3d_field.json"],
+        capture_output=True, cwd=ROOT, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (GOLDEN / "check_demo3d.txt").read_bytes()
+
+
 @pytest.mark.parametrize(
     "name, code, argv",
     [

@@ -165,6 +165,88 @@ def test_integral_shape_validation():
         DarbouxIntegral((Fraction(1), Fraction(1)), s)
 
 
+# ----- the exponent space in closed form -----------------------------------------
+# The hyperplanes x_i and the sphere g have the cofactors
+# K_i = alpha_i + sum_j (atilde_ij - alpha_i) x_j^2 and K_g = -2 sum_j alpha_j x_j^2,
+# so sum_i b_i K_i + c K_g = 0 exactly when sum_i b_i alpha_i = 0 and
+# atilde b + 2 c alpha = 0: (b, c) is in the kernel of the skew matrix
+# S = [[atilde, 2 alpha], [-2 alpha^T, 0]].  Nothing here goes through exactla.
+
+
+def local_rank(rows):
+    """The rank of rational ``rows``, by plain Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    found = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(found, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        top = rows[found]
+        for row in rows[found + 1:]:
+            ratio = row[col] / top[col]
+            row[:] = [a - ratio * t for a, t in zip(row, top)]
+        found += 1
+    return found
+
+
+def exponent_matrix(form):
+    """S = [[atilde, 2 alpha], [-2 alpha^T, 0]], of order d + 1."""
+    rows = [[*row, 2 * a] for row, a in zip(form.atilde, form.alpha)]
+    return rows + [[-2 * a for a in form.alpha] + [0]]
+
+
+def closed_form_cases(seed, count):
+    """Forms on R^2..R^6 with small entries, zeros frequent; every other one
+    is planted: for a skew atilde, b and c != 0, alpha = -atilde b / (2c)
+    puts (b, c) in the exponent space.  Each comes with its planted vector
+    or None."""
+    rng = random.Random(seed)
+    values = [Fraction(v) for v in (-2, -1, 0, 0, 0, 1, 2)] + [Fraction(1, 2)]
+    for k in range(count):
+        d = rng.randint(2, 6)
+        atilde = skew_matrix(d, lambda i, j: rng.choice(values), Fraction(0))
+        if k % 2:
+            alpha = [rng.choice(values) for _ in range(d)]
+            yield CubicKolmogorovForm.from_values(alpha, atilde), None
+            continue
+        b = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+        c = Fraction(rng.choice([-2, -1, 1, 3]))
+        alpha = [-sum(a * bj for a, bj in zip(row, b)) / (2 * c) for row in atilde]
+        yield CubicKolmogorovForm.from_values(alpha, atilde), (*b, c)
+
+
+def test_the_exponent_space_is_the_kernel_of_a_skew_matrix():
+    """The basis ``find_darboux`` gives over the sphere is independent, lies
+    in the kernel of S and has the nullity of S as its size, so it spans the
+    kernel.  A skew matrix has even rank, so the size is d + 1 mod 2: every
+    form on R^2, R^4, R^6 has an integral.  On R^3 one exists exactly when
+    the Pfaffian alpha1 atilde23 - alpha2 atilde13 + alpha3 atilde12 of S
+    is zero."""
+    seen = Counter()
+    cases = [(fixture_form(), None), *closed_form_cases(15, 160)]
+    for form, planted in cases:
+        d = form.dim
+        s = exponent_matrix(form)
+        basis = [i.exponents for i in find_darboux(form, sphere_surface(d))]
+        assert local_rank(basis) == len(basis) == d + 1 - local_rank(s), form
+        for v in basis:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in s), (form, v)
+        assert len(basis) % 2 == (d + 1) % 2
+        if planted is not None:
+            assert local_rank(basis + [planted]) == len(basis), (form, planted)
+        if d == 3:
+            (a1, a2, a3), m = form.alpha, form.atilde
+            pfaffian = a1 * m[1][2] - a2 * m[0][2] + a3 * m[0][1]
+            assert (pfaffian == 0) == bool(basis), form
+            seen[f"d=3 with {len(basis)}"] += 1
+        seen[f"size {min(len(basis), 3)}"] += 1
+    # Odd d with and without integrals, and bases of more than one vector.
+    assert min(seen[key] for key in (
+        "d=3 with 0", "d=3 with 2", "size 0", "size 1", "size 2", "size 3",
+    )) >= 3, seen
+
+
 # ----- monomial integrals from the stacked kernel -------------------------------
 
 

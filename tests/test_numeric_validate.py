@@ -554,7 +554,9 @@ def test_generated_code_matches_the_term_walking_reference_bit_for_bit():
     """Fields with zero components, unit and negative coefficients, constant
     terms and repeated powers, from start points with 0.0 and -0.0
     coordinates: the stepper, the sweeps and ``compile_polys`` agree with
-    the reference to the bit, the sign of a zero included."""
+    the reference to the bit, the sign of a zero included.  Twins equal
+    under ``==`` but built in other term orders, run one after the other,
+    each get their own functions."""
     rng = random.Random(27)
     seen = Counter()
     cases = [
@@ -571,6 +573,10 @@ def test_generated_code_matches_the_term_walking_reference_bit_for_bit():
                 dim, tuple(signed_component(rng, dim) for _ in range(dim))
             )
             cases.append((vf, signed_start(rng, dim)))
+    # At (1, 1), 10^16 + 1 rounds to 10^16: the twins read 0.0 and 1.0.
+    twins = [parse("10^16*x1 + 1 - 10^16*x2", 2), parse("10^16*x1 - 10^16*x2 + 1", 2)]
+    assert twins[0] == twins[1] and list(twins[0]) != list(twins[1])
+    cases += [(PolyVectorField(2, (p, p)), (1.0, 1.0)) for p in twins]
     for vf, x0 in cases:
         dim = vf.dim
         h, steps = rng.choice([1e-3, 1e-2, 0.1]), 60
@@ -602,6 +608,15 @@ def test_generated_code_matches_the_term_walking_reference_bit_for_bit():
     assert min(seen[key] for key in (
         "rk4 ok", "rk4 NonFiniteError", "report ok", "report DomainViolationError",
     )) >= 3, seen
+    # The twins' sweeps over rows where they differ: 0.0 against 1.0 at
+    # (1, 1), and 5e15 against 5e15 + 1 at (1, 0.5).
+    traj = Trajectory(0.5, [(0.0, 0.0), (1.0, 1.0), (1.0, 0.5)])
+    for p in twins:
+        integral = DarbouxIntegral((Fraction(1),), (Hypersurface(p),))
+        assert outcome(conservation_report, traj, integral) == outcome(
+            reference_report, traj, integral)
+        assert outcome(max_abs_drift, traj, p, "watched v") == outcome(
+            reference_max_abs_drift, traj, p, "watched v")
 
 
 def test_an_exponent_past_the_double_range_is_refused_naming_its_variable(
@@ -740,19 +755,31 @@ def test_an_overflowing_power_reports_the_same_step_as_the_scalar_loop():
     )
 
 
-def test_one_field_compiles_one_stepper_and_one_sweep_per_integral():
+def test_one_field_compiles_one_stepper_and_one_sweep_per_integral(monkeypatch):
     """Start point, step size, exponents and floor are arguments of the
-    generated functions, so only the polynomials choose their source."""
+    generated functions, so only the polynomials choose their source, and
+    a cached function is run without its text being written again."""
     vf = fixture_field()
     integrals = fixture_integrals()
-    numeric_validate._define.cache_clear()
+    caches = (numeric_validate._stepper, numeric_validate._row_sweep)
+    for cache in caches:
+        cache.cache_clear()
     for x0 in ((0.5, 0.4, 0.3), (0.6, 0.5, 0.4), (0.7, 0.3, 0.5)):
         for h in (1e-3, 5e-4):
             traj = integrate_rk4(vf, x0, h, 20)
             for integral in integrals:
                 conservation_report(traj, integral)
-    info = numeric_validate._define.cache_info()
-    assert (info.misses, info.hits) == (3, 6 * 3 - 3)
+    # Six runs: one stepper, and one sweep for each of the two integrals.
+    counts = [(cache.cache_info().misses, cache.cache_info().hits) for cache in caches]
+    assert counts == [(1, 6 - 1), (2, 6 * 2 - 2)]
+
+    def no_text(*args):
+        raise AssertionError("a generated text was written")
+
+    monkeypatch.setattr(numeric_validate, "_values", no_text)
+    traj = integrate_rk4(vf, (0.5, 0.4, 0.3), 1e-3, 20)
+    for integral in integrals:
+        conservation_report(traj, integral)
 
 
 def test_integrating_and_sweeping_build_no_ndarray(monkeypatch):
