@@ -97,11 +97,9 @@ from .numeric_validate import (
     DomainViolationError,
     NonFiniteError,
     Trajectory,
-    compile_polys,
     conservation_report,
     drift_sweep,
     integrate_rk4,
-    max_abs_drift,
     trajectory_to_csv,
 )
 from .suites import SUITES, SuiteReport, run_suite

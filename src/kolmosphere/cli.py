@@ -344,10 +344,8 @@ def _cmd_integrate(args) -> Outcome:
     # Each watch's sweep is built before the stepping loop, so a watch
     # coefficient past the double range is refused before any step runs.
     watches = [
-        (text, drift_sweep(
-            vf.dim, _parse_poly_arg(text, vf.dim, "--watch"),
-            f"watched value {_one_line(text)}",
-        ))
+        (text, drift_sweep(_parse_poly_arg(text, vf.dim, "--watch"),
+                           f"watched value {_one_line(text)}"))
         for text in (args.watch or [])
     ]
     traj = integrate_rk4(vf, x0, args.h, args.steps)

@@ -31,7 +31,6 @@ from .polyring import (
     SelfCheckError,
     UnprintableError,
     _canonical,
-    divide_exact,
 )
 from .field_forms import (
     CubicKolmogorovForm,
@@ -301,11 +300,11 @@ def construct_linear_fi_field(
     and the form it is assembled from.
 
     Pick the least k with a_k != 0.  Embed x_k * seed (an n x n skew
-    polynomial matrix) into the rows and columns away from k, then solve
-    row k so that every column of atilde is killed by (a_1 x_1, ..., a_d x_d);
-    the division involved is exact because each embedded entry carries the
-    factor x_k.  The result has ftilde = 0 and cofactor 0 for the plane,
-    which ``_certify`` checks on the assembled field.
+    polynomial matrix) into the rows and columns away from k, then close
+    row k so that every column of atilde is killed by (a_1 x_1, ..., a_d x_d):
+    atilde_kj = -(1/a_k) sum_{i != k} a_i x_i seed_ij, with no division.
+    The result has ftilde = 0 and cofactor 0 for the plane, which
+    ``_certify`` checks on the assembled field.
     """
     d = hp.dim
     n = d - 1
@@ -331,16 +330,11 @@ def construct_linear_fi_field(
         for sj, j in enumerate(others):
             atilde[i][j] = x_k * seed[si][sj]
 
-    divisor = Fraction(hp.a[k]) * x_k
-    for j in others:
-        s = Poly.sum(
-            d, (hp.a[i] * Poly.var(d, i + 1) * atilde[i][j] for i in others)
-        )
-        quotient = divide_exact(s, divisor)
-        if quotient is None:
-            raise SelfCheckError(
-                f"row-{k + 1} division is not exact in column {j + 1}"
-            )
+    for sj, j in enumerate(others):
+        quotient = Poly.sum(d, (
+            Fraction(hp.a[i]) / hp.a[k] * Poly.var(d, i + 1) * seed[si][sj]
+            for si, i in enumerate(others)
+        ))
         atilde[k][j] = -quotient
         atilde[j][k] = quotient
 

@@ -6,20 +6,22 @@ space, L(t) = sum_i b_i log|f_i(x(t))|, which keeps exponents linear and
 tolerates negative surface values; the largest relative deviation of L from
 its initial value is the drift.
 
-Each call runs one generated Python function: ``integrate_rk4`` the
-whole stepping loop, with the four stages unrolled, and
-``conservation_report`` and ``max_abs_drift`` one sweep over the state rows
-with its checks.  The source text is written from the polynomials alone;
+There is one entry for each float job, and each runs one generated
+Python function: ``integrate_rk4`` steps a field, the whole loop with the
+four stages unrolled; ``conservation_report`` gives the log drift of an
+integral and ``drift_sweep`` the drift of a watched value, each one sweep
+over the state rows with its checks.  A polynomial in another number of
+variables than the rows is a ``DimensionMismatchError`` before its sweep
+runs.  The source text is written from the polynomials alone;
 step size, start point, exponents and floor are arguments.  So each
 function is cached on ``_key``, the polynomials' terms in their own order,
 and written only on a miss: a field run from many start points and step
 sizes is written and compiled once, and so is each integral's sweep.
 Every value lives in a local variable, so the loop pays no call or tuple
-per point.  ``_values`` writes each polynomial in its own term order, the
-same text ``compile_polys`` evaluates, so every float operation and its
-order is that of a point-by-point evaluation of float(c) * x**e * ...
-summed from the left: results match it bit for bit, errors and their step
-indices included.
+per point.  ``_values`` writes each polynomial in its own term order, so
+every float operation and its order is that of a point-by-point
+evaluation of float(c) * x**e * ... summed from the left: results match
+it bit for bit, errors and their step indices included.
 
 The text does as little Python work as that allows.  Each of these
 rewrites is exact in IEEE arithmetic:
@@ -62,7 +64,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-from .polyring import Poly
+from .polyring import DimensionMismatchError, Poly
 from .field_forms import PolyVectorField
 from .darboux import DarbouxIntegral
 
@@ -122,16 +124,14 @@ class Trajectory:
         return len(self.rows[0])
 
 
-def compile_polys(
-    dim: int, polys: Sequence[Poly]
-) -> Callable[[Sequence[float]], Tuple[float, ...]]:
-    """Fast float evaluator: a point in R^dim gives the tuple of the
-    polynomials' values, each summed in the polynomial's own term order."""
-    x = _names("x", dim)
-    v = _names("v", len(polys))
-    values = "".join(f"{vj}, " for vj in v)
-    fn = _compile(x, [*_values(polys, x, v, "p"), f"return ({values})"])
-    return lambda point: fn(*point)
+def _same_ring(poly: Poly, traj: Trajectory) -> None:
+    """A polynomial is read at the trajectory's coordinates, so it must
+    live on the same R^dim.  The message names the dimensions only: the
+    polynomial may be too long to print."""
+    if poly.dim != traj.dim:
+        raise DimensionMismatchError(
+            f"polynomial over {poly.dim} variables, trajectory on R^{traj.dim}"
+        )
 
 
 def _key(polys: Sequence[Poly]) -> Tuple:
@@ -353,9 +353,12 @@ def conservation_report(
     trajectory: max_t |L(t) - L(0)| / max(1, |L(0)|).  A surface value
     within ``floor`` of zero raises ``DomainViolationError``; a floor that
     is not a positive number (0.0, negative or NaN) would let a zero reach
-    ``log``, and is refused with a ValueError before any work."""
+    ``log``, and is refused with a ValueError before any work, and so is a
+    surface on another R^dim than the trajectory."""
     if not floor > 0.0:
         raise ValueError(f"evaluation floor must be positive, got {floor!r}")
+    for surface in integral.surfaces:
+        _same_ring(surface.defining, traj)
     kept = [(beta, s.defining) for b, s in zip(integral.exponents, integral.surfaces)
             if (beta := _double(b, "the exponent", s.defining)) != 0.0]
     b = _names("b", len(kept))
@@ -376,15 +379,16 @@ def conservation_report(
     return worst / max(1.0, abs(first))
 
 
-def drift_sweep(
-    dim: int, poly: Poly, what: str
-) -> Callable[[Trajectory], float]:
-    """``max_abs_drift`` of ``poly`` over a trajectory on R^dim, built
-    before there is one: a coefficient past the double range is refused
-    here, not after the integration."""
-    sweep = _row_sweep(dim, _key([poly]), ("level = v1",), ())
+def drift_sweep(poly: Poly, what: str) -> Callable[[Trajectory], float]:
+    """max_t |p(x(t)) - p(x(0))| over a trajectory on ``poly``'s R^dim,
+    built before there is one: a coefficient past the double range is
+    refused here, not after the integration.  A value or drift that
+    overflows raises ``NonFiniteError(step, what)`` at the first step
+    where it does."""
+    sweep = _row_sweep(poly.dim, _key([poly]), ("level = v1",), ())
 
     def drift(traj: Trajectory) -> float:
+        _same_ring(poly, traj)
         _, worst, at = sweep(traj.rows, what)
         # Values are checked at every row first; a drift of two finite
         # values is never NaN, so the first infinite one is where the max
@@ -394,12 +398,6 @@ def drift_sweep(
         return worst
 
     return drift
-
-
-def max_abs_drift(traj: Trajectory, poly: Poly, what: str) -> float:
-    """max_t |p(x(t)) - p(x(0))|; a value or drift that overflows raises
-    ``NonFiniteError(step, what)`` at the first step where it does."""
-    return drift_sweep(traj.dim, poly, what)(traj)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -138,8 +138,8 @@ class Poly:
     :func:`divide_exact`) and :func:`parse`, which builds each exponent
     tuple from checked tokens (an index in 1..dim, a natural exponent), are
     built by :meth:`_trusted`, which checks no exponent tuple.  The
-    insertion order of ``terms`` is the float evaluation order of
-    ``numeric_validate.compile_polys``, so every operation keeps it fixed.
+    insertion order of ``terms`` is the order in which ``numeric_validate``
+    sums and multiplies in floats, so every operation keeps it fixed.
     """
 
     __slots__ = ("dim", "terms")

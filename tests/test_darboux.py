@@ -798,13 +798,6 @@ def test_a_field_that_moves_the_sphere_fails_its_certificate(monkeypatch):
         construct_completely_integrable(2, 4, Poly.var(3, 1))
 
 
-def test_an_inexact_row_division_is_a_failed_self_check(monkeypatch):
-    monkeypatch.setattr(darboux, "divide_exact", lambda *args: None)
-    hp = HyperplaneSpec.from_values(5, [1, 2, 3])
-    with pytest.raises(SelfCheckError, match="row-1 division is not exact"):
-        construct_linear_fi_field(hp, rotation_seed(3))
-
-
 @pytest.mark.parametrize("what, call", [
     ("the gradients of the integrals",
      lambda: construct_completely_integrable(2, 4, Poly.var(3, 1))),

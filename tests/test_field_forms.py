@@ -354,8 +354,8 @@ def test_seed_from_dict_parses_polynomial_rows_in_the_given_dimension():
         seed_from_dict({"rows": []}, 3)
 
 
-# The assembled components' term insertion order is the float evaluation
-# order of ``numeric_validate.compile_polys``; these digests pin
+# The assembled components' term insertion order is the order in which
+# ``numeric_validate`` evaluates them in floats; these digests pin
 # ``list(p.terms)`` of every component for seeded polynomial and constant
 # forms, as ``test_term_insertion_order_is_pinned`` does for the ring.
 ASSEMBLY_TERM_ORDER_DIGESTS = {

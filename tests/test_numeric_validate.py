@@ -22,19 +22,19 @@ import pytest
 from kolmosphere import (
     DEFAULT_DOMAIN_FLOOR,
     DarbouxIntegral,
+    DimensionMismatchError,
     DomainViolationError,
     Hypersurface,
     NonFiniteError,
     Poly,
     PolyVectorField,
     Trajectory,
-    compile_polys,
     conservation_report,
     construct_completely_integrable,
+    drift_sweep,
     field_from_dict,
     find_darboux,
     integrate_rk4,
-    max_abs_drift,
     numeric_validate,
     parse,
     recover_cubic_form,
@@ -55,22 +55,6 @@ def fixture_field():
 def fixture_integrals():
     form = recover_cubic_form(fixture_field())
     return find_darboux(form, Hypersurface(sphere_polynomial(3)))
-
-
-def test_compile_polys_matches_exact_evaluation():
-    rng = random.Random(3)
-    p = parse("1/2*x1^2*x2 - 3*x2^3 + x1 - 7", 2)
-    fn = compile_polys(2, [p, Poly.zero(2), -p])
-    for _ in range(50):
-        pt = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        exact = float(
-            p.evaluate((Fraction(pt[0]).limit_denominator(10**6),
-                        Fraction(pt[1]).limit_denominator(10**6)))
-        )
-        value, zero, negated = fn(pt)
-        assert math.isclose(value, exact, rel_tol=1e-9, abs_tol=1e-9)
-        assert zero == 0.0 and negated == -value
-    assert compile_polys(2, [])((1.0, 2.0)) == ()
 
 
 def test_zero_field_gives_a_constant_trajectory():
@@ -128,9 +112,8 @@ def test_a_number_past_the_double_range_is_refused_naming_its_polynomial():
     zero = PolyVectorField(1, (Poly.zero(1),))
     traj = integrate_rk4(zero, (1.0,), 0.1, 3)
     for call in (
-        lambda: compile_polys(1, [huge]),
         lambda: integrate_rk4(PolyVectorField(1, (huge,)), (1.0,), 0.1, 3),
-        lambda: max_abs_drift(traj, huge, "watched v"),
+        lambda: drift_sweep(huge, "watched v")(traj),
     ):
         with pytest.raises(ValueError) as exc:
             call()
@@ -153,9 +136,8 @@ def test_a_number_too_long_to_print_is_refused_naming_its_monomial():
     zero = PolyVectorField(2, (Poly.zero(2), Poly.zero(2)))
     traj = integrate_rk4(zero, (1.0, 1.0), 0.1, 3)
     for call in (
-        lambda: compile_polys(2, [huge]),
         lambda: integrate_rk4(PolyVectorField(2, (huge, huge)), (1.0, 1.0), 0.1, 3),
-        lambda: max_abs_drift(traj, huge, "watched v"),
+        lambda: drift_sweep(huge, "watched v")(traj),
     ):
         with pytest.raises(ValueError) as exc:
             call()
@@ -212,16 +194,16 @@ def test_max_abs_drift_is_the_largest_change_of_the_watched_value():
     vf = PolyVectorField(2, (parse("-x2", 2), parse("x1", 2)))
     traj = integrate_rk4(vf, (1.0, 0.0), 1e-2, 200)
     x1 = traj.states[:, 0]
-    assert max_abs_drift(traj, parse("x1", 2), "x1") == np.max(np.abs(x1 - x1[0]))
-    assert max_abs_drift(traj, parse("x1^2 + x2^2", 2), "r2") < 1e-10
+    assert drift_sweep(parse("x1", 2), "x1")(traj) == np.max(np.abs(x1 - x1[0]))
+    assert drift_sweep(parse("x1^2 + x2^2", 2), "r2")(traj) < 1e-10
     # Every value is finite, but its change from 1e308 overflows.
     with pytest.raises(NonFiniteError) as exc:
-        max_abs_drift(traj, parse("10^308*x1 - 10^308*x2", 2), "watched v")
+        drift_sweep(parse("10^308*x1 - 10^308*x2", 2), "watched v")(traj)
     assert str(exc.value).startswith("watched v became non-finite at step ")
     assert exc.value.step_index > 0
     # The step is the first one whose drift overflows, not a later one.
     huge = parse("10^308*x1 - 10^308*x2", 2)
-    assert outcome(max_abs_drift, traj, huge, "v") == outcome(
+    assert outcome(drift_sweep(huge, "v"), traj) == outcome(
         reference_max_abs_drift, traj, huge, "v"
     )
 
@@ -321,6 +303,37 @@ def test_a_floor_that_is_not_positive_is_refused_before_the_sweep(floor):
         conservation_report(traj, integral, floor=floor)
 
 
+@pytest.mark.parametrize("entry", ["conservation_report", "drift_sweep"])
+@pytest.mark.parametrize("text, dim", [("x1*x3^2 + 2", 3), ("x3 + 1", 3), ("x1 + 2", 1)])
+def test_a_polynomial_on_another_ring_than_the_trajectory_is_refused(
+    monkeypatch, entry, text, dim
+):
+    """A polynomial is read at the trajectory's coordinates.  Over rows in
+    R^2 a surface in x1..x3 was read with x3 dropped (``x1*x3^2 + 2`` as
+    ``x1 + 2``), and a watched value in another number of variables failed
+    to unpack the rows.  Each is refused by its dimensions before anything
+    is written; a watch's sweep is built before there is a trajectory, and
+    refused before it runs."""
+    traj = Trajectory(1.0, [(1.0, 2.0), (2.0, 3.0)])
+    poly = parse(text, dim)
+    if entry == "drift_sweep":
+        calls = [(drift_sweep(poly, "watched v"), traj)]
+    else:
+        # Every surface is checked, one whose exponent is 0 included.
+        surfaces = (Hypersurface(poly), Hypersurface(parse("x1 + 2", 2)))
+        calls = [(conservation_report, traj, DarbouxIntegral(exponents, surfaces))
+                 for exponents in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))]
+
+    def no_compile(*args):
+        raise AssertionError("generated code was compiled")
+
+    monkeypatch.setattr(numeric_validate, "_compile", no_compile)
+    for call, *args in calls:
+        with pytest.raises(DimensionMismatchError) as exc:
+            call(*args)
+        assert str(exc.value) == f"polynomial over {dim} variables, trajectory on R^2"
+
+
 def _pinned_cases():
     yield "fixture", fixture_field(), fixture_integrals()
     field, cert = construct_completely_integrable(2, 4, parse("x1", 3))
@@ -352,10 +365,10 @@ def test_trajectories_and_drifts_are_bit_identical_to_the_pinned_values():
 
 # ----- the term-walking reference ---------------------------------------------
 #
-# integrate_rk4, conservation_report, max_abs_drift and compile_polys each run
-# generated code.  The functions below share none of it: ``term_value`` walks
-# a polynomial's terms in their own order, RK4 runs on tuples, and the drifts
-# are taken from lists of row values.  The generated code must match them bit
+# integrate_rk4, conservation_report and drift_sweep each run generated code.
+# The functions below share none of it: ``term_value`` walks a polynomial's
+# terms in their own order, RK4 runs on tuples, and the drifts are taken
+# from lists of row values.  The generated code must match them bit
 # for bit, errors and step indices included.
 
 
@@ -513,7 +526,7 @@ def test_generated_loops_match_the_scalar_reference_bit_for_bit():
                 assert result == outcome(reference_report, traj, integral, floor)
                 seen[f"report {result[0]}"] += 1
             watched = random_component(rng, dim, rng.choice(["single", "multi"]))
-            result = outcome(max_abs_drift, traj, watched, "watched v")
+            result = outcome(drift_sweep(watched, "watched v"), traj)
             assert result == outcome(
                 reference_max_abs_drift, traj, watched, "watched v"
             )
@@ -553,8 +566,9 @@ def signed_start(rng, dim):
 def test_generated_code_matches_the_term_walking_reference_bit_for_bit():
     """Fields with zero components, unit and negative coefficients, constant
     terms and repeated powers, from start points with 0.0 and -0.0
-    coordinates: the stepper, the sweeps and ``compile_polys`` agree with
-    the reference to the bit, the sign of a zero included.  Twins equal
+    coordinates: the stepper and the sweeps agree with the reference to
+    the bit, the sign of a zero included, and so does the sweep of a zero
+    watched value.  Twins equal
     under ``==`` but built in other term orders, run one after the other,
     each get their own functions."""
     rng = random.Random(27)
@@ -583,10 +597,6 @@ def test_generated_code_matches_the_term_walking_reference_bit_for_bit():
         result = outcome(integrate_rk4, vf, x0, h, steps)
         assert result == outcome(reference_rk4, vf, x0, h, steps), (vf, x0, h)
         seen[f"rk4 {result[0]}"] += 1
-        evaluate = compile_polys(dim, vf.components)
-        for point in (x0, signed_start(rng, dim), (-0.0,) * dim):
-            assert np.array(evaluate(point)).tobytes() == np.array(
-                term_values(vf.components, point)).tobytes(), (vf, point)
         if result[0] != "ok":
             continue
         traj = integrate_rk4(vf, x0, h, steps)
@@ -601,10 +611,10 @@ def test_generated_code_matches_the_term_walking_reference_bit_for_bit():
             result = outcome(conservation_report, traj, integral, floor)
             assert result == outcome(reference_report, traj, integral, floor)
             seen[f"report {result[0]}"] += 1
-            watched = surfaces[0]
-            assert outcome(max_abs_drift, traj, watched, "watched v") == outcome(
-                reference_max_abs_drift, traj, watched, "watched v"
-            )
+            for watched in (surfaces[0], Poly.zero(dim)):
+                assert outcome(drift_sweep(watched, "watched v"), traj) == outcome(
+                    reference_max_abs_drift, traj, watched, "watched v"
+                )
     assert min(seen[key] for key in (
         "rk4 ok", "rk4 NonFiniteError", "report ok", "report DomainViolationError",
     )) >= 3, seen
@@ -615,7 +625,7 @@ def test_generated_code_matches_the_term_walking_reference_bit_for_bit():
         integral = DarbouxIntegral((Fraction(1),), (Hypersurface(p),))
         assert outcome(conservation_report, traj, integral) == outcome(
             reference_report, traj, integral)
-        assert outcome(max_abs_drift, traj, p, "watched v") == outcome(
+        assert outcome(drift_sweep(p, "watched v"), traj) == outcome(
             reference_max_abs_drift, traj, p, "watched v")
 
 
@@ -638,9 +648,8 @@ def test_an_exponent_past_the_double_range_is_refused_naming_its_variable(
                  else "x2, in a polynomial too long to print,")
         integral = DarbouxIntegral((Fraction(1),), (Hypersurface(huge),))
         for call in (
-            lambda: compile_polys(2, [huge]),
             lambda: integrate_rk4(PolyVectorField(2, (huge, huge)), (0.5, 0.5), 0.1, 3),
-            lambda: numeric_validate.drift_sweep(2, huge, "watched v"),
+            lambda: drift_sweep(huge, "watched v"),
             lambda: conservation_report(traj, integral),
         ):
             with pytest.raises(ValueError) as exc:
@@ -693,7 +702,7 @@ def test_a_sweep_value_that_is_inf_or_under_the_floor_names_its_step_and_value()
         assert str(exc.value) == f"surface value became non-finite at step {step}"
         assert exc.value.__cause__ is None
         with pytest.raises(NonFiniteError) as exc:
-            max_abs_drift(traj, poly, "watched v")
+            drift_sweep(poly, "watched v")(traj)
         assert str(exc.value) == f"watched v became non-finite at step {step}"
         assert outcome(conservation_report, traj, integral) == outcome(
             reference_report, traj, integral)
@@ -747,10 +756,10 @@ def test_an_overflowing_power_reports_the_same_step_as_the_scalar_loop():
     traj = integrate_rk4(growth, (1e30,), 0.05, 200)
     watched = parse("x1^10", 1)
     with pytest.raises(NonFiniteError) as exc:
-        max_abs_drift(traj, watched, "watched x1^10")
+        drift_sweep(watched, "watched x1^10")(traj)
     assert isinstance(exc.value.__cause__, OverflowError)
     assert exc.value.step_index > 0
-    assert outcome(max_abs_drift, traj, watched, "watched x1^10") == outcome(
+    assert outcome(drift_sweep(watched, "watched x1^10"), traj) == outcome(
         reference_max_abs_drift, traj, watched, "watched x1^10"
     )
 
@@ -793,7 +802,7 @@ def test_integrating_and_sweeping_build_no_ndarray(monkeypatch):
     traj = integrate_rk4(vf, (0.5, 0.4, 0.3), 1e-3, 50)
     for integral in integrals:
         conservation_report(traj, integral)
-    max_abs_drift(traj, sphere_polynomial(3), "sphere residual")
+    drift_sweep(sphere_polynomial(3), "sphere residual")(traj)
     trajectory_to_csv(traj)
     # The states are built from the rows only when read.
     with pytest.raises(AssertionError, match="an ndarray was built"):
@@ -820,7 +829,7 @@ def test_a_trajectory_built_from_rows_sweeps_as_the_scalar_reference():
             assert result == outcome(reference_report, traj, integral)
             seen.add(result[0])
         for poly in watched:
-            result = outcome(max_abs_drift, traj, poly, "watched v")
+            result = outcome(drift_sweep(poly, "watched v"), traj)
             assert result == outcome(reference_max_abs_drift, traj, poly, "watched v")
             seen.add(result[0])
     assert seen == {"ok", "DomainViolationError", "NonFiniteError"}
@@ -845,17 +854,15 @@ def test_sums_and_products_longer_than_one_line_compile_in_their_own_order():
     coordinates each go on in running assignments; the compiler used to
     stop at about 3000 operands with a RecursionError."""
     long_sum = Poly(1, {(i,): (-1) ** i * (i % 7 + 1) for i in range(1, 5001)})
-    evaluate = compile_polys(1, [long_sum, -long_sum])
-    for x in (0.5, -0.7, -0.0):
-        assert np.array(evaluate((x,))).tobytes() == np.array(
-            term_values([long_sum, -long_sum], (x,))).tobytes()
     traj = Trajectory(0.1, [(0.5,), (0.25,), (-0.0,), (1e10,)])
-    assert outcome(max_abs_drift, traj, long_sum, "v") == outcome(
+    assert outcome(drift_sweep(long_sum, "v"), traj) == outcome(
         reference_max_abs_drift, traj, long_sum, "v")
     rng = random.Random(5000)
-    point = tuple(rng.uniform(0.9, 1.1) for _ in range(5000))
+    rows = [tuple(rng.uniform(0.9, 1.1) for _ in range(5000)) for _ in range(2)]
     product = Poly(5000, {(1,) * 5000: -3, (0,) * 4999 + (2,): 1})
-    assert compile_polys(5000, [product])(point) == term_values([product], point)
+    traj = Trajectory(0.1, rows)
+    assert outcome(drift_sweep(product, "v"), traj) == outcome(
+        reference_max_abs_drift, traj, product, "v")
     # The last of 300 coordinates reaches inf through a product.
     wide = PolyVectorField(300, tuple(
         Poly(300, {tuple(int(j == i) for j in range(300)): -1}) for i in range(299)

@@ -27,10 +27,6 @@ POLY_MEMBERS = {
 # ``test_every_public_function_is_reached_or_listed_with_its_reason`` until
 # it is listed here or deleted.
 UNREACHED = {
-    "compile_polys": (
-        "the numeric tests' float reference: the generated steppers and "
-        "sweeps must match its point-by-point values bit for bit"
-    ),
     "decompose_syzygy": (
         "the power-syzygy decomposition that acceptance criterion 6 checks"
     ),
@@ -38,7 +34,6 @@ UNREACHED = {
         "the README's conditions for planes through the origin of "
         "homogeneous fields; whether a suite reaches it or it goes is open"
     ),
-    "max_abs_drift": "the tests' one-call form of ``drift_sweep``",
 }
 
 SUBMODULES = {
@@ -55,7 +50,7 @@ def test_star_import_binds_the_api_and_no_submodule():
         isinstance(getattr(kolmosphere, name), ModuleType)
         for name in kolmosphere.__all__
     )
-    assert {"find_darboux", "run_suite", "compile_polys"} <= set(namespace)
+    assert {"find_darboux", "run_suite", "drift_sweep"} <= set(namespace)
     # The submodules stay reachable as attributes of the package.
     assert kolmosphere.suites.run_suite is kolmosphere.run_suite
     assert all(
@@ -140,8 +135,7 @@ def _called_name(call: ast.Call) -> str:
 def test_a_lie_derivative_is_divided_in_one_place():
     """``invariance.cofactor`` is the one home of X(f) / f, so tracing has one
     division span and a rechecker one function to keep away from.  The
-    other two ``divide_exact`` calls are other quotients: P_i / x_i, and the
-    row division of the linear-first-integral construction.  A cofactor is
+    other ``divide_exact`` call is another quotient, P_i / x_i.  A cofactor is
     the quotient itself; its view k0 + sum k_i x_i^2 is read off only where
     it is used."""
     callers, lie_divisions, profiles = set(), [], set()
@@ -163,7 +157,6 @@ def test_a_lie_derivative_is_divided_in_one_place():
     assert callers == {
         "invariance.cofactor",
         "field_forms.coordinate_quotients",
-        "darboux.construct_linear_fi_field",
     }
     assert lie_divisions == ["invariance.cofactor"]
     assert profiles == {

@@ -1062,8 +1062,8 @@ def test_literals_at_the_digit_limit_are_read():
 
 # ----- term insertion order -----------------------------------------------------
 #
-# A result's term insertion order is the float evaluation order of
-# ``numeric_validate.compile_polys``, so it is part of the numeric results.
+# A result's term insertion order is the order in which ``numeric_validate``
+# evaluates it in floats, so it is part of the numeric results.
 # These digests pin ``list(p.terms)`` for seeded results of every operation.
 
 
