@@ -391,13 +391,28 @@ def _cmd_certify(args) -> Outcome:
 # ----- parser wiring ----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token starting with a single '-' as a
+    value unless it is one of the parser's own option strings.  Plain
+    argparse takes such a token for an option unless it looks like a
+    negative number, so ``--x0 -0.5,0.5,0.5``, ``--a -1,0,1`` and
+    ``--watch -x1`` would fail with "expected one argument"; ``--watch -h``
+    still does.  Subparsers are built with this class too."""
+
+    def _parse_optional(self, arg_string):
+        if (arg_string[:1] == "-" and arg_string[1:2] not in ("", "-")
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of every subcommand, built once per process.
     ``parse_args`` returns a fresh namespace on each call, and argparse
     reads ``sys.stdout``, ``sys.stderr`` and the terminal width when it
     prints, not when it is built, so ``main`` can reuse the one tree."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kolmosphere",
         description=(
             "Exact invariance tests, Darboux first integrals, and numeric "

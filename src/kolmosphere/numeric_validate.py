@@ -23,6 +23,17 @@ every float operation and its order is that of a point-by-point
 evaluation of float(c) * x**e * ... summed from the left: results match
 it bit for bit, errors and their step indices included.
 
+A sweep reads two rows when the stepper held fixed every coordinate its
+polynomials read.  ``integrate_rk4`` records on the trajectory, as
+``Trajectory.held``, the coordinates whose component is zero; each is
+x0 + 0.0 in every row from row 1 on (see below).  In the criteria 7/9
+family these are x3 .. x(n+1), which are themselves first integrals.
+Such a sweep is handed ``rows[:2]``, and that is exact: every later row
+repeats row 1's values, levels and gaps, row 1 differs from row 0 at
+most by the sign of a zero, and the sweep keeps the first maximal gap.
+So the drift, its step, and each error with its step and message (a
+-0.0 at row 0 included) are those of the sweep over all the rows.
+
 The text does as little Python work as that allows.  Each of these
 rewrites is exact in IEEE arithmetic:
 
@@ -61,8 +72,8 @@ import functools
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, FrozenSet, List, Sequence, Tuple
 
 from .polyring import DimensionMismatchError, Poly
 from .field_forms import PolyVectorField
@@ -102,10 +113,22 @@ class Trajectory:
     ``h``, the tuple of floats the stepping loop made, at time ``h * k``.
     ``times`` and ``states`` (float64 ndarrays) and ``dim`` are derived on
     every read; the two arrays are the only use of numpy, which is imported
-    when one of them is first read."""
+    when one of them is first read.
+
+    ``held`` holds the (0-based) coordinates whose component is zero, which
+    the stepper held fixed: each is x0 + 0.0 in every row from row 1 on.
+    Only ``integrate_rk4`` sets it; it is not a constructor argument and
+    takes no part in ``==``, so a trajectory built from rows holds nothing
+    and is swept in full.  A sweep whose polynomials read held coordinates
+    only reads ``rows[:2]``: every later row repeats row 1 in each value
+    and gap, row 1 differs from row 0 at most in the sign of a zero, and
+    the sweep keeps the first maximal gap, so its result and each error
+    with its step and message are those of the full sweep."""
 
     h: float
     rows: List[Tuple[float, ...]]
+    held: FrozenSet[int] = field(
+        default=frozenset(), init=False, compare=False, repr=False)
 
     @property
     def times(self):
@@ -266,12 +289,16 @@ def integrate_rk4(
     state = tuple(float(v) for v in x0)
     if not all(math.isfinite(v) for v in state):
         raise ValueError(f"x0 must be finite, got {state}")
-    return Trajectory(h, _stepper(vf.dim, _key(vf.components))(h, steps, *state))
+    stepper, held = _stepper(vf.dim, _key(vf.components))
+    traj = Trajectory(h, stepper(h, steps, *state))
+    object.__setattr__(traj, "held", held)  # frozen, and not an argument
+    return traj
 
 
 @functools.lru_cache(maxsize=_COMPILED_FUNCTIONS)
-def _stepper(dim: int, key: Tuple) -> Callable:
-    """Compile ``stepper(h, steps, *x0)``, the RK4 loop of the ``key`` field."""
+def _stepper(dim: int, key: Tuple) -> Tuple[Callable, FrozenSet[int]]:
+    """Compile ``stepper(h, steps, *x0)``, the RK4 loop of the ``key``
+    field, and give it with the coordinates it holds fixed."""
     components = [Poly._trusted(dim, dict(terms)) for terms in key]
     x = _names("x", dim)
     moving = [i for i, p in enumerate(components) if not p.is_zero()]
@@ -310,14 +337,15 @@ def _stepper(dim: int, key: Tuple) -> Callable:
                                               "NonFiniteError(step)")),
         f"    append({row})",
         "return rows",
-    ])
+    ]), frozenset(still)
 
 
 @functools.lru_cache(maxsize=_COMPILED_FUNCTIONS)
 def _row_sweep(
     dim: int, key: Tuple, level: Tuple[str, ...], args: Tuple[str, ...]
-) -> Callable:
-    """Compile ``sweep(rows, what, *args)``.  Over the state rows in step
+) -> Tuple[Callable, FrozenSet[int]]:
+    """Compile ``sweep(rows, what, *args)``, and give it with the
+    coordinates the ``key`` polynomials read.  Over the state rows in step
     order it binds the values of the ``key`` polynomials to v1..vm, raises
     ``NonFiniteError(step, what)`` at the first row where one overflows or
     is not finite, and runs the ``level`` lines, which set ``level`` from
@@ -326,6 +354,8 @@ def _row_sweep(
     x = _names("x", dim)
     v = _names("v", len(key))
     values = _values([Poly._trusted(dim, dict(t)) for t in key], x, v, "p")
+    reads = frozenset(i for terms in key for exps, _ in terms
+                      for i, e in enumerate(exps) if e)
     return _compile(["rows", "what", *args], [
         f"for step, ({', '.join(x)},) in enumerate(rows):",
         *(f"    {line}" for line in _guarded(values, v, "NonFiniteError(step, what)")),
@@ -341,7 +371,14 @@ def _row_sweep(
         "        worst = abs(level - first)",
         "        at = step",
         "return first, worst, at",
-    ])
+    ]), reads
+
+
+def _swept(traj: Trajectory, reads: FrozenSet[int]) -> List[Tuple[float, ...]]:
+    """The rows that a sweep reading the coordinates ``reads`` must visit:
+    ``rows[:2]`` when the stepper held every one of them (see
+    ``Trajectory``), else all."""
+    return traj.rows[:2] if traj.held and reads <= traj.held else traj.rows
 
 
 def conservation_report(
@@ -372,10 +409,10 @@ def conservation_report(
             f"level = {total} + {bj} * log({aj})",
         ]
         total = "level"
-    sweep = _row_sweep(traj.dim, _key([s for _, s in kept]),
-                       tuple(level) or ("level = 0.0",), ("floor", *b))
+    sweep, reads = _row_sweep(traj.dim, _key([s for _, s in kept]),
+                              tuple(level) or ("level = 0.0",), ("floor", *b))
     betas = (beta for beta, _ in kept)
-    first, worst, _ = sweep(traj.rows, "surface value", floor, *betas)
+    first, worst, _ = sweep(_swept(traj, reads), "surface value", floor, *betas)
     return worst / max(1.0, abs(first))
 
 
@@ -385,11 +422,11 @@ def drift_sweep(poly: Poly, what: str) -> Callable[[Trajectory], float]:
     refused here, not after the integration.  A value or drift that
     overflows raises ``NonFiniteError(step, what)`` at the first step
     where it does."""
-    sweep = _row_sweep(poly.dim, _key([poly]), ("level = v1",), ())
+    sweep, reads = _row_sweep(poly.dim, _key([poly]), ("level = v1",), ())
 
     def drift(traj: Trajectory) -> float:
         _same_ring(poly, traj)
-        _, worst, at = sweep(traj.rows, what)
+        _, worst, at = sweep(_swept(traj, reads), what)
         # Values are checked at every row first; a drift of two finite
         # values is never NaN, so the first infinite one is where the max
         # became inf.
@@ -402,7 +439,8 @@ def drift_sweep(poly: Poly, what: str) -> Callable[[Trajectory], float]:
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Header t,x1,...,xd; every value with 17 significant digits."""
+    h = traj.h
+    line = ",".join(["%.17g"] * (traj.dim + 1))
     lines = [",".join(["t", *_names("x", traj.dim)])]
-    for k, row in enumerate(traj.rows):
-        lines.append(",".join(f"{v:.17g}" for v in (traj.h * k, *row)))
+    lines += [line % (h * k, *row) for k, row in enumerate(traj.rows)]
     return "\n".join(lines) + "\n"

@@ -1127,3 +1127,35 @@ def test_no_command_loads_numpy_until_a_trajectory_array_is_read(tmp_path):
         "codes": [0, 0, 0, 1, 0], "numpy_before": False,
         "numpy_after": True, "shape": [4, 3],
     }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("head, option, value, tail", [
+    (["integrate", "--field", FIELD], "--x0", "-0.5,0.5,0.5",
+     ["--h", "0.1", "--steps", "3"]),
+    (["classify-hyperplane", "--form", FORM, "--a0", "0"], "--a", "-1,0,1", []),
+    (INTEGRATE, "--watch", "-x1", []),
+    (["cofactor", "--field", FIELD], "--surface", "-x1^2-x2^2-x3^2+1", []),
+])
+def test_a_value_with_a_leading_minus_reads_as_its_equals_spelling(
+    capsys, fmt, head, option, value, tail
+):
+    """A comma list or a polynomial that starts with '-' is the option's
+    value, as in the --option=value spelling, byte for byte."""
+    spaced = run(capsys, *head, option, value, *tail, "--format", fmt)
+    joined = run(capsys, *head, f"{option}={value}", *tail, "--format", fmt)
+    assert spaced == joined
+    assert spaced[0] in (0, 1) and spaced[2] == ""
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["integrate", "--field", FIELD, "--x0", "--h", "0.1", "--steps", "3"], "--x0"),
+    (INTEGRATE + ["--watch", "-h"], "--watch"),
+    (["cofactor", "--field", FIELD, "--surface", "--field", FIELD], "--surface"),
+])
+def test_a_value_that_is_an_option_string_is_still_an_argparse_error(
+    capsys, argv, option
+):
+    code, out, err = _exit_output(capsys, main, argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: expected one argument\n")

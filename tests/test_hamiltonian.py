@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kolmosphere import (
     CubicKolmogorovForm,
@@ -188,3 +189,105 @@ def test_defects_match_their_definition_on_random_fields():
 def test_constraint_space_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         hamiltonian_constraint_space(0)
+
+
+# ----- every n, by restriction to pairs of pairs -------------------------------
+#
+# A Kolmogorov field keeps every coordinate subspace invariant.  On the span
+# of some pairs (x_{2p-1}, x_{2p}), every other coordinate zero, a
+# Hamiltonian field restricts to the Hamiltonian field of H restricted, since
+# its partials are taken along the subspace.  Each parameter of a constant
+# form lies in the sub-form of some two pairs, and on R^4 the constraint
+# space is {0}; so for every n >= 2 only the zero form is Hamiltonian.
+
+
+def restrict(p: Poly, coords) -> Poly:
+    """``p`` on the span of the (0-based, increasing) ``coords``, every
+    other coordinate zero, in the variables of that span."""
+    others = [i for i in range(p.dim) if i not in coords]
+    return Poly(len(coords), {
+        tuple(exps[i] for i in coords): coeff
+        for exps, coeff in p if not any(exps[i] for i in others)
+    })
+
+
+def restrict_field(vf: PolyVectorField, pairs) -> PolyVectorField:
+    coords = [i for p in pairs for i in (2 * p, 2 * p + 1)]
+    return PolyVectorField(
+        len(coords), tuple(restrict(vf.components[i], coords) for i in coords))
+
+
+def sub_form(form: CubicKolmogorovForm, pairs) -> CubicKolmogorovForm:
+    coords = [i for p in pairs for i in (2 * p, 2 * p + 1)]
+    return CubicKolmogorovForm.from_values(
+        [form.alpha[i] for i in coords],
+        [[form.atilde[i][j] for j in coords] for i in coords])
+
+
+def pair_subsets(n):
+    """Every single pair and every pair of pairs of R^(2n)."""
+    return [(p,) for p in range(n)] + [
+        (p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def cubic_forms(draw, sizes=(2, 3, 4, 5)):
+    """A constant form on R^(2n), often sparse, so that zero parameters and
+    zero components occur."""
+    d = 2 * draw(st.sampled_from(sizes))
+    entry = st.one_of(st.just(Fraction(0)), SMALL)
+    alpha = [draw(entry) for _ in range(d)]
+    above = iter([draw(entry) for _ in range(d * (d - 1) // 2)])
+    return CubicKolmogorovForm.from_values(
+        alpha, skew_matrix(d, lambda i, j: next(above), Fraction(0)))
+
+
+@given(cubic_forms())
+@settings(max_examples=20, deadline=None)
+def test_restricting_an_assembled_field_assembles_the_sub_form(form):
+    vf = assemble_cubic(form)
+    for pairs in pair_subsets(form.dim // 2):
+        assert restrict_field(vf, pairs) == assemble_cubic(sub_form(form, pairs))
+
+
+@given(cubic_forms(), st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_every_restriction_of_a_hamiltonian_field_is_hamiltonian(form, seed):
+    """Gradient systems are Hamiltonian, and so is each of their
+    restrictions.  A constant form with a nonzero parameter is not
+    Hamiltonian on some pair of pairs, and so not on R^(2n) either."""
+    gradient = gradient_system(rand_poly(random.Random(seed), form.dim, 4, terms=6))
+    assembled = assemble_cubic(form)
+    subsets = pair_subsets(form.dim // 2)
+    assert is_hamiltonian(gradient).is_hamiltonian
+    for vf in (gradient, assembled):
+        if is_hamiltonian(vf).is_hamiltonian:
+            assert all(is_hamiltonian(restrict_field(vf, pairs)).is_hamiltonian
+                       for pairs in subsets)
+    nonzero = any(form.alpha) or any(map(any, form.atilde))
+    on_r4 = [is_hamiltonian(restrict_field(assembled, pairs)).is_hamiltonian
+             for pairs in subsets if len(pairs) == 2]
+    assert all(on_r4) is not nonzero
+    assert is_hamiltonian(assembled).is_hamiltonian is not nonzero
+
+
+@pytest.mark.parametrize("pair", [0, 1])
+@pytest.mark.parametrize("t", [Fraction(1), Fraction(-3, 2)])
+def test_the_planar_family_embedded_in_r4_is_not_hamiltonian(pair, t):
+    """On its own plane the n = 1 family is Hamiltonian, but in R^4 its
+    U_i = x_i(1 - |x|^2) reads the other pair."""
+    coords = (2 * pair, 2 * pair + 1)
+    alpha = [Fraction(0)] * 4
+    alpha[coords[0]], alpha[coords[1]] = t, -t
+    atilde = [[Fraction(0)] * 4 for _ in range(4)]
+    atilde[coords[0]][coords[1]], atilde[coords[1]][coords[0]] = -2 * t, 2 * t
+    vf = assemble_cubic(CubicKolmogorovForm.from_values(alpha, atilde))
+    assert not is_hamiltonian(vf).is_hamiltonian
+    planar = restrict_field(vf, (pair,))
+    assert planar == assemble_cubic(CubicKolmogorovForm.from_values(
+        (t, -t), [[0, -2 * t], [2 * t, 0]]))
+    assert is_hamiltonian(planar).is_hamiltonian
+    assert is_hamiltonian(restrict_field(vf, (1 - pair,))).is_hamiltonian

@@ -873,3 +873,108 @@ def test_sums_and_products_longer_than_one_line_compile_in_their_own_order():
     assert exc.value.__cause__ is None
     assert outcome(integrate_rk4, wide, x0, 0.1, 3) == outcome(
         reference_rk4, wide, x0, 0.1, 3)
+
+
+# ----- coordinates the stepper held fixed ------------------------------------
+
+
+def held_cases():
+    """Family fields n = 2..4, one whose interaction reads x3, from start
+    points whose held coordinates x3 .. x(n+1) are 0.0, -0.0, -0.7 or 3.0,
+    alone or mixed."""
+    for n in (2, 3, 4):
+        d = n + 1
+        for m, interaction in ((3, Poly.const(d, 1)), (4, Poly.var(d, 1)),
+                               (4, Poly.var(d, 3))):
+            field, cert = construct_completely_integrable(n, m, interaction)
+            for held in ([0.0], [-0.0], [-0.7], [3.0], [-0.0, 0.0, -0.7]):
+                tail = [held[k % len(held)] for k in range(n - 1)]
+                yield field, cert.integrals, (0.5, 0.4, *tail)
+
+
+def held_integrals(d):
+    """Integrals and watched values over held coordinates only, over moving
+    ones only, and over both; 10^308*x3^2 overflows at x3 = 3.0."""
+    texts = ["x3", "x3^2 - 1/2", "10^308*x3^2", "x1^2 + x2^2", "x1*x3 + 1"]
+    if d > 3:
+        texts += [f"x3*x{d}^2", f"x2 + x{d}"]
+    return [parse(text, d) for text in texts]
+
+
+def test_a_sweep_over_held_coordinates_matches_the_sweep_over_all_rows():
+    """A stepped trajectory sweeps held-only polynomials over two rows; its
+    copy built from the rows holds nothing and is swept in full.  Every
+    drift keeps its bits and every error its type, message and step."""
+    seen = Counter()
+    for field, integrals, x0 in held_cases():
+        traj = integrate_rk4(field, x0, 1e-2, 150)
+        copy = Trajectory(traj.h, list(traj.rows))
+        d = field.dim
+        assert traj.held == frozenset(range(2, d)) and copy.held == frozenset()
+        assert traj == copy and repr(traj) == repr(copy)
+        extra = [DarbouxIntegral((Fraction(b),), (Hypersurface(p),))
+                 for b, p in zip((1, -2, 3, Fraction(1, 2)), held_integrals(d))]
+        for integral in (*integrals, *extra):
+            result = outcome(conservation_report, traj, integral)
+            assert result == outcome(conservation_report, copy, integral), (x0, integral)
+            seen[result[0]] += 1
+        for poly in (*(Poly.var(d, k) for k in range(1, d + 1)), *held_integrals(d)):
+            result = outcome(drift_sweep(poly, "watched v"), traj)
+            assert result == outcome(drift_sweep(poly, "watched v"), copy), (x0, poly)
+            seen[result[0]] += 1
+    assert set(seen) == {"ok", "DomainViolationError", "NonFiniteError"}
+
+
+@pytest.mark.parametrize("start, message", [
+    (0.0, "surface value 0.0 within 1e-12 of zero"),
+    (-0.0, "surface value -0.0 within 1e-12 of zero"),
+])
+def test_a_zero_held_coordinate_exits_the_domain_at_step_0(start, message):
+    """Row 1 holds x3 + 0.0 = 0.0, so a message naming -0.0 comes from
+    row 0."""
+    field, cert = construct_completely_integrable(3, 3, Poly.const(4, 1))
+    traj = integrate_rk4(field, (0.5, 0.4, start, -0.7), 1e-2, 50)
+    assert [math.copysign(1.0, row[2]) for row in traj.rows[:3]] == [
+        math.copysign(1.0, start), 1.0, 1.0]
+    x3 = cert.integrals[1]
+    assert [str(s.defining) for s in x3.surfaces] == ["x3"]
+    for case in (traj, Trajectory(traj.h, list(traj.rows))):
+        with pytest.raises(DomainViolationError) as exc:
+            conservation_report(case, x3)
+        assert str(exc.value) == message
+
+
+def test_a_report_over_held_coordinates_only_sweeps_two_rows(monkeypatch):
+    swept = []
+    row_sweep = numeric_validate._row_sweep
+
+    def counting(*args):
+        sweep, reads = row_sweep(*args)
+
+        def counted(rows, *rest):
+            swept.append(len(rows))
+            return sweep(rows, *rest)
+
+        return counted, reads
+
+    monkeypatch.setattr(numeric_validate, "_row_sweep", counting)
+    field, cert = construct_completely_integrable(3, 4, Poly.var(4, 3))
+    traj = integrate_rk4(field, (0.5, 0.4, -0.7, 0.3), 1e-2, 100)
+    sphere, x3, x4 = cert.integrals
+    for integral in (x3, x4, sphere):
+        conservation_report(traj, integral)
+    for poly in (parse("x3*x4", 4), parse("x1", 4)):
+        drift_sweep(poly, "watched v")(traj)
+    conservation_report(Trajectory(traj.h, traj.rows), x3)
+    assert swept == [2, 2, 101, 2, 101, 101]
+
+
+def test_only_the_stepper_records_held_coordinates():
+    with pytest.raises(TypeError):
+        Trajectory(0.1, [(1.0, 0.0)], frozenset({1}))
+    with pytest.raises(TypeError):
+        Trajectory(0.1, [(1.0, 0.0)], held=frozenset({1}))
+    vf = PolyVectorField(2, (parse("-x2", 2), parse("x1", 2)))
+    assert integrate_rk4(vf, (1.0, 0.0), 0.1, 3).held == frozenset()
+    still = PolyVectorField(2, (Poly.zero(2), Poly.zero(2)))
+    assert integrate_rk4(still, (1.0, 0.0), 0.1, 3).held == frozenset({0, 1})
