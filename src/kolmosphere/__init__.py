@@ -50,19 +50,16 @@ from .field_forms import (
 from .invariance import (
     BadRadiusError,
     ConeReport,
-    GreatSphereReport,
     HyperplaneClassification,
     HyperplaneSpec,
     Hypersurface,
     NotHomogeneousError,
     NotInvariantError,
     PreconditionError,
-    SecondSphereReport,
     StructuredView,
     classify_hyperplane,
     cofactor,
     cone_invariance,
-    great_sphere_conditions,
     second_sphere_check,
 )
 from .darboux import (

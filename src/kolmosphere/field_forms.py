@@ -240,8 +240,11 @@ class SphereKolmogorovReport:
     """Outcome of the membership test, with the cofactor as witness."""
 
     kolmogorov: bool
-    sphere_invariant: bool
     sphere_cofactor: Optional[Poly]
+
+    @property
+    def sphere_invariant(self) -> bool:
+        return self.sphere_cofactor is not None
 
     @property
     def passes(self) -> bool:
@@ -265,11 +268,9 @@ def is_kolmogorov_on_sphere(vf: PolyVectorField) -> SphereKolmogorovReport:
     sphere invariant?  The witness is the sphere's ``invariance.cofactor``,
     imported at call time because ``invariance`` imports this module."""
     from .invariance import Hypersurface, cofactor
-    cof = cofactor(vf, Hypersurface(sphere_polynomial(vf.dim)))
     return SphereKolmogorovReport(
+        sphere_cofactor=cofactor(vf, Hypersurface(sphere_polynomial(vf.dim))),
         kolmogorov=coordinate_quotients(vf) is not None,
-        sphere_invariant=cof is not None,
-        sphere_cofactor=cof,
     )
 
 

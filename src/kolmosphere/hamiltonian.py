@@ -24,8 +24,14 @@ class OddDimensionError(ValueError):
 
 @dataclass(frozen=True)
 class HamiltonianReport:
-    is_hamiltonian: bool
+    """The Jacobian defects, each 1-based pair with its nonzero defect
+    polynomial; the field is Hamiltonian exactly when there are none."""
+
     defects: Tuple[Tuple[Tuple[int, int], Poly], ...]
+
+    @property
+    def is_hamiltonian(self) -> bool:
+        return not self.defects
 
 
 def _defects(components) -> Dict[Tuple[int, int], Poly]:
@@ -76,7 +82,7 @@ def is_hamiltonian(vf: PolyVectorField) -> HamiltonianReport:
         ((j + 1, k + 1), defect)
         for (j, k), defect in _defects(vf.components).items()
     )
-    return HamiltonianReport(is_hamiltonian=not defects, defects=defects)
+    return HamiltonianReport(defects)
 
 
 def _constraint_columns(n: int) -> List[Dict[tuple, Scalar]]:

@@ -10,7 +10,6 @@ reads that structured view off a cofactor where it is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .polyring import (
@@ -103,15 +102,19 @@ class HyperplaneClassification:
     """Verdict for invariance of a hyperplane under a constant-form field,
     always with a cofactor of the structured shape.
 
-    ``case`` is "nonzero_offset" (a0 != 0, forcing a zero cofactor) or
-    "through_origin" (a0 = 0), set only when invariant.  The raw division
-    cofactor, when the hyperplane is invariant at all, rides along for
-    audit."""
+    ``predicted`` is the view of that cofactor, None when the hyperplane is
+    not invariant with one; the verdict is read off it.  ``case`` is
+    "nonzero_offset" (a0 != 0, forcing a zero cofactor) or "through_origin"
+    (a0 = 0), set only when invariant.  The raw division cofactor, when the
+    hyperplane is invariant at all, rides along for audit."""
 
-    invariant: bool
     case: Optional[str]
     predicted: Optional[StructuredView]
     division_cofactor: Optional[Poly]
+
+    @property
+    def invariant(self) -> bool:
+        return self.predicted is not None
 
 
 def _shared_view(
@@ -153,7 +156,6 @@ def classify_hyperplane(
             "need at least two nonzero coefficients among a0, a1, ..."
         )
 
-    case = "nonzero_offset" if hp.a0 != 0 else "through_origin"
     predicted = _shared_view(form, support, hp.a0 != 0)
 
     vf = assemble_cubic(form)
@@ -166,83 +168,22 @@ def classify_hyperplane(
             f"direct division finds {division_view}"
         )
 
-    invariant = predicted is not None
-    return HyperplaneClassification(
-        invariant=invariant,
-        case=case if invariant else None,
-        predicted=predicted,
-        division_cofactor=division,
+    case = None if predicted is None else (
+        "nonzero_offset" if hp.a0 != 0 else "through_origin"
     )
-
-
-@dataclass(frozen=True)
-class GreatSphereReport:
-    """Two necessary conditions for an invariant hyperplane through the
-    origin of a homogeneous constant-form field, with both sides of the
-    balance printed for audit.
-
-    interaction_sum      = sum_{i,j} a_i atilde_ij
-    coefficient_balance  = (sum_i a_i) * (sum of all coefficients of K,
-                           read as K at the all-ones point)
-    cofactor_at_a        = K(a_1, ..., a_d)
-    """
-
-    cofactor: Poly
-    interaction_sum: Fraction
-    coefficient_balance: Fraction
-    cofactor_at_a: Fraction
-
-    @property
-    def condition_interaction(self) -> bool:
-        return self.interaction_sum == self.coefficient_balance
-
-    @property
-    def condition_root(self) -> bool:
-        return self.cofactor_at_a == 0
-
-    @property
-    def passes(self) -> bool:
-        return self.condition_interaction and self.condition_root
-
-
-def great_sphere_conditions(
-    form: CubicKolmogorovForm, hp: HyperplaneSpec
-) -> GreatSphereReport:
-    if form.dim != hp.dim:
-        raise DimensionMismatchError(
-            f"form on R^{form.dim}, hyperplane in R^{hp.dim}"
-        )
-    if any(a != 0 for a in form.alpha):
-        raise NotHomogeneousError(
-            "conditions apply to homogeneous fields (alpha = 0)"
-        )
-    if hp.a0 != 0:
-        raise ValueError("the hyperplane must pass through the origin (a0 = 0)")
-    vf = assemble_cubic(form)
-    cof = cofactor(vf, Hypersurface(hp.defining_poly()))
-    if cof is None:
-        raise NotInvariantError("the hyperplane is not invariant for this field")
-    interaction_sum = sum(
-        (hp.a[i] * form.atilde[i][j]
-         for i in range(form.dim) for j in range(form.dim)),
-        Fraction(0),
-    )
-    ones = (Fraction(1),) * form.dim
-    coefficient_balance = sum(hp.a, Fraction(0)) * cof.evaluate(ones)
-    cofactor_at_a = cof.evaluate(hp.a)
-    return GreatSphereReport(
-        cofactor=cof,
-        interaction_sum=interaction_sum,
-        coefficient_balance=coefficient_balance,
-        cofactor_at_a=cofactor_at_a,
-    )
+    return HyperplaneClassification(case, predicted, division)
 
 
 @dataclass(frozen=True)
 class ConeReport:
-    invariant: bool
+    """The cone that was tested and its cofactor, None when not invariant."""
+
     cone: Poly
     cofactor: Optional[Poly]
+
+    @property
+    def invariant(self) -> bool:
+        return self.cofactor is not None
 
 
 def cone_invariance(
@@ -265,30 +206,16 @@ def cone_invariance(
     cone = linear * linear - _canonical(d) ** 2 * sum_of_squares(vf.dim)
     if cone.is_zero():
         raise ValueError("degenerate cone: the defining polynomial vanishes")
-    cof = cofactor(vf, Hypersurface(cone))
-    return ConeReport(invariant=cof is not None, cone=cone, cofactor=cof)
+    return ConeReport(cone, cofactor(vf, Hypersurface(cone)))
 
 
-@dataclass(frozen=True)
-class SecondSphereReport:
-    """Invariance of a second sphere sum x_i^2 = r^2 (r not 0 or +-1).
+def second_sphere_check(form: CubicKolmogorovForm, r: Scalar) -> Optional[Poly]:
+    """The cofactor of the second sphere sum x_i^2 = r^2 (r not 0 or +-1),
+    None when that sphere is not invariant, as ``cofactor`` returns it.
 
-    When invariant the field is forced homogeneous (alpha = 0) and the
-    cofactor vanishes, so the second sphere is a genuine first integral."""
-
-    invariant: bool
-    radius: Scalar
-    cofactor: Optional[Poly]
-    alpha_zero: bool
-
-    @property
-    def first_integral(self) -> bool:
-        return self.invariant and self.cofactor is not None and self.cofactor.is_zero()
-
-
-def second_sphere_check(
-    form: CubicKolmogorovForm, r: Scalar
-) -> SecondSphereReport:
+    An invariant second sphere forces the field homogeneous (alpha = 0) and
+    its cofactor zero, so the sphere is a first integral; a cofactor that
+    breaks either raises ``SelfCheckError``."""
     r = _canonical(r)
     if r in (0, 1, -1):
         raise BadRadiusError("radius must differ from 0, 1, and -1")
@@ -299,9 +226,4 @@ def second_sphere_check(
         raise SelfCheckError(
             "a second invariant sphere forces alpha = 0 and a zero cofactor"
         )
-    return SecondSphereReport(
-        invariant=cof is not None,
-        radius=r,
-        cofactor=cof,
-        alpha_zero=alpha_zero,
-    )
+    return cof

@@ -73,11 +73,13 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, FrozenSet, List, Sequence, Tuple
 
 from .polyring import DimensionMismatchError, Poly
-from .field_forms import PolyVectorField
-from .darboux import DarbouxIntegral
+
+if TYPE_CHECKING:
+    from .darboux import DarbouxIntegral
+    from .field_forms import PolyVectorField
 
 DEFAULT_DOMAIN_FLOOR = 1e-12
 

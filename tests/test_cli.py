@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -1066,6 +1067,91 @@ def test_polynomial_text_never_crashes_the_cli(fuzz_field, text):
         for stream in (out.getvalue(), err.getvalue()):
             assert "Traceback" not in stream
             assert "set_int_max_str_digits" not in stream
+
+
+# Valid documents of each kind of input file, and the commands that read
+# that kind; FILE stands for the path of the drawn document.
+STRUCTURE_DOCS = {
+    "form": [json.loads(Path(FORM).read_text())],
+    "field": [json.loads(Path(FIELD).read_text()),
+              {"dim": 2, "components": ["x2", "-x1"]}],
+    "seed": [json.loads(Path(SEED).read_text())],
+}
+STRUCTURE_COMMANDS = {
+    "form": [
+        ["darboux", "--form", "FILE", "--g", "x1^2 + x2^2 + x3^2 - 1"],
+        ["syzygy-fi", "--form", "FILE"],
+        ["construct", "cubic", "--form", "FILE"],
+        ["classify-hyperplane", "--form", "FILE", "--a0", "0", "--a", "1,-1,0"],
+    ],
+    "field": [
+        ["check", "--field", "FILE"],
+        ["hamiltonian", "--field", "FILE"],
+        ["cofactor", "--field", "FILE", "--surface", "x2"],
+    ],
+    "seed": [
+        ["construct", "linear-fi", "--a0", "5", "--a", "1,2,3", "--seed", "FILE"],
+    ],
+}
+# Values of every JSON type, some of them well-formed where they land.
+STRUCTURE_JUNK = [
+    0, 1, -1, 2, 2.5, True, None, "", "x1", "1/2", "nan", "[]",
+    [], [1], ["0"], [["0"]], ["0", 1], {}, {"dim": 1},
+]
+
+
+def _json_paths(doc, path=()):
+    """The path of every value in a JSON document below its root."""
+    children = (
+        doc.items() if isinstance(doc, dict)
+        else enumerate(doc) if isinstance(doc, list) else ()
+    )
+    for key, value in children:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+def _mutate_structure(rng, doc):
+    """``doc`` with one value replaced by one of another type, deleted (a
+    missing key or a ragged row), grown by a junk entry, or wrapped in a
+    list."""
+    path = rng.choice(list(_json_paths(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    junk = json.loads(json.dumps(rng.choice(STRUCTURE_JUNK)))
+    action = rng.randrange(4)
+    if action == 0:
+        parent[key] = junk
+    elif action == 1:
+        del parent[key]
+    elif action == 2 and isinstance(parent[key], list):
+        parent[key].append(junk)
+    else:
+        parent[key] = [parent[key]]
+
+
+def test_malformed_input_files_never_crash_the_cli(tmp_path):
+    """Seeded draws of form, field and seed files with one to three
+    structural faults each: every command that reads the file exits with a
+    verdict or a usage error, never with an internal error."""
+    rng = random.Random(34)
+    path = tmp_path / "input.json"
+    for draw in range(300):
+        kind = rng.choice(sorted(STRUCTURE_DOCS))
+        doc = json.loads(json.dumps(rng.choice(STRUCTURE_DOCS[kind])))
+        for _ in range(rng.randint(1, 3)):
+            if isinstance(doc, (dict, list)) and doc:
+                _mutate_structure(rng, doc)
+        path.write_text(json.dumps(doc))
+        for command in STRUCTURE_COMMANDS[kind]:
+            argv = [str(path) if a == "FILE" else a for a in command]
+            with _captured() as (out, err):
+                code = main(argv)
+            assert code in (0, 1, 2), (draw, doc, argv, err.getvalue())
+            assert "internal error" not in err.getvalue(), (draw, doc, argv)
+            assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("h", [0.1, 1 / 3, 1e-3])

@@ -1,6 +1,8 @@
 """Invariant hypersurfaces: cofactors, hyperplane classification, planes
-through the origin of homogeneous fields, sphere slices, second spheres."""
+through the origin of homogeneous fields, sphere slices, second spheres,
+and the records that carry each verdict's witness."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -13,15 +15,17 @@ from kolmosphere import (
     BadRadiusError,
     ConeReport,
     CubicKolmogorovForm,
+    HamiltonianReport,
+    HyperplaneClassification,
     HyperplaneSpec,
     Hypersurface,
     NotHomogeneousError,
-    NotInvariantError,
     Poly,
     PolyVectorField,
     RationalMatrix,
     SamplePoint,
     SelfCheckError,
+    SphereKolmogorovReport,
     StructuredView,
     assemble_cubic,
     classify_homogeneous,
@@ -30,7 +34,7 @@ from kolmosphere import (
     cone_invariance,
     cubic_form_from_dict,
     field_from_dict,
-    great_sphere_conditions,
+    is_hamiltonian,
     is_kolmogorov_on_sphere,
     lie_derivative,
     parse,
@@ -113,17 +117,16 @@ def test_every_cofactor_is_a_polynomial_or_none():
     assert classify_hyperplane(
         origin, HyperplaneSpec.from_values(0, [1, 1, 1])
     ).division_cofactor is None
-    assert isinstance(
-        great_sphere_conditions(great_sphere_form(), plane).cofactor, Poly
-    )
     flat = cone_invariance(
         slice_field_with_flat_axis(), HyperplaneSpec.from_values(0, [0, 0, 1]),
         Fraction(1, 2),
     )
     assert isinstance(flat.cofactor, Poly)
-    assert second_sphere_check(load_demo3d_form(), Fraction(2)).cofactor is None
-    assert not hasattr(kolmosphere, "Cofactor")
-    assert not hasattr(invariance, "Cofactor")
+    assert isinstance(second_sphere_check(great_sphere_form(), Fraction(2)), Poly)
+    assert second_sphere_check(load_demo3d_form(), Fraction(2)) is None
+    for record in ("Cofactor", "GreatSphereReport", "SecondSphereReport"):
+        assert not hasattr(kolmosphere, record)
+        assert not hasattr(invariance, record)
 
 
 # ----- hyperplane classification ---------------------------------------------
@@ -244,36 +247,29 @@ def great_sphere_form():
     return CubicKolmogorovForm.from_values((0, 0, 0), atilde)
 
 
+def great_sphere_sides(form, hp):
+    """The paper's two conditions on an invariant plane sum a_i x_i = 0 of a
+    homogeneous constant-form field, read off its cofactor K:
+    sum_ij a_i atilde_ij = (sum_i a_i) K(1, ..., 1) and K(a) = 0.  Returns K
+    and the sides (sum_ij a_i atilde_ij, (sum_i a_i) K(1, ..., 1), K(a)), or
+    None when the plane is not invariant."""
+    cof = cofactor(assemble_cubic(form), Hypersurface(hp.defining_poly()))
+    if cof is None:
+        return None
+    interaction = sum(
+        hp.a[i] * form.atilde[i][j]
+        for i in range(form.dim) for j in range(form.dim)
+    )
+    balance = sum(hp.a) * cof.evaluate((1,) * form.dim)
+    return cof, interaction, balance, cof.evaluate(hp.a)
+
+
 def test_great_sphere_conditions_golden_instance():
-    report = great_sphere_conditions(
+    cof, interaction, balance, at_a = great_sphere_sides(
         great_sphere_form(), HyperplaneSpec.from_values(0, [2, -1, 0])
     )
-    assert report.interaction_sum == Fraction(4)
-    assert report.coefficient_balance == Fraction(4)
-    assert report.cofactor_at_a == 0
-    assert report.condition_interaction and report.condition_root
-    assert report.passes
-    assert str(report.cofactor) == "4*x3^2"
-
-
-def test_great_sphere_conditions_require_invariance():
-    with pytest.raises(NotInvariantError):
-        great_sphere_conditions(
-            great_sphere_form(), HyperplaneSpec.from_values(0, [1, 1, 1])
-        )
-
-
-def test_great_sphere_conditions_reject_inhomogeneous_forms():
-    form = CubicKolmogorovForm.from_values((1, 0, 0), [[0, 0, 4], [0, 0, 4], [-4, -4, 0]])
-    with pytest.raises(NotHomogeneousError):
-        great_sphere_conditions(form, HyperplaneSpec.from_values(0, [2, -1, 0]))
-
-
-def test_great_sphere_conditions_reject_offset_planes():
-    with pytest.raises(ValueError):
-        great_sphere_conditions(
-            great_sphere_form(), HyperplaneSpec.from_values(1, [2, -1, 0])
-        )
+    assert str(cof) == "4*x3^2"
+    assert (interaction, balance, at_a) == (4, 4, 0)
 
 
 def test_great_sphere_conditions_hold_on_random_invariant_planes():
@@ -286,12 +282,12 @@ def test_great_sphere_conditions_hold_on_random_invariant_planes():
         a = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
         if all(x == 0 for x in a):
             continue
-        hp = HyperplaneSpec(Fraction(0), tuple(a))
-        vf = assemble_cubic(form)
-        if cofactor(vf, Hypersurface(hp.defining_poly())) is None:
+        sides = great_sphere_sides(form, HyperplaneSpec(Fraction(0), tuple(a)))
+        if sides is None:
             continue
-        report = great_sphere_conditions(form, hp)
-        assert report.passes
+        _, interaction, balance, at_a = sides
+        assert interaction == balance
+        assert at_a == 0
         found += 1
 
 
@@ -362,19 +358,11 @@ def test_second_sphere_invariant_only_for_homogeneous_fields():
     rotation = CubicKolmogorovForm.from_values(
         (0, 0, 0), [[0, 3, 0], [-3, 0, -3], [0, 3, 0]]
     )
-    report = second_sphere_check(rotation, Fraction(2))
-    assert report.invariant
-    assert report.alpha_zero
-    assert report.cofactor.is_zero()
-    assert report.first_integral
+    assert second_sphere_check(rotation, Fraction(2)) == Poly.zero(3)
 
 
 def test_second_sphere_not_invariant_when_alpha_is_present():
-    report = second_sphere_check(load_demo3d_form(), Fraction(2))
-    assert not report.invariant
-    assert not report.alpha_zero
-    assert report.cofactor is None
-    assert not report.first_integral
+    assert second_sphere_check(load_demo3d_form(), Fraction(2)) is None
 
 
 def test_second_sphere_radius_validation():
@@ -394,7 +382,7 @@ def test_second_sphere_random_homogeneous_forms_conserve_every_radius():
         r = Fraction(rng.randint(2, 5), rng.choice([1, 2]))
         if r in (1, -1):
             continue
-        assert second_sphere_check(form, r).first_integral
+        assert second_sphere_check(form, r) == Poly.zero(dim)
 
 
 # ----- exact scalars at the entry points ----------------------------------------
@@ -438,12 +426,10 @@ def test_integral_scalars_are_stored_as_ints():
         (Fraction(4, 2), Fraction(1, 2)), [[0, Fraction(3)], [-3, 0]]
     )
     hp = HyperplaneSpec.from_values(Fraction(6, 3), [Fraction(1, 3), 1])
-    report = second_sphere_check(form, Fraction(2))
     assert [type(x) for x in form.alpha + form.atilde[0] + form.atilde[1]] == [
         int, Fraction, int, int, int, int
     ]
     assert [type(x) for x in (hp.a0,) + hp.a] == [int, Fraction, int]
-    assert type(report.radius) is int
     assert str(hp.defining_poly()) == "1/3*x1 + x2 + 2"
 
 
@@ -520,3 +506,53 @@ def test_an_impossible_second_sphere_fails_the_self_check(
     monkeypatch.setattr(invariance, "cofactor", lambda vf, h: quotient)
     with pytest.raises(SelfCheckError, match="second invariant sphere"):
         second_sphere_check(form, Fraction(2))
+
+
+# ----- each record holds its witness once ------------------------------------------
+
+
+RECORD_WITNESSES = {
+    HamiltonianReport: ("defects",),
+    SphereKolmogorovReport: ("kolmogorov", "sphere_cofactor"),
+    HyperplaneClassification: ("case", "predicted", "division_cofactor"),
+    ConeReport: ("cone", "cofactor"),
+}
+
+
+def test_every_record_stores_witnesses_and_reads_its_verdict_off_them():
+    """A record whose flag were stored beside its witness could disagree
+    with it; each verdict is a property of the witness instead.  Each is
+    checked on a yes and a no case: the fixture field and a field that
+    leaves the sphere, a golden plane and one that is not invariant, a
+    flat slice and a mixing one, a rotation and a field with a defect."""
+    for record, witnesses in RECORD_WITNESSES.items():
+        assert tuple(f.name for f in dataclasses.fields(record)) == witnesses
+
+    spheres = [is_kolmogorov_on_sphere(load_demo3d()),
+               is_kolmogorov_on_sphere(PolyVectorField(
+                   3, tuple(Poly.var(3, i) for i in (1, 2, 3))))]
+    assert [r.sphere_invariant for r in spheres] == [True, False]
+    assert all(r.sphere_invariant == (r.sphere_cofactor is not None)
+               for r in spheres)
+
+    form, hp = _origin_case((3, 3, -1))
+    planes = [classify_hyperplane(form, hp),
+              classify_hyperplane(form, HyperplaneSpec.from_values(0, [1, 1, 1]))]
+    assert [v.invariant for v in planes] == [True, False]
+    assert all(v.invariant == (v.predicted is not None) for v in planes)
+
+    slice_plane = HyperplaneSpec.from_values(0, [0, 0, 1])
+    mixing = PolyVectorField(3, (parse("x1*x2^2", 3),
+                                 parse("-x1^2*x2 + x2*x3^2", 3),
+                                 parse("-x2^2*x3", 3)))
+    cones = [cone_invariance(slice_field_with_flat_axis(), slice_plane,
+                             Fraction(1, 2)),
+             cone_invariance(mixing, slice_plane, Fraction(1, 2))]
+    assert [c.invariant for c in cones] == [True, False]
+    assert all(c.invariant == (c.cofactor is not None) for c in cones)
+
+    fields = [PolyVectorField(2, (parse("x2", 2), parse("-x1", 2))),
+              PolyVectorField(2, (parse("x1", 2), parse("2*x2", 2)))]
+    reports = [is_hamiltonian(vf) for vf in fields]
+    assert [r.is_hamiltonian for r in reports] == [True, False]
+    assert all(r.is_hamiltonian == (not r.defects) for r in reports)

@@ -30,10 +30,6 @@ UNREACHED = {
     "decompose_syzygy": (
         "the power-syzygy decomposition that acceptance criterion 6 checks"
     ),
-    "great_sphere_conditions": (
-        "the README's conditions for planes through the origin of "
-        "homogeneous fields; whether a suite reaches it or it goes is open"
-    ),
 }
 
 SUBMODULES = {
@@ -79,6 +75,28 @@ def test_every_traced_name_is_a_public_function_of_its_layer():
         assert not name.startswith("_"), f"{layer}.{name}"
         assert inspect.isfunction(fn), f"{layer}.{name}"
         assert fn.__module__ == module.__name__, f"{layer}.{name}"
+
+
+def test_numeric_validate_imports_only_the_ring_at_run_time():
+    """The float layer names the field and integral types only in
+    annotations, so of the package it imports ``polyring`` alone when it
+    runs; the imports under ``if TYPE_CHECKING:`` never run."""
+    tree = ast.parse(
+        (ROOT / "src" / "kolmosphere" / "numeric_validate.py").read_text()
+    )
+    type_checking = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+        and node.test.id == "TYPE_CHECKING"
+        for stmt in node.body for inner in ast.walk(stmt)
+    }
+    relative = {
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        and id(node) not in type_checking
+    }
+    assert relative == {"polyring"}
 
 
 def test_no_module_imports_a_name_it_never_uses():
