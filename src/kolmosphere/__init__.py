@@ -15,12 +15,10 @@ from .polyring import (
     SelfCheckError,
     UnprintableError,
     VariableIndexError,
-    ZeroDenominatorError,
     divide_exact,
     parse,
 )
 from .exactla import (
-    NotSquareError,
     RationalMatrix,
     determinant,
     nullspace,
@@ -48,14 +46,11 @@ from .field_forms import (
     sphere_polynomial,
 )
 from .invariance import (
-    BadRadiusError,
     ConeReport,
     HyperplaneClassification,
     HyperplaneSpec,
     Hypersurface,
-    NotHomogeneousError,
     NotInvariantError,
-    PreconditionError,
     StructuredView,
     classify_hyperplane,
     cofactor,
@@ -65,13 +60,9 @@ from .invariance import (
 from .darboux import (
     CompleteIntegrabilityCertificate,
     DarbouxIntegral,
-    DegreeMismatchError,
     HypothesisFailedError,
     IntegrabilityCertificate,
-    NotASyzygyError,
     SamplePoint,
-    UnstructuredCofactorError,
-    ZeroSeedError,
     build_matrix_B,
     complete_integrability_check,
     construct_completely_integrable,
@@ -85,7 +76,6 @@ from .darboux import (
 )
 from .hamiltonian import (
     HamiltonianReport,
-    OddDimensionError,
     hamiltonian_constraint_space,
     is_hamiltonian,
 )

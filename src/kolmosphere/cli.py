@@ -23,7 +23,7 @@ import json
 import sys
 from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
 
-from .polyring import NEG_INF, ParseError, Poly, UnprintableError, parse
+from .polyring import NEG_INF, Poly, UnprintableError, parse
 from .field_forms import (
     assemble_cubic,
     cubic_form_from_dict,
@@ -98,7 +98,7 @@ def _load(path: str, reader: Callable[[dict], T]) -> T:
 def _parse_poly_arg(text: str, dim: int, what: str) -> Poly:
     try:
         return parse(text, dim)
-    except (ParseError, ValueError, IndexError) as err:
+    except (ValueError, IndexError) as err:
         raise InputError(f"{what}: {err}") from err
 
 

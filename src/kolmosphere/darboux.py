@@ -52,22 +52,6 @@ from .invariance import (
 )
 
 
-class UnstructuredCofactorError(ValueError):
-    """The extra surface's cofactor is not of the form k0 + sum k_i x_i^2."""
-
-
-class NotASyzygyError(ValueError):
-    """The polynomials do not satisfy sum_i q_i x_i^k = 0."""
-
-
-class DegreeMismatchError(ValueError):
-    """Interaction polynomial degree incompatible with the target degree."""
-
-
-class ZeroSeedError(ValueError):
-    """The seed skew matrix is identically zero."""
-
-
 class HypothesisFailedError(ValueError):
     """The independence hypothesis fails for the family that omits
     coordinate ``index``: g or dg/dx_index vanishes at a sample point, or
@@ -130,7 +114,7 @@ def build_matrix_B(form: CubicKolmogorovForm, extra: Poly) -> RationalMatrix:
     row: the view of the extra surface's cofactor, which must have one."""
     view = pure_square_profile(extra)
     if view is None:
-        raise UnstructuredCofactorError(
+        raise ValueError(
             f"cofactor {extra} is not of the shape k0 + sum k_i x_i^2"
         )
     d = form.dim
@@ -272,7 +256,7 @@ def decompose_syzygy(
             )
     powers = [Poly.var(d, j) ** k for j in range(1, d + 1)]
     if not Poly.sum(d, (p * xk for p, xk in zip(q, powers))).is_zero():
-        raise NotASyzygyError("sum_i q_i x_i^k is not the zero polynomial")
+        raise ValueError("sum_i q_i x_i^k is not the zero polynomial")
 
     residuals = [dict(p.terms) for p in q]
     entries = [[{} for _ in range(d)] for _ in range(d)]
@@ -319,7 +303,7 @@ def construct_linear_fi_field(
                 )
     check_skew(seed, Poly.zero(d), "seed matrix")
     if all(p.is_zero() for row in seed for p in row):
-        raise ZeroSeedError("seed matrix must not vanish identically")
+        raise ValueError("seed matrix must not vanish identically")
 
     k = next(i for i, a in enumerate(hp.a) if a != 0)  # 0-based
     x_k = Poly.var(d, k + 1)
@@ -376,7 +360,7 @@ def construct_completely_integrable(
             f"interaction polynomial in {atilde_poly.dim} variables, need {d}"
         )
     if atilde_poly.is_zero() or atilde_poly.degree() != m - 3:
-        raise DegreeMismatchError(
+        raise ValueError(
             f"interaction polynomial must be nonzero of degree {m - 3}"
         )
     zero = Poly.zero(d)

@@ -42,10 +42,6 @@ from .polyring import Scalar, SelfCheckError, _canonical
 Vector = Tuple[Fraction, ...]
 
 
-class NotSquareError(ValueError):
-    """Determinant requested for a non-square matrix."""
-
-
 @dataclass(frozen=True)
 class RationalMatrix:
     rows: int
@@ -159,7 +155,7 @@ def rank(m: RationalMatrix) -> int:
 def determinant(m: RationalMatrix) -> Fraction:
     """Exact determinant via fraction-free elimination."""
     if m.rows != m.cols:
-        raise NotSquareError(f"matrix is {m.rows}x{m.cols}")
+        raise ValueError(f"matrix is {m.rows}x{m.cols}")
     if m.rows == 0:
         return Fraction(1)
     pivots, sign, scale = _bareiss_echelon(m)

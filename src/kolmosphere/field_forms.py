@@ -137,10 +137,6 @@ class StructuredView:
     k0: Fraction
     k: Tuple[Fraction, ...]
 
-    def poly(self) -> Poly:
-        """K in len(k) variables."""
-        return pure_power_poly(self.k0, self.k, 2)
-
 
 @dataclass(frozen=True)
 class CubicKolmogorovForm:

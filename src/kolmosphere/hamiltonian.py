@@ -18,10 +18,6 @@ from .polyring import Poly, Scalar
 from .field_forms import PolyVectorField, _unit_fields
 
 
-class OddDimensionError(ValueError):
-    """Hamiltonian structure needs an even number of coordinates."""
-
-
 @dataclass(frozen=True)
 class HamiltonianReport:
     """The Jacobian defects, each 1-based pair with its nonzero defect
@@ -74,7 +70,7 @@ def is_hamiltonian(vf: PolyVectorField) -> HamiltonianReport:
     """Check dG_j/dx_k = dG_k/dx_j for all j < k on the rearranged field;
     every violated pair is reported with its defect polynomial."""
     if vf.dim % 2 != 0:
-        raise OddDimensionError(
+        raise ValueError(
             "Hamiltonian structure needs an even number of coordinates, "
             f"field on R^{vf.dim}"
         )

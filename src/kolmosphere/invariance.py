@@ -37,14 +37,6 @@ class NotInvariantError(ValueError):
     """The requested hypersurface is not invariant for the field."""
 
 
-class NotHomogeneousError(ValueError):
-    """An operation requiring a homogeneous field received something else."""
-
-
-class BadRadiusError(ValueError):
-    """Radius parameter collides with 0 or the unit sphere."""
-
-
 @dataclass(frozen=True)
 class Hypersurface:
     """Zero set of a nonzero, nonconstant polynomial."""
@@ -91,10 +83,6 @@ class HyperplaneSpec:
     def defining_poly(self) -> Poly:
         """a0 + a1 x1 + ... + ad xd."""
         return pure_power_poly(self.a0, self.a, 1)
-
-
-class PreconditionError(ValueError):
-    """Input violates a documented precondition of the classification."""
 
 
 @dataclass(frozen=True)
@@ -152,7 +140,7 @@ def classify_hyperplane(
         )
     support = [i for i, x in enumerate(hp.a) if x != 0]
     if (1 if hp.a0 != 0 else 0) + len(support) < 2:
-        raise PreconditionError(
+        raise ValueError(
             "need at least two nonzero coefficients among a0, a1, ..."
         )
 
@@ -199,7 +187,7 @@ def cone_invariance(
             f"field on R^{vf.dim}, slice in R^{hp.dim}"
         )
     if not classify_homogeneous(vf).passes:
-        raise NotHomogeneousError(
+        raise ValueError(
             "cone equivalence only applies to homogeneous fields"
         )
     linear = hp.defining_poly()
@@ -218,7 +206,7 @@ def second_sphere_check(form: CubicKolmogorovForm, r: Scalar) -> Optional[Poly]:
     breaks either raises ``SelfCheckError``."""
     r = _canonical(r)
     if r in (0, 1, -1):
-        raise BadRadiusError("radius must differ from 0, 1, and -1")
+        raise ValueError("radius must differ from 0, 1, and -1")
     vf = assemble_cubic(form)
     cof = cofactor(vf, Hypersurface(sum_of_squares(form.dim) - r * r))
     alpha_zero = all(a == 0 for a in form.alpha)

@@ -102,10 +102,6 @@ class ParseError(ValueError):
         )
 
 
-class ZeroDenominatorError(ValueError):
-    """A rational literal has denominator zero."""
-
-
 def _grlex_key(exponents: Monomial) -> tuple:
     return (sum(exponents), exponents)
 
@@ -230,9 +226,6 @@ class Poly:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     # ----- arithmetic ----------------------------------------------------
 
@@ -636,7 +629,7 @@ class _Parser:
                 position = self.positions[self.i]
                 denominator = self.take("int", "a positive denominator")
                 if denominator == 0:
-                    raise ZeroDenominatorError(
+                    raise ValueError(
                         f"at position {position}: denominator is zero"
                     )
                 value = Fraction(value, denominator)

@@ -604,8 +604,10 @@ def test_bad_input_exits_two_without_a_verdict(capsys, tmp_path, argv, message):
         (b"[" * 100000, "is nested too deeply"),
         (b"\xff\xfe{}", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
          "in position 0: invalid start byte"),
+        (b"not json", "is not valid JSON: Expecting value: line 1 column 1 "
+         "(char 0)"),
     ],
-    ids=["deep-nesting", "not-utf-8"],
+    ids=["deep-nesting", "not-utf-8", "not-json"],
 )
 def test_unreadable_json_file_exits_two_naming_it(capsys, tmp_path, content, message):
     path = tmp_path / "field.json"
@@ -614,6 +616,44 @@ def test_unreadable_json_file_exits_two_naming_it(capsys, tmp_path, content, mes
     assert code == 2
     assert out == ""
     assert err == f"error: {path} {message}\n"
+
+
+NOT_INVARIANT = "surface x1 - x2 + 1 is not invariant for the assembled field"
+INTEGRATE = ["integrate", "--field", FIELD, "--h", "0.1", "--steps", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["darboux", "--form", FORM, "--g", "x1 - x2 + 1"], 1,
+         f"no integrals: {NOT_INVARIANT}\n", ""),
+        (["darboux", "--form", FORM, "--g", "x1 - x2 + 1", "--format", "json"],
+         1, json.dumps({"error": NOT_INVARIANT, "integrals": [],
+                        "invariant": False}, indent=2) + "\n", ""),
+        (INTEGRATE + ["--x0", "1,2"], 2, "",
+         "error: --x0 has 2 coordinates, field on R^3\n"),
+        (INTEGRATE + ["--x0", "1,a,2"], 2, "",
+         "error: --x0: could not convert string to float: 'a'\n"),
+        (INTEGRATE + ["--x0", "0.5,0.5,0.5", "--dump", "{tmp}/missing/t.csv"],
+         2, "", "error: cannot write {tmp}/missing/t.csv: [Errno 2] No such "
+         "file or directory: '{tmp}/missing/t.csv'\n"),
+        (["classify-hyperplane", "--form", FORM, "--a0", "1", "--a", "1,0"],
+         2, "", "error: --a has 2 entries, form lives on R^3\n"),
+        (["classify-hyperplane", "--form", FORM, "--a0", "1", "--a", "0,0,0"],
+         2, "", "error: hyperplane spec: some linear coefficient a_i must be "
+         "nonzero\n"),
+        (["hamiltonian"], 2, "",
+         "error: need --field FILE or --constraint-space --n N\n"),
+    ],
+    ids=["g-not-invariant", "g-not-invariant-json", "x0-too-short",
+         "x0-not-a-number", "dump-missing-directory", "a-too-short",
+         "a-all-zero", "hamiltonian-bare"],
+)
+def test_each_refusal_reports_its_message_and_exit_code(
+    capsys, tmp_path, argv, code, out, err
+):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run(capsys, *argv) == (code, out, err.replace("{tmp}", str(tmp_path)))
 
 
 def test_internal_error_exits_three_without_a_verdict(capsys, monkeypatch):

@@ -14,17 +14,14 @@ from hypothesis import given, settings, strategies as st
 from kolmosphere import (
     CubicKolmogorovForm,
     DarbouxIntegral,
-    DegreeMismatchError,
     DimensionMismatchError,
     HyperplaneSpec,
     Hypersurface,
     HypothesisFailedError,
-    NotASyzygyError,
     Poly,
     PolyVectorField,
     SamplePoint,
     SelfCheckError,
-    ZeroSeedError,
     assemble_cubic,
     build_matrix_B,
     complete_integrability_check,
@@ -45,7 +42,7 @@ from kolmosphere import (
 )
 from kolmosphere import darboux
 from kolmosphere.exactla import determinant, rank
-from kolmosphere.field_forms import skew_matrix
+from kolmosphere.field_forms import pure_power_poly, skew_matrix
 
 from conftest import dense_rows, rand_poly, span_equal
 
@@ -87,7 +84,8 @@ def test_matrix_rows_for_fixture_form():
 
 def test_coordinate_cofactors_of_fixture_form():
     form = fixture_form()
-    cofactors = [form.coordinate_view(i).poly() for i in range(3)]
+    views = [form.coordinate_view(i) for i in range(3)]
+    cofactors = [pure_power_poly(v.k0, v.k, 2) for v in views]
     assert [str(q) for q in cofactors] == [
         "-2*x1^2 + x2^2 - 2*x3^2 + 2",
         "-3*x1^2 - 3*x3^2",
@@ -98,7 +96,8 @@ def test_coordinate_cofactors_of_fixture_form():
 def test_coordinate_cofactor_matches_division():
     form = fixture_form()
     vf = assemble_cubic(form)
-    cofactors = [form.coordinate_view(i).poly() for i in range(3)]
+    views = [form.coordinate_view(i) for i in range(3)]
+    cofactors = [pure_power_poly(v.k0, v.k, 2) for v in views]
     for i in (1, 2, 3):
         direct = cofactor(vf, Hypersurface(Poly.var(3, i)))
         assert cofactors[i - 1] == direct
@@ -347,7 +346,7 @@ def test_decompose_syzygy_reassembly_is_the_identity():
 
 
 def test_decompose_syzygy_rejects_non_syzygies():
-    with pytest.raises(NotASyzygyError):
+    with pytest.raises(ValueError, match="is not the zero polynomial"):
         decompose_syzygy((parse("x2^2", 2), parse("x1^2", 2)), 2)
     with pytest.raises(ValueError):
         decompose_syzygy((parse("x1", 1),), 0)
@@ -412,7 +411,7 @@ def test_linear_fi_conserves_the_plane_on_random_specs():
 def test_linear_fi_seed_validation():
     hp = HyperplaneSpec.from_values(5, [1, 2, 3])
     z = Poly.zero(3)
-    with pytest.raises(ZeroSeedError):
+    with pytest.raises(ValueError, match="must not vanish identically"):
         construct_linear_fi_field(hp, [[z, z], [z, z]])
     with pytest.raises(ValueError):
         construct_linear_fi_field(hp, [[z, Poly.const(3, 1)], [Poly.const(3, 1), z]])
@@ -496,9 +495,9 @@ def test_completely_integrable_family_input_validation():
         construct_completely_integrable(0, 3, Poly.const(1, 1))
     with pytest.raises(ValueError):
         construct_completely_integrable(1, 2, Poly.const(2, 1))
-    with pytest.raises(DegreeMismatchError):
+    with pytest.raises(ValueError, match="nonzero of degree 1"):
         construct_completely_integrable(1, 4, Poly.const(2, 1))
-    with pytest.raises(DegreeMismatchError):
+    with pytest.raises(ValueError, match="nonzero of degree 0"):
         construct_completely_integrable(1, 3, Poly.zero(2))
 
 

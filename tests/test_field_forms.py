@@ -32,7 +32,12 @@ from kolmosphere import (
     sphere_polynomial,
 )
 from kolmosphere import field_forms
-from kolmosphere.field_forms import StructuredView, pure_square_profile, skew_matrix
+from kolmosphere.field_forms import (
+    StructuredView,
+    pure_power_poly,
+    pure_square_profile,
+    skew_matrix,
+)
 from kolmosphere.polyring import NEG_INF
 
 from conftest import rand_poly, rand_skew_constant
@@ -207,16 +212,17 @@ def test_coordinate_views_read_back_and_equal_the_division_cofactors(seed):
         vf = assemble_cubic(form)
         for i in range(d):
             view = form.coordinate_view(i)
-            assert pure_square_profile(view.poly()) == view
+            poly = pure_power_poly(view.k0, view.k, 2)
+            assert pure_square_profile(poly) == view
             division = cofactor(vf, Hypersurface(Poly.var(d, i + 1)))
-            assert view.poly() == division
+            assert poly == division
 
 
 def test_view_polynomial_has_the_constant_first_and_no_zero_terms():
-    view = StructuredView(Fraction(7), (Fraction(3), Fraction(0), Fraction(-1)))
-    assert list(view.poly().terms) == [(0, 0, 0), (2, 0, 0), (0, 0, 2)]
+    poly = pure_power_poly(Fraction(7), (Fraction(3), Fraction(0), Fraction(-1)), 2)
+    assert list(poly.terms) == [(0, 0, 0), (2, 0, 0), (0, 0, 2)]
     assert list(sphere_polynomial(2).terms) == [(0, 0), (2, 0), (0, 2)]
-    assert StructuredView(Fraction(0), (Fraction(0),) * 2).poly().is_zero()
+    assert pure_power_poly(0, (0, 0), 2).is_zero()
 
 
 def test_pure_square_profile_reads_constant_and_square_coefficients():
@@ -270,6 +276,12 @@ def test_recover_cubic_form_rejects_non_cubic_fields():
         )
     )
     assert recover_cubic_form(quintic) is None
+
+
+def test_recover_cubic_form_rejects_views_whose_atilde_is_not_skew():
+    # P1 / x1 = x2^2 reads atilde_12 = 1, but P2 / x2 = 0 reads atilde_21 = 0.
+    vf = PolyVectorField(2, (parse("x1*x2^2", 2), Poly.zero(2)))
+    assert recover_cubic_form(vf) is None
 
 
 def test_classify_homogeneous_accepts_tangent_equal_degree_fields():

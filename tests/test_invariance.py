@@ -12,14 +12,13 @@ from pathlib import Path
 import pytest
 
 from kolmosphere import (
-    BadRadiusError,
     ConeReport,
     CubicKolmogorovForm,
+    DimensionMismatchError,
     HamiltonianReport,
     HyperplaneClassification,
     HyperplaneSpec,
     Hypersurface,
-    NotHomogeneousError,
     Poly,
     PolyVectorField,
     RationalMatrix,
@@ -223,10 +222,8 @@ def test_origin_hyperplane_breaks_under_single_perturbations():
 
 
 def test_classification_needs_two_active_coefficients():
-    from kolmosphere.invariance import PreconditionError
-
     form = CubicKolmogorovForm.from_values((0, 0), [[0, 0], [0, 0]])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ValueError, match="need at least two nonzero coefficients"):
         classify_hyperplane(form, HyperplaneSpec.from_values(0, [1, 0]))
     # a0 != 0 with a single linear coefficient is fine
     verdict = classify_hyperplane(form, HyperplaneSpec.from_values(1, [1, 0]))
@@ -341,8 +338,26 @@ def test_generic_slices_of_a_mixing_field_are_not_invariant():
 
 def test_cone_invariance_rejects_inhomogeneous_fields():
     vf = assemble_cubic(load_demo3d_form())
-    with pytest.raises(NotHomogeneousError):
+    with pytest.raises(ValueError, match="only applies to homogeneous fields"):
         cone_invariance(vf, HyperplaneSpec.from_values(0, [0, 0, 1]), Fraction(1, 2))
+
+
+def test_a_hyperplane_needs_a_nonzero_linear_coefficient():
+    with pytest.raises(ValueError, match="linear coefficient a_i must be nonzero"):
+        HyperplaneSpec.from_values(1, [0, 0, 0])
+
+
+def test_cone_invariance_refuses_malformed_slices():
+    vf = slice_field_with_flat_axis()
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="slice specs use a0 = 0 with the offset"):
+        cone_invariance(vf, HyperplaneSpec.from_values(1, [0, 0, 1]), half)
+    with pytest.raises(DimensionMismatchError, match=r"R\^3, slice in R\^2"):
+        cone_invariance(vf, HyperplaneSpec.from_values(0, [0, 1]), half)
+    # On R^1 the slice x1 = 1 of the unit sphere makes the cone x1^2 - x1^2.
+    zero = PolyVectorField(1, (Poly.zero(1),))
+    with pytest.raises(ValueError, match="degenerate cone: the defining poly"):
+        cone_invariance(zero, HyperplaneSpec.from_values(0, [1]), 1)
 
 
 def test_random_generic_slices_are_never_invariant():
@@ -368,7 +383,7 @@ def test_second_sphere_not_invariant_when_alpha_is_present():
 def test_second_sphere_radius_validation():
     form = load_demo3d_form()
     for r in (0, 1, -1):
-        with pytest.raises(BadRadiusError):
+        with pytest.raises(ValueError, match="radius must differ from 0, 1"):
             second_sphere_check(form, Fraction(r))
 
 

@@ -32,6 +32,28 @@ UNREACHED = {
     ),
 }
 
+# Exception classes that the package exports, each with the reason it
+# stays rather than being a plain ``ValueError`` with its message.  A reason
+# that starts "caught" names code that catches the class by name.  A class
+# exported without a reason fails
+# ``test_every_exported_error_class_is_listed_with_its_reason``.
+ERROR_CLASSES = {
+    "SelfCheckError": "caught by suites, which reports a failed self-check",
+    "NotInvariantError": (
+        "caught by cli and darboux; DARBOUX_DIGEST records its name"
+    ),
+    "NotSkewError": "caught by recover_cubic_form, which then answers None",
+    "UnprintableError": "caught by cli, which names the part it cannot print",
+    "NonFiniteError": "caught by cli, which fails the integration",
+    "DomainViolationError": "caught by bench/workloads.py",
+    "ParseError": "carries the position of the fault",
+    "HypothesisFailedError": (
+        "carries the omitted coordinate; DARBOUX_DIGEST records its name"
+    ),
+    "DimensionMismatchError": "several functions raise it for one fault",
+    "VariableIndexError": "several functions raise it for one fault",
+}
+
 SUBMODULES = {
     "darboux", "exactla", "field_forms", "hamiltonian", "invariance",
     "numeric_validate", "polyring", "suites",
@@ -290,3 +312,26 @@ def test_every_public_function_is_reached_or_listed_with_its_reason():
         and not re.search(rf"\b{name}\b", readme)
     }
     assert unreached == set(UNREACHED)
+
+
+def test_every_exported_error_class_is_listed_with_its_reason():
+    exported = {
+        name for name in kolmosphere.__all__
+        if isinstance(getattr(kolmosphere, name), type)
+        and issubclass(getattr(kolmosphere, name), BaseException)
+    }
+    assert exported == set(ERROR_CLASSES)
+    caught = set()
+    paths = [ROOT / "bench" / "workloads.py",
+             *(ROOT / "src" / "kolmosphere").glob("*.py")]
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {
+                    getattr(n, "id", getattr(n, "attr", None))
+                    for n in ast.walk(node.type)
+                }
+    assert {
+        name for name, reason in ERROR_CLASSES.items()
+        if reason.startswith("caught")
+    } <= caught

@@ -22,7 +22,6 @@ from kolmosphere.polyring import (
     Poly,
     UnprintableError,
     VariableIndexError,
-    ZeroDenominatorError,
     divide_exact,
     parse,
 )
@@ -584,7 +583,7 @@ def test_a_negative_dimension_is_refused_before_the_text_is_read():
 
 
 def test_zero_denominator_is_reported():
-    with pytest.raises(ZeroDenominatorError):
+    with pytest.raises(ValueError, match="at position 2: denominator is zero"):
         parse("1/0", 2)
 
 
@@ -867,7 +866,7 @@ class _RefParser:
                 self.advance()
                 den_tok = self.expect("int", "a positive denominator")
                 if den_tok.value == 0:
-                    raise ZeroDenominatorError(
+                    raise ValueError(
                         f"at position {den_tok.position}: denominator is zero"
                     )
                 return Fraction(numerator, den_tok.value)
