@@ -6,8 +6,10 @@ an ``int`` when the coefficient is integral and a ``Fraction`` otherwise.
 Integral coefficients, the common case, thus multiply and add as Python
 ints, without a ``Fraction`` per operation.  ``Fraction(3) == 3`` and the
 two hash alike, so equality, hashing and printing do not depend on the
-representation.  The zero polynomial is the empty dict.  All arithmetic is
-exact; no floating point enters this module.
+representation.  The zero polynomial is the empty dict.  Each operation
+makes a coefficient canonical where it arises, so a result wraps the dict
+it built, uncopied.  All arithmetic is exact; no floating point enters
+this module.
 
 ``parse`` has two readers.  The flat reader takes ASCII text without
 parentheses, the shape that ``str`` prints and every JSON field holds: one
@@ -110,8 +112,9 @@ def _canonical(value) -> Scalar:
     """``value`` as a coefficient: an ``int`` when it is integral, else a
     ``Fraction``.  The one entry of a scalar into the exact core: an
     ``int`` is kept, a float refused (not read as its binary fraction) and
-    anything else read through ``Fraction``.  ``Poly._trusted``, whose
-    input is already ``int`` or ``Fraction``, applies the rule inline."""
+    anything else read through ``Fraction``.  The ring's own operations
+    apply the rule where a coefficient arises, so ``Poly._trusted`` applies
+    it to nothing."""
     if type(value) is int:
         return value
     if isinstance(value, float):
@@ -125,15 +128,15 @@ class Poly:
     """Immutable sparse polynomial with exact rational coefficients.
 
     Every coefficient is a nonzero ``int`` when it is integral and a
-    ``Fraction`` otherwise; ``_canonical`` enforces this for every
-    constructor, and so ``Poly(dim, terms)`` and :meth:`const` refuse a
-    float coefficient.  ``Poly(dim, terms)`` takes input from outside the
-    ring, so it checks every exponent tuple.  :meth:`zero`, :meth:`const`
-    and :meth:`var` check their own arguments.  The ring's own results
+    ``Fraction`` otherwise; ``_canonical`` enforces this wherever a
+    coefficient enters or arises, and so ``Poly(dim, terms)`` and
+    :meth:`const` refuse a float coefficient.  ``Poly(dim, terms)`` takes
+    input from outside the ring, so it checks every exponent tuple.
+    :meth:`zero`, :meth:`const` and :meth:`var` check their own arguments.  The ring's own results
     (:meth:`sum`, ``+ - *``, ``**``, :meth:`differentiate`,
     :func:`divide_exact`) and :func:`parse`, which builds each exponent
     tuple from checked tokens (an index in 1..dim, a natural exponent), are
-    built by :meth:`_trusted`, which checks no exponent tuple.  The
+    built by :meth:`_trusted`, which stores their dict as it is.  The
     insertion order of ``terms`` is the order in which ``numeric_validate``
     sums and multiplies in floats, so every operation keeps it fixed.
     """
@@ -158,18 +161,15 @@ class Poly:
         _set_terms(self, clean)
 
     @classmethod
-    def _trusted(cls, dim: int, terms: Mapping[Monomial, Scalar]) -> "Poly":
-        """A Poly from exponent tuples of length ``dim`` and ``int`` or
-        ``Fraction`` coefficients built by this module; zeros are dropped
-        and integral ``Fraction``s become ``int``s, as ``_canonical`` would
-        make them.  The slot descriptors set the slots past the immutability
-        guard."""
+    def _trusted(cls, dim: int, terms: Dict[Monomial, Scalar]) -> "Poly":
+        """A Poly that stores ``terms`` itself, neither copied nor checked:
+        a dict that no other code holds, of exponent tuples of length
+        ``dim`` and canonical coefficients (nonzero, an ``int`` exactly when
+        integral), as every producer in this module makes them.  The slot
+        descriptors set the slots past the immutability guard."""
         p = object.__new__(cls)
         _set_dim(p, dim)
-        _set_terms(p, {
-            e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for e, c in terms.items() if c
-        })
+        _set_terms(p, terms)
         return p
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -185,7 +185,8 @@ class Poly:
     def const(cls, dim: int, value: Scalar) -> "Poly":
         if dim < 0:
             raise ValueError("dim must be a natural number")
-        return cls._trusted(dim, {(0,) * dim: _canonical(value)})
+        c = _canonical(value)
+        return cls._trusted(dim, {(0,) * dim: c} if c else {})
 
     @classmethod
     def var(cls, dim: int, index: int) -> "Poly":
@@ -285,16 +286,40 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
+        """The terms, values and order of the double loop over ``self`` and
+        ``other``.  A scalar of type exactly ``int`` or ``Fraction``, or a
+        one-term operand on either side, takes one pass: shifting by a
+        monomial is injective, so no terms meet and none cancels.  Only the
+        double loop's sums can cancel or be integral ``Fraction``s."""
+        if type(other) in (int, Fraction):
+            return Poly._trusted(self.dim, {
+                e: _canonical(c * other) for e, c in self.terms.items()
+            } if other else {})
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
+        if len(rhs.terms) == 1:
+            ((e2, c2),) = rhs.terms.items()
+            return Poly._trusted(self.dim, {
+                tuple(map(add, e1, e2)): _canonical(c1 * c2)
+                for e1, c1 in self.terms.items()
+            })
+        if len(self.terms) == 1:
+            ((e1, c1),) = self.terms.items()
+            return Poly._trusted(self.dim, {
+                tuple(map(add, e1, e2)): _canonical(c1 * c2)
+                for e2, c2 in rhs.terms.items()
+            })
         acc: Dict[Monomial, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in rhs.terms.items():
                 key = tuple(map(add, e1, e2))
                 old = acc.get(key)
                 acc[key] = c1 * c2 if old is None else old + c1 * c2
-        return Poly._trusted(self.dim, acc)
+        return Poly._trusted(self.dim, {
+            e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for e, c in acc.items() if c
+        })
 
     __rmul__ = __mul__
 
@@ -303,9 +328,9 @@ class Poly:
             raise ValueError("polynomial powers take natural exponents")
         if len(self.terms) == 1:
             ((exps, coeff),) = self.terms.items()
-            return Poly._trusted(
-                self.dim, {tuple(e * exponent for e in exps): coeff ** exponent}
-            )
+            return Poly._trusted(self.dim, {
+                tuple(e * exponent for e in exps): _canonical(coeff ** exponent)
+            })
         result = Poly.const(self.dim, 1)
         base = self
         e = exponent
@@ -339,7 +364,7 @@ class Poly:
             e = exps[i]
             if e == 0:
                 continue
-            acc[exps[:i] + (e - 1,) + exps[i + 1:]] = coeff * e
+            acc[exps[:i] + (e - 1,) + exps[i + 1:]] = _canonical(coeff * e)
         return Poly._trusted(self.dim, acc)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
@@ -391,15 +416,17 @@ _set_terms = Poly.terms.__set__
 def _fold(
     acc: Dict[Monomial, Scalar], terms: Iterable[Tuple[Monomial, Scalar]]
 ) -> None:
-    """Add the nonzero ``terms`` into ``acc`` in place, deleting a monomial
-    the moment its coefficient cancels (see :meth:`Poly.sum`)."""
+    """Add the canonical ``terms`` into ``acc`` in place, deleting a
+    monomial the moment its coefficient cancels (see :meth:`Poly.sum`) and
+    storing an integral sum as an ``int``."""
     for exps, coeff in terms:
         old = acc.get(exps)
-        new = coeff if old is None else old + coeff
-        if new:
-            acc[exps] = new
-        else:
-            del acc[exps]
+        if old is not None:
+            coeff = _canonical(old + coeff)
+            if not coeff:
+                del acc[exps]
+                continue
+        acc[exps] = coeff
 
 
 def _term_text(exps: Monomial, coeff: Scalar, names: Sequence[str]) -> str:
@@ -733,7 +760,7 @@ def _read_flat(text: str, dim: int):
         if coeff is None:
             coeff = -1 if sign == "-" else 1
         if coeff:
-            terms.append((tuple(exps), coeff))
+            terms.append((tuple(exps), _canonical(coeff)))
     acc: Dict[Monomial, Scalar] = {}
     _fold(acc, terms)
     return Poly._trusted(dim, acc)

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from kolmosphere import (
     cli, darboux, field_from_dict, integrate_rk4, numeric_validate,
 )
 from kolmosphere.cli import main
+from kolmosphere.polyring import Poly
 from kolmosphere.suites import SUITES, run_suite
 
 from conftest import capped_exponents
@@ -347,6 +349,57 @@ def test_certify_determinant_suite(capsys):
     # Zero instances run nothing and say so, as in the other suites.
     empty = run_suite("cor44", instances=0)
     assert (empty.instances, empty.lines) == (0, [])
+
+
+def test_every_ring_result_hands_trusted_a_canonical_dict(
+    monkeypatch, capsys, tmp_path
+):
+    """``Poly._trusted`` stores the dict it is given, unchecked, so every
+    producer must hand it exponent tuples of length ``dim`` and canonical
+    coefficients: nonzero, and an ``int`` exactly when integral.  A spy
+    checks each dict through every suite and every README command."""
+    trusted = Poly._trusted
+    calls = []
+    faults = []
+
+    def spy(cls, dim, terms):
+        calls.append(len(terms))
+        faults.extend(
+            (dim, e, c) for e, c in terms.items()
+            if len(e) != dim or not c or type(c) not in (int, Fraction)
+            or (type(c) is Fraction and c.denominator == 1)
+        )
+        return trusted(dim, terms)
+
+    planar = tmp_path / "planar.json"
+    # X = (dH/dx2, -dH/dx1) for H = 1/3*x1*x2*(x1^2 + x2^2 - 1), whose
+    # check differentiates 1/3*x1^3 and 1/3*x2^3 to integral coefficients.
+    planar.write_text(json.dumps({"dim": 2, "components": [
+        "1/3*x1^3 + x1*x2^2 - 1/3*x1", "-x1^2*x2 - 1/3*x2^3 + 1/3*x2",
+    ]}))
+    monkeypatch.setattr(Poly, "_trusted", classmethod(spy))
+    for name in sorted(SUITES):
+        run_suite(name, seed=0, instances=3)
+    commands = [
+        ["check", "--field", FIELD],
+        ["cofactor", "--field", FIELD, "--surface", "x1^2 + x2^2 + x3^2 - 1"],
+        ["darboux", "--form", FORM, "--g", "1 - x1^2 - x2^2 - x3^2"],
+        ["syzygy-fi", "--form", FORM],
+        ["classify-hyperplane", "--form", FORM, "--a0", "0", "--a", "1,0,-1"],
+        ["construct", "linear-fi", "--a0", "5", "--a", "1,2,3", "--seed", SEED],
+        ["construct", "complete", "--n", "2", "--m", "4", "--atilde", "x1"],
+        ["construct", "cubic", "--form", FORM],
+        ["hamiltonian", "--field", str(planar)],
+        ["hamiltonian", "--constraint-space", "--n", "2"],
+        ["integrate", "--field", FIELD, "--x0", "0.5,0.5,0.5", "--h", "0.001",
+         "--steps", "100", "--watch", "x1^2 + x2^2 + x3^2 - 1",
+         "--dump", str(tmp_path / "traj.csv")],
+        ["certify", "--suite", "roundtrip", "--seed", "7", "--instances", "20"],
+    ]
+    codes = [run(capsys, *argv)[0] for argv in commands]
+    assert codes == [0] * len(commands)
+    assert len(calls) > 1000
+    assert faults == []
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))

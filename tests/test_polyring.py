@@ -97,6 +97,29 @@ def test_scalar_coercion_in_arithmetic():
     assert str(2 * x + 1) == "2*x1 + 1"
     assert str(1 - x) == "-x1 + 1"
     assert (x * Fraction(1, 2)).terms == {(1,): Fraction(1, 2)}
+    p = parse("x1^2 - 1/3*x1 + 2", 1)
+    assert p * True == p and True * p == p
+    with pytest.raises(TypeError):
+        p * 0.5
+    with pytest.raises(TypeError):
+        0.5 * p
+
+
+@pytest.mark.parametrize("result, terms", [
+    (lambda: parse("1/2*x1", 1) * 2, {(1,): 1}),
+    (lambda: Fraction(1, 2) * parse("2*x1 + 4", 1), {(1,): 1, (0,): 2}),
+    (lambda: parse("1/2*x1", 1) ** 0, {(0,): 1}),
+    (lambda: parse("1/2*2*x1", 1), {(1,): 1}),
+    (lambda: parse("(1/2*x1)*2", 1), {(1,): 1}),
+    (lambda: parse("1/2*x1", 1) * Fraction(4, 2), {(1,): 1}),
+    (lambda: parse("1/2*x1 + 1/2*x1", 1), {(1,): 1}),
+    (lambda: parse("1/3*x1^3", 1).differentiate(1), {(2,): 1}),
+], ids=["times-2", "half-times", "power-0", "flat-product", "grammar-product",
+        "times-4/2", "sum", "derivative"])
+def test_integral_products_and_sums_store_ints(result, terms):
+    p = result()
+    assert p.terms == terms
+    assert all(type(c) is int for c in p.terms.values())
 
 
 def test_power_matches_repeated_multiplication():
@@ -289,6 +312,8 @@ def assert_canonical_and_like(result, reference):
 @settings(max_examples=100, deadline=None)
 def test_coefficients_are_ints_exactly_when_integral(p, q, r, c, k, var):
     P, Q, R = (fraction_poly(2, x.terms) for x in (p, q, r))
+    m = Poly(2, {(k, var - 1): c or 1})
+    M = fraction_poly(2, m.terms)
     cases = [
         (p + q, ref_add(P, Q)),
         (p - q, ref_add(P, ref_scale(Q, -1))),
@@ -296,6 +321,11 @@ def test_coefficients_are_ints_exactly_when_integral(p, q, r, c, k, var):
         (p + c, ref_add(P, fraction_poly(2, {(0, 0): c}))),
         (p * q, ref_mul(P, Q)),
         (c * p, ref_scale(P, c)),
+        (p * c, ref_scale(P, c)),
+        (p * Fraction(4, 2), ref_scale(P, 2)),
+        (p * 0, fraction_poly(2, {})),
+        (m * p, ref_mul(M, P)),
+        (p * m, ref_mul(P, M)),
         (p ** k, ref_pow(P, k)),
         (p.differentiate(var), ref_differentiate(P, var)),
         (Poly.sum(2, [p, q, r]), ref_add(ref_add(P, Q), R)),
@@ -314,6 +344,38 @@ def test_coefficients_are_ints_exactly_when_integral(p, q, r, c, k, var):
                 cases.append((quotient, fraction_poly(2, quotient.terms)))
     for result, reference in cases:
         assert_canonical_and_like(result, reference)
+
+
+def double_loop_product(p_terms, q_terms):
+    """The product's terms as the general double loop builds them, folding
+    each ``c1 * c2`` in order and then dropping zeros and making integral
+    ``Fraction``s ``int``s."""
+    acc = {}
+    for e1, c1 in p_terms.items():
+        for e2, c2 in q_terms.items():
+            key = tuple(map(operator.add, e1, e2))
+            old = acc.get(key)
+            acc[key] = c1 * c2 if old is None else old + c1 * c2
+    return {e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for e, c in acc.items() if c}
+
+
+@given(polys(), polys(), coeffs, st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=2))
+@settings(max_examples=150, deadline=None)
+def test_one_pass_products_match_the_double_loop(p, q, c, k, var):
+    """The scalar and one-term paths of ``*`` give the double loop's terms,
+    in its order, with its values and coefficient types."""
+    m = Poly(2, {(k, var - 1): c or 1})
+    cases = [(p, c), (p, Fraction(4, 2)), (p, 0), (p, -1), (p, m), (m, p),
+             (m, m), (p, q), (q, p)]
+    for a, b in cases:
+        scalar = not isinstance(b, Poly)
+        b_terms = {(0, 0): b} if scalar else b.terms
+        expected = [(e, v, type(v))
+                    for e, v in double_loop_product(a.terms, b_terms).items()]
+        for result in (a * b, b * a) if scalar else (a * b,):
+            assert [(e, v, type(v)) for e, v in result.terms.items()] == expected
 
 
 @pytest.mark.parametrize(
